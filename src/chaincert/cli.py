@@ -50,8 +50,8 @@ class ConfigError(ValueError):
 def _fmt(x):
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 

@@ -7,9 +7,12 @@ convention 0/0 = 0 applies to every averaged integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .young import ConvexGauge
 
 __all__ = ["FiniteMeasure", "luxemburg_norm", "amemiya_norm"]
 
@@ -24,6 +27,8 @@ class FiniteMeasure:
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.size == 0:
             raise ValueError("a finite measure needs at least one atom")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", w)
@@ -42,6 +47,8 @@ def _aligned(values, measure):
     v = np.abs(np.asarray(values, dtype=float).ravel())
     if v.shape != w.shape:
         raise ValueError(f"values and weights are misaligned: {v.shape} vs {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     if not np.all(np.isfinite(v)):
@@ -52,48 +59,87 @@ def _aligned(values, measure):
 def luxemburg_norm(values, measure, gauge, rel_tol=1e-13):
     """inf{a > 0 : sum_i w_i * gauge(|v_i| / a) <= 1}, 0 when v = 0 a.e.
 
-    Monotone bisection on a; the map a -> integral is nonincreasing, so the
-    feasible set is a half line and the returned value is its left endpoint
-    to rel_tol relative accuracy.
+    Exact on the atoms with w_i > 0 and v_i != 0. With u_i = |v_i| / max|v|
+    sorted once in descending order and W_k the prefix sums of w:
+    - x^p: a = (sum_i w_i |v_i|^p)^(1/p);
+    - (x^p - 1)+: for a / max|v| in [u_(k+1), u_k] the active atoms are the
+      prefix i <= k, so the integral is S_k (max|v| / a)^p - W_k with S_k the
+      prefix sums of w u^p, and a = max|v| (S_k / (1 + W_k))^(1/p) on the
+      segment whose integral crosses 1;
+    - other gauges: one bracketed root-find of sum_i w_i gauge(u_i t) = 1 in
+      log t, t = max|v| / a, to width rel_tol. The integral is at most
+      gauge(t) sum_i w_i u_i and at least W_k gauge(u_k t), which brackets t
+      between gauge^-1(1 / sum_i w_i u_i) and min_k gauge^-1(1 / W_k) / u_k.
     """
     v, w = _aligned(values, measure)
-    support = w > 0
-    if not support.any():
+    atoms = (w > 0) & (v > 0)
+    if not atoms.any():
         return 0.0
-    v = v[support]
-    w = w[support]
+    v, w = v[atoms], w[atoms]
     vmax = float(v.max())
-    if vmax == 0.0:
-        return 0.0
+    shifted = isinstance(gauge, ConvexGauge)
+    base = gauge.base if shifted else gauge
+    power = base.kind == "power"
+    if power and not shifted:
+        return vmax * float(np.dot(w, (v / vmax) ** base.p)) ** (1.0 / base.p)
+    order = np.argsort(-v)
+    u = v[order] / vmax
+    w = w[order]
+    W = np.cumsum(w)
+    if power:
+        up = u ** base.p
+        S = np.cumsum(w * up)
+        with np.errstate(divide="ignore"):
+            at_values = S / up - W  # the integral at a = u_k max|v|, nondecreasing in k
+        k = int(np.searchsorted(at_values, 1.0, side="right"))
+        return vmax * float(S[k - 1] / (1.0 + W[k - 1])) ** (1.0 / base.p)
 
-    def integral(a):
+    def log_integral(s):
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sum(w * gauge.value(v / a)))
+            total = float(np.dot(w, gauge.value(u * math.exp(s))))
+        return math.log(total) if total > 0.0 else -math.inf
 
-    hi = vmax
-    for _ in range(200):
-        if integral(hi) <= 1.0:
+    lo = gauge.inverse(1.0 / np.dot(w, u))
+    hi = float(np.min(gauge.inverse(1.0 / W) / u))
+    return vmax * math.exp(-_root(log_integral, math.log(lo), math.log(hi), rel_tol))
+
+
+def _root(g, lo, hi, tol):
+    """Zero of the nondecreasing g between lo and hi to width tol.
+
+    False position with the Illinois modification: an end kept twice in a row
+    has its value halved, so both ends close in. A bracket that rounding left
+    on the wrong side of the zero is widened first, in doubling steps.
+    """
+    g_lo, g_hi = g(lo), g(hi)
+    step = tol
+    while g_lo > 0.0:
+        hi, g_hi, lo = lo, g_lo, lo - step
+        g_lo, step = g(lo), 2.0 * step
+    while g_hi < 0.0:
+        lo, g_lo, hi = hi, g_hi, hi + step
+        g_hi, step = g(hi), 2.0 * step
+    kept = 0
+    for _ in range(100):
+        if hi - lo <= tol:
             break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("no finite scale satisfies the unit-integral constraint")
-    lo = 0.5 * hi
-    for _ in range(2500):
-        if integral(lo) > 1.0:
-            break
-        hi = lo
-        lo *= 0.5
-        if lo < vmax * 1e-280:
-            # the integral stays below 1 arbitrarily close to 0
-            return 0.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if integral(mid) <= 1.0:
-            hi = mid
+        if math.isfinite(g_hi - g_lo):
+            s = hi - g_hi * (hi - lo) / (g_hi - g_lo)
         else:
-            lo = mid
-        if hi - lo <= rel_tol * hi:
-            break
+            s = 0.5 * (lo + hi)
+        # a step under tol/2 from an end that already sits on the zero ends the search
+        s = min(max(s, lo + 0.5 * tol), hi - 0.5 * tol)
+        g_s = g(s)
+        if g_s > 0.0:
+            hi, g_hi = s, g_s
+            if kept > 0:
+                g_lo *= 0.5
+            kept = 1
+        else:
+            lo, g_lo = s, g_s
+            if kept < 0:
+                g_hi *= 0.5
+            kept = -1
     return 0.5 * (lo + hi)
 
 

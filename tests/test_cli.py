@@ -85,6 +85,19 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_outputs_write_plain_floats(tmp_path):
+    names = ("certificate.json", "tau.csv", "verify.csv", "mc.csv", "summary.json")
+    first = {}
+    for run_dir in ("a", "b"):
+        out = tmp_path / run_dir
+        assert run(SCENARIOS / "line3.cfg", out_dir=out) == EXIT_OK
+        for name in names:
+            data = (out / name).read_bytes()
+            assert b"np." not in data
+            assert first.setdefault(name, data) == data
+    assert b"-1e-09" in first["verify.csv"]
+
+
 def test_header_only_outputs(tmp_path):
     cfg = _write(
         tmp_path,

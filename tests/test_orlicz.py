@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from chaincert import ConvexGauge, FiniteMeasure, YoungFunction, amemiya_norm, luxemburg_norm
+from util import bisection_luxemburg
 
 PHI2 = YoungFunction.power(2)
+BASES = [YoungFunction.power(p) for p in (1, 1.5, 2, 4)] + [
+    YoungFunction.exponential(1),
+    YoungFunction.exponential(2),
+    YoungFunction.piecewise([(0.0, 0.0), (0.5, 0.2), (1.0, 1.0), (3.0, 5.0)]),
+]
+GAUGES = BASES + [ConvexGauge(b) for b in BASES]
 
 
 def test_luxemburg_constant_function():
@@ -107,3 +114,60 @@ def test_finite_measure_wrapper():
     assert luxemburg_norm([1.0, 1.0], m, PHI2) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
         FiniteMeasure(np.array([-0.1, 1.1]))
+
+
+def test_non_finite_weights_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            luxemburg_norm([1.0, 2.0], [bad, 0.5], PHI2)
+        with pytest.raises(ValueError, match="finite"):
+            amemiya_norm([1.0, 2.0], [bad, 0.5], PHI2)
+        with pytest.raises(ValueError, match="finite"):
+            FiniteMeasure(np.array([bad, 0.5]))
+
+
+def _oracle_cases(rng):
+    """(values, weights) pairs: generic, ties, zeros, zero weights, one atom, all equal, long."""
+    cases = []
+    for n in (2, 5, 17, 60):
+        cases.append((rng.lognormal(0.0, 1.5, n) * rng.choice([-1.0, 1.0], n), rng.dirichlet(np.ones(n))))
+    v = np.round(rng.uniform(0.0, 3.0, 40), 1)
+    cases.append((v, rng.dirichlet(np.ones(40))))
+    v = rng.standard_normal(30)
+    v[::3] = 0.0
+    cases.append((v, rng.dirichlet(np.ones(30))))
+    w = rng.dirichlet(np.ones(30)) * 3.0
+    w[1::4] = 0.0
+    cases.append((rng.standard_normal(30), w))
+    cases.append((np.array([-2.5]), np.array([0.3])))
+    cases.append((np.full(25, -1.7), rng.dirichlet(np.ones(25)) * 0.01))
+    cases.append((rng.exponential(1.0, 1600), rng.dirichlet(np.ones(1600))))
+    return cases
+
+
+def _gauge_id(gauge):
+    shifted = isinstance(gauge, ConvexGauge)
+    spec = (gauge.base if shifted else gauge).spec()
+    name = spec["kind"] + "".join(f"{spec[k]:g}" for k in ("p", "q") if k in spec)
+    return f"({name}-1)+" if shifted else name
+
+
+@pytest.mark.parametrize("gauge", GAUGES, ids=_gauge_id)
+def test_luxemburg_matches_bisection_oracle(gauge):
+    rng = np.random.default_rng(2024)
+    for values, weights in _oracle_cases(rng):
+        for scale in (1e-3, 1.0, 250.0):
+            got = luxemburg_norm(scale * values, weights, gauge)
+            ref = bisection_luxemburg(scale * values, weights, gauge)
+            assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_luxemburg_bracket_survives_inexact_inverse():
+    # the piecewise inverse snaps values within 1e-5 of a knot value onto the
+    # knot, which can put the solver's initial bracket on the wrong side
+    pwl = BASES[-1]
+    for gauge, knot_value in ((pwl, 1.0), (ConvexGauge(pwl), 4.0)):
+        for rel in (-5e-6, 5e-6):
+            w = [1.0 / (knot_value * (1.0 + rel))]
+            got = luxemburg_norm([1.0], w, gauge)
+            assert abs(got - bisection_luxemburg([1.0], w, gauge)) <= 1e-12 * got

@@ -23,3 +23,52 @@ def random_battery(seed, count, n_lo, n_hi):
         n = int(rng.integers(n_lo, n_hi + 1))
         out.append(generate_space("random", n=n, seed=int(rng.integers(0, 2**31))))
     return out
+
+
+def bisection_luxemburg(values, weights, gauge, rel_tol=1e-13):
+    """Reference Luxemburg norm: monotone bisection on the scale a.
+
+    The map a -> sum_i w_i gauge(|v_i| / a) is nonincreasing, so the feasible
+    set is a half line; its left endpoint is bracketed by doubling and halving
+    and then bisected to rel_tol relative width. Slow (every step evaluates
+    the gauge on every atom) and independent of the library's solver.
+    """
+    v = np.abs(np.asarray(values, dtype=float).ravel())
+    w = np.asarray(weights, dtype=float).ravel()
+    support = w > 0
+    if not support.any():
+        return 0.0
+    v = v[support]
+    w = w[support]
+    vmax = float(v.max())
+    if vmax == 0.0:
+        return 0.0
+
+    def integral(a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(w * gauge.value(v / a)))
+
+    hi = vmax
+    for _ in range(200):
+        if integral(hi) <= 1.0:
+            break
+        hi *= 2.0
+    else:
+        raise ArithmeticError("no finite scale satisfies the unit-integral constraint")
+    lo = 0.5 * hi
+    for _ in range(2500):
+        if integral(lo) > 1.0:
+            break
+        hi = lo
+        lo *= 0.5
+        if lo < vmax * 1e-280:
+            return 0.0
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        if integral(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= rel_tol * hi:
+            break
+    return 0.5 * (lo + hi)
