@@ -218,11 +218,10 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
         lt = phi.log_value_exp((k + 1) * logR) - _log_gauge(psi, (k + n0 + 1) * logR)
         return math.exp(lt) if lt > -745.0 else 0.0
 
-    closed_avg = {k: mass[:, None] * _closed_rows(space, table.radius_vector(k)) for k in range(0, kstar + 1)}
-    open_avg = {0: np.outer(mass, mass)}
-    for j in range(1, kstar + 1):
-        open_avg[j] = mass[:, None] * _open_rows(space, table.radius_vector(j))
-
+    # level matrices are built as the weight loop reaches them; only the
+    # previous open matrix and the top closed one (for the tail) are kept
+    closed_top = mass[:, None] * _closed_rows(space, table.radius_vector(kstar))
+    open_prev = np.outer(mass, mass)
     bracket_sum = np.zeros((n, n))
     weight_sum = 0.0
     tail_weight = 0.0
@@ -234,7 +233,10 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
         wk = weight(k)
         weight_sum += wk
         if k <= kstar:
-            bracket_sum += wk * (2.0 * closed_avg[k] + open_avg[k - 1])
+            closed = closed_top if k == kstar else mass[:, None] * _closed_rows(space, table.radius_vector(k))
+            bracket_sum += wk * (2.0 * closed + open_prev)
+            if k < kstar:
+                open_prev = mass[:, None] * _open_rows(space, table.radius_vector(k))
         else:
             tail_weight += wk
         if prev is not None and prev > 0 and wk > 0:
@@ -251,7 +253,7 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
         if k > 200000:
             raise PreconditionError("weight tail could not be certified within tail_tol")
 
-    bracket_sum += tail_weight * 2.0 * closed_avg[kstar]
+    bracket_sum += tail_weight * 2.0 * closed_top
     total = float(bracket_sum.sum())
     if total <= 0.0:
         raise CertificateError("degenerate space: the pair measure has no mass")

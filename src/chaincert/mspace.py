@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
+_TRIANGLE_BLOCK = 2 ** 20  # floats in one pivot block of the triangle check (8 MB)
 
 
 class SpaceValidationError(ValueError):
@@ -63,6 +64,11 @@ class MetricMeasureSpace:
 
     @staticmethod
     def _validate(dist, mass):
+        # NaN compares False everywhere, so it would slip past every check below
+        if not np.isfinite(dist).all():
+            raise SpaceValidationError("distances must be finite")
+        if not np.isfinite(mass).all():
+            raise SpaceValidationError("masses must be finite")
         if np.any(dist < 0):
             raise SpaceValidationError("distances must be nonnegative")
         if np.any(np.abs(np.diag(dist)) > _ATOL):
@@ -73,9 +79,17 @@ class MetricMeasureSpace:
             raise SpaceValidationError("masses must be nonnegative")
         if abs(mass.sum() - 1.0) > _ATOL:
             raise SpaceValidationError("masses must sum to 1")
-        # d(i,j) <= d(i,k) + d(k,j) for all triples, up to float tolerance
-        via = dist[:, None, :] + dist[None, :, :]
-        if np.any(dist > via.min(axis=2) + _ATOL):
+        # d(i,j) <= d(i,k) + d(j,k) for all triples, up to float tolerance.
+        # The pivots k are taken in blocks of about _TRIANGLE_BLOCK floats, so
+        # memory stays O(n^2); the minimum is exact, so blocking changes no verdict.
+        n = mass.size
+        step = max(1, _TRIANGLE_BLOCK // (n * n))
+        cols = np.ascontiguousarray(dist.T)  # cols[k] = d(., k)
+        best = np.full((n, n), np.inf)
+        for lo in range(0, n, step):
+            blk = cols[lo:lo + step]
+            np.minimum(best, (blk[:, :, None] + blk[:, None, :]).min(axis=0), out=best)
+        if np.any(dist > best + _ATOL):
             raise SpaceValidationError("triangle inequality violated")
 
     @property
@@ -158,16 +172,16 @@ def radius_table(space, phi, R, allow_zero_mass=False):
         if kstar > 100000:
             raise ArithmeticError("radius levels did not stabilize")
     n = space.n
+    rows = np.arange(n)
     radii = np.zeros((kstar + 1, n))
     radii[0] = space.diameter
     for k in range(1, kstar + 1):
         lv = phi.log_value_exp(k * logR)
         theta = math.exp(-lv) if lv < 700 else 0.0  # 1/phi(R^k)
         cut = theta * (1.0 - 1e-12)
-        for x in range(n):
-            sorted_d, cum = space.distances_from(x)
-            idx = int(np.searchsorted(cum, cut, side="left"))
-            radii[k, x] = sorted_d[min(idx, n - 1)]
+        # rows of _cum_mass are nondecreasing, so this count is searchsorted(side="left")
+        idx = (space._cum_mass < cut).sum(axis=1)
+        radii[k] = space._sorted_d[rows, np.minimum(idx, n - 1)]
     return RadiusTable(space, phi, R, radii, kstar)
 
 

@@ -130,7 +130,7 @@ class YoungFunction:
         xs, ys, slopes = self.knots_x, self.knots_y, self.slopes
         j = np.searchsorted(ys, arr, side="left")
         out = np.empty_like(arr)
-        at_knot = (j < len(ys)) & np.isclose(ys[np.minimum(j, len(ys) - 1)], arr)
+        at_knot = (j < len(ys)) & (ys[np.minimum(j, len(ys) - 1)] == arr)
         inside = (j > 0) & (j < len(ys))
         beyond = j >= len(ys)
         out[j == 0] = 0.0

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,15 @@ from chaincert import (
     space_from_json,
     space_to_json,
 )
-from util import line3_space, random_battery, two_point_space
+from chaincert import mspace
+from chaincert.cli import EXIT_CONFIG, run
+from util import (
+    line3_space,
+    random_battery,
+    searchsorted_radii,
+    tensor_triangle_violated,
+    two_point_space,
+)
 
 PHI1 = YoungFunction.power(1)
 PHI2 = YoungFunction.power(2)
@@ -30,6 +41,96 @@ def test_validation_rejects_bad_matrices():
     bad = [[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]]
     with pytest.raises(SpaceValidationError):
         MetricMeasureSpace(bad, [1 / 3] * 3)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "dist, mass, space_cfg",
+    [
+        pytest.param([[0.0, NAN], [NAN, 0.0]], [0.5, 0.5], None, id="nan-distance"),
+        pytest.param([[0.0, INF], [INF, 0.0]], [0.5, 0.5], None, id="inf-distance"),
+        pytest.param(
+            [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+            [NAN, 1.0, 1.0],
+            "kind = grid\nn = 3\nscale = 2.0\nmass = nan,1,1\n",
+            id="nan-mass",
+        ),
+    ],
+)
+def test_non_finite_inputs_are_config_errors(tmp_path, dist, mass, space_cfg):
+    with pytest.raises(SpaceValidationError, match="finite"):
+        MetricMeasureSpace(dist, mass)
+    n = len(mass)
+    if space_cfg is None:
+        space = {"labels": [f"p{i}" for i in range(n)], "dist": np.ravel(dist).tolist(), "mass": mass}
+        (tmp_path / "space.json").write_text(json.dumps(space))
+        space_cfg = "source = file\nfile = space.json\n"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(
+        "[space]\n" + space_cfg + "[phi]\nkind = power\np = 2\n"
+        "[certificate]\ntheorem = T3\nR = 6\n"
+        "[functions]\nsource = values\nvalues = " + ",".join(["0"] * n) + "\n"
+    )
+    assert run(cfg, out_dir=tmp_path / "out") == EXIT_CONFIG
+
+
+def _triangle_cases(rng):
+    """Distance matrices with n = 2..70 around the edge of the triangle check.
+
+    Per size: a Euclidean space and a collinear grid (gamma = 1, exact ties);
+    from each, copies with one entry d(i,j) set just above, at and just below
+    min_k d(i,k) + d(j,k) + 1e-12, each kept symmetric and once more with an
+    asymmetry inside the symmetry tolerance.
+    """
+    for n in range(2, 71):
+        pts = rng.random((n, 2))
+        euclid = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        euclid = 0.5 * (euclid + euclid.T)
+        np.fill_diagonal(euclid, 0.0)
+        for base in (euclid, generate_space("grid", n=n, gamma=1.0).dist):
+            yield base
+            if n < 3:
+                continue
+            i, j = rng.choice(n, size=2, replace=False)
+            others = np.setdiff1d(np.arange(n), [i, j])
+            limit = (base[i, others] + base[j, others]).min() + 1e-12
+            for v in (np.nextafter(limit, INF), limit, np.nextafter(limit, 0.0)):
+                pushed = base.copy()
+                pushed[i, j] = pushed[j, i] = v
+                yield pushed
+                skew = np.triu(rng.uniform(-4e-13, 4e-13, size=(n, n)), k=1)
+                yield pushed + skew
+
+
+@pytest.mark.parametrize("block", [mspace._TRIANGLE_BLOCK, 2000, 1])
+def test_triangle_check_matches_tensor_oracle(monkeypatch, block):
+    # the smaller budgets split the pivots into blocks of 1..500 with ragged ends
+    monkeypatch.setattr(mspace, "_TRIANGLE_BLOCK", block)
+    verdicts = []
+    for dist in _triangle_cases(np.random.default_rng(33)):
+        n = dist.shape[0]
+        try:
+            MetricMeasureSpace(dist, np.full(n, 1.0 / n))
+            violated = False
+        except SpaceValidationError as exc:
+            assert str(exc) == "triangle inequality violated"
+            violated = True
+        assert violated == tensor_triangle_violated(dist)
+        verdicts.append(violated)
+    assert 200 < sum(verdicts) < len(verdicts) - 200
+
+
+def test_triangle_check_memory_is_quadratic():
+    # the n^3 tensor of two-hop sums alone would take 134 MB at n = 256
+    tracemalloc.start()
+    try:
+        generate_space("random", n=256, seed=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_ball_mass_examples():
@@ -53,6 +154,19 @@ def test_radius_table_line():
     assert table.radius(1, 1) == 1.0
     assert np.all(table.radius_vector(2) == 0.0)
     assert np.all(table.radius_vector(5) == 0.0)  # levels beyond kstar stay zero
+
+
+def test_radius_table_matches_per_point_loop():
+    rng = np.random.default_rng(8)
+    for sp in random_battery(6, 8, 2, 40):
+        zeroed = sp.mass.copy()
+        zeroed[::3] = 0.0
+        dirichlet = rng.dirichlet(np.ones(sp.n))
+        for mass in (sp.mass, zeroed / zeroed.sum(), dirichlet):
+            space = MetricMeasureSpace(sp.dist, mass)
+            for phi, R in ((PHI1, 2.0), (PHI2, 6.0)):
+                table = radius_table(space, phi, R, allow_zero_mass=True)
+                assert np.array_equal(table.radii, searchsorted_radii(space, phi, R, table.kstar))
 
 
 def test_radius_level_zero_is_diameter():

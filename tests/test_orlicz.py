@@ -163,8 +163,8 @@ def test_luxemburg_matches_bisection_oracle(gauge):
 
 
 def test_luxemburg_bracket_survives_inexact_inverse():
-    # the piecewise inverse snaps values within 1e-5 of a knot value onto the
-    # knot, which can put the solver's initial bracket on the wrong side
+    # near a knot value, rounding in the piecewise inverse can put the
+    # solver's initial bracket on the wrong side
     pwl = BASES[-1]
     for gauge, knot_value in ((pwl, 1.0), (ConvexGauge(pwl), 4.0)):
         for rel in (-5e-6, 5e-6):

@@ -62,6 +62,14 @@ def test_inverse_piecewise_interpolation():
     assert expected == 1.5
 
 
+@pytest.mark.parametrize("y, x", [(1 - 5e-6, 0.999996875), (1 - 1e-5, 0.99999375)])
+def test_inverse_near_knot_is_interpolated(y, x):
+    # y lies within np.isclose of the knot value 1 but is not equal to it
+    pwl = YoungFunction.piecewise([(0, 0), (0.5, 0.2), (1, 1), (3, 5)])
+    assert abs(pwl.inverse(y) - x) <= 1e-12 * x
+    assert pwl.inverse(1.0) == 1.0
+
+
 def test_inverse_smallest_preimage_on_flat_run():
     pwl = YoungFunction.piecewise([(0, 0), (0.5, 0), (1, 1)])
     assert pwl.inverse(0.0) == 0.0

@@ -1,4 +1,6 @@
-"""Shared space builders for the test suite."""
+"""Shared space builders and slow reference implementations for the test suite."""
+
+import math
 
 import numpy as np
 
@@ -72,3 +74,29 @@ def bisection_luxemburg(values, weights, gauge, rel_tol=1e-13):
         if hi - lo <= rel_tol * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def tensor_triangle_violated(dist, atol=1e-12):
+    """Reference triangle check: d(i,j) > min_k d(i,k) + d(j,k) + atol anywhere.
+
+    Builds the whole n x n x n tensor of two-hop sums, so memory is O(n^3);
+    the library walks the pivots k in blocks instead.
+    """
+    dist = np.asarray(dist, dtype=float)
+    via = dist[:, None, :] + dist[None, :, :]
+    return bool(np.any(dist > via.min(axis=2) + atol))
+
+
+def searchsorted_radii(space, phi, R, kstar):
+    """Reference radii for levels 0..kstar: one searchsorted per point and level."""
+    n = space.n
+    radii = np.zeros((kstar + 1, n))
+    radii[0] = space.diameter
+    for k in range(1, kstar + 1):
+        lv = phi.log_value_exp(k * math.log(R))
+        cut = (math.exp(-lv) if lv < 700 else 0.0) * (1.0 - 1e-12)
+        for x in range(n):
+            sorted_d, cum = space.distances_from(x)
+            idx = int(np.searchsorted(cum, cut, side="left"))
+            radii[k, x] = sorted_d[min(idx, n - 1)]
+    return radii
