@@ -4,17 +4,14 @@ from .chain import (
     AveragingKernel,
     CertificateError,
     ChainCertificate,
-    ComposedKernel,
     PreconditionError,
     averaging_kernel,
     certificate_thm1,
     certificate_thm3,
     certificate_to_json,
-    composed_kernel,
     constant_a,
     constant_b3,
     modulus_pairs,
-    modulus_thm3,
 )
 from .mc import (
     McReport,
@@ -35,15 +32,12 @@ from .minorize import (
     ball_growth_integral_riemann,
     majorizing_integral,
     minorizing_metric,
-    minorizing_metrics,
 )
 from .mspace import (
     MetricMeasureSpace,
     RadiusTable,
     SpaceValidationError,
     ZeroMassAtomError,
-    ball_mass,
-    extended_radius,
     generate_space,
     radius_table,
     space_from_json,
@@ -64,7 +58,6 @@ from .verify import (
 )
 from .young import (
     ConvexGauge,
-    GrowthParams,
     YoungFunction,
     pair_series,
     product_condition,

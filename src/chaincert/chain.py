@@ -1,4 +1,4 @@
-"""Averaging kernels, composed kernels and explicit chaining certificates.
+"""Averaging kernels and explicit chaining certificates.
 
 Two certificates are built. The ratio-pair certificate (tag "T1") weights
 closed/open ball averaging kernels by w_k = phi(R^(k+1))/gauge_psi(R^(k+n0+1))
@@ -24,15 +24,12 @@ __all__ = [
     "PreconditionError",
     "CertificateError",
     "AveragingKernel",
-    "ComposedKernel",
     "ChainCertificate",
     "constant_a",
     "constant_b3",
     "averaging_kernel",
-    "composed_kernel",
     "certificate_thm1",
     "certificate_thm3",
-    "modulus_thm3",
     "modulus_pairs",
     "certificate_to_json",
 ]
@@ -72,26 +69,9 @@ class AveragingKernel:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class ComposedKernel:
-    """Ordered product P_l ... P_k; row x is the probability measure that
-    represents applying the level-k..l averages to a function."""
-
-    level_hi: int
-    level_lo: int
-    matrix: np.ndarray = field(repr=False)
-
-
-def _closed_rows(space, radii):
-    ind = space.dist <= radii[:, None] + 0.0
-    rowmass = ind @ space.mass
-    with np.errstate(invalid="ignore", divide="ignore"):
-        P = np.where(rowmass[:, None] > 0, ind * space.mass[None, :] / rowmass[:, None], 0.0)
-    return P
-
-
-def _open_rows(space, radii):
-    ind = space.dist < radii[:, None]
+def _ball_rows(space, radii, closed=True):
+    """Row x averages over the closed (d <= r(x)) or open (d < r(x)) ball around x."""
+    ind = space.dist <= radii[:, None] if closed else space.dist < radii[:, None]
     rowmass = ind @ space.mass
     with np.errstate(invalid="ignore", divide="ignore"):
         P = np.where(rowmass[:, None] > 0, ind * space.mass[None, :] / rowmass[:, None], 0.0)
@@ -102,23 +82,23 @@ def averaging_kernel(table, k):
     """Averaging operator over closed balls B(x, r_k(x)) as a row matrix."""
     if k < 0:
         raise ValueError("level must be nonnegative")
-    P = _closed_rows(table.space, table.radius_vector(k))
+    P = _ball_rows(table.space, table.radius_vector(k))
     return AveragingKernel(level=k, matrix=P)
 
 
-def composed_kernel(kernels, l, k):
-    """Product P_l P_{l-1} ... P_k of per-level kernels (level l applied last).
+def _ball_levels(space, table):
+    """Yield the mass-weighted pair (closed_k, open_(k-1)) for k = 1..kstar.
 
-    kernels maps levels to AveragingKernel (a dict or a list indexed by level).
+    The level-0 open ball is the whole space, so open_0 is the product
+    measure. Each matrix is built when the walk reaches it, so at most one
+    closed and one open level matrix are live at a time.
     """
-    if k > l:
-        raise ValueError("need k <= l")
-    out = None
-    for level in range(l, k - 1, -1):
-        kern = kernels[level]
-        P = kern.matrix if isinstance(kern, AveragingKernel) else np.asarray(kern)
-        out = P.copy() if out is None else out @ P
-    return ComposedKernel(level_hi=l, level_lo=k, matrix=out)
+    mass = space.mass
+    open_prev = np.outer(mass, mass)
+    for k in range(1, table.kstar + 1):
+        yield mass[:, None] * _ball_rows(space, table.radius_vector(k)), open_prev
+        if k < table.kstar:
+            open_prev = mass[:, None] * _ball_rows(space, table.radius_vector(k), closed=False)
 
 
 @dataclass(frozen=True)
@@ -152,8 +132,8 @@ class ChainCertificate:
 
 
 def _effective_ratio(R):
-    if R <= 1:
-        raise ValueError("R must exceed 1")
+    if not 1 < R < math.inf:
+        raise ValueError("R must be finite and exceed 1")
     if R > 5:
         return float(R), None
     power = 1
@@ -210,7 +190,6 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
         )
     table = radius_table(space, phi, Reff)
     kstar = table.kstar
-    n = space.n
     mass = space.mass
     logR = math.log(Reff)
 
@@ -218,11 +197,11 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
         lt = phi.log_value_exp((k + 1) * logR) - _log_gauge(psi, (k + n0 + 1) * logR)
         return math.exp(lt) if lt > -745.0 else 0.0
 
-    # level matrices are built as the weight loop reaches them; only the
-    # previous open matrix and the top closed one (for the tail) are kept
-    closed_top = mass[:, None] * _closed_rows(space, table.radius_vector(kstar))
-    open_prev = np.outer(mass, mass)
-    bracket_sum = np.zeros((n, n))
+    # level matrices come from the walk as the weight loop reaches them; the
+    # last closed one is kept for the tail term
+    levels = _ball_levels(space, table)
+    closed = None
+    bracket_sum = np.zeros_like(space.dist)
     weight_sum = 0.0
     tail_weight = 0.0
     prev = None
@@ -233,10 +212,8 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
         wk = weight(k)
         weight_sum += wk
         if k <= kstar:
-            closed = closed_top if k == kstar else mass[:, None] * _closed_rows(space, table.radius_vector(k))
+            closed, open_prev = next(levels)
             bracket_sum += wk * (2.0 * closed + open_prev)
-            if k < kstar:
-                open_prev = mass[:, None] * _open_rows(space, table.radius_vector(k))
         else:
             tail_weight += wk
         if prev is not None and prev > 0 and wk > 0:
@@ -253,7 +230,9 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
         if k > 200000:
             raise PreconditionError("weight tail could not be certified within tail_tol")
 
-    bracket_sum += tail_weight * 2.0 * closed_top
+    if closed is None:  # kstar = 0: a single point, whose level-0 ball is the whole space
+        closed = mass[:, None] * _ball_rows(space, table.radius_vector(0))
+    bracket_sum += tail_weight * 2.0 * closed
     total = float(bracket_sum.sum())
     if total <= 0.0:
         raise CertificateError("degenerate space: the pair measure has no mass")
@@ -291,20 +270,13 @@ def certificate_thm3(space, phi, R, tail_tol=1e-12):
     _check_ratio(phi, Reff)
     table = radius_table(space, phi, Reff)
     kstar = table.kstar
-    n = space.n
-    mass = space.mass
 
-    S = np.zeros((n, n))
-    for k in range(1, kstar + 1):
+    S = np.zeros_like(space.dist)
+    for k, (closed, open_prev) in enumerate(_ball_levels(space, table), start=1):
         rk = table.radius_vector(k)
         rk1 = table.radius_vector(k - 1)
         coef = Reff ** (k + 1)
-        closed = mass[:, None] * _closed_rows(space, rk)
-        if k - 1 == 0:
-            open_part = np.outer(mass, mass)
-        else:
-            open_part = mass[:, None] * _open_rows(space, rk1)
-        S += coef * (2.0 * rk[:, None] * closed + rk1[:, None] * open_part)
+        S += coef * (2.0 * rk[:, None] * closed + rk1[:, None] * open_prev)
     total = float(S.sum())
     if total <= 0.0:
         raise CertificateError(
@@ -337,25 +309,9 @@ def certificate_thm3(space, phi, R, tail_tol=1e-12):
     )
 
 
-def modulus_thm3(cert, metrics, s, t):
-    """C * tau(s,t) * gauge_inverse(M / (K * tau(s,t))) for distinct points.
-
-    Uses the threshold inverse of the shifted gauge (value 1 at argument 0);
-    defined as 0 when s == t by the continuity convention.
-    """
-    if cert.theorem != "T3":
-        raise ValueError("modulus is defined for radius-weighted certificates only")
-    if s == t:
-        return 0.0
-    tau = float(metrics.tau[s, t])
-    if tau <= 0.0:
-        raise ValueError("distinct points with zero minorizing distance")
-    gauge = ConvexGauge(cert.phi)
-    return cert.C * tau * gauge.inverse_from_one(metrics.total / (cert.K * tau))
-
-
 def modulus_pairs(cert, metrics, iu, iv):
-    """Vectorized modulus over index pairs (zero minorizing distances rejected)."""
+    """C * tau(s,t) * gauge_inverse(M / (K * tau(s,t))) over index pairs, with the
+    threshold inverse of the shifted gauge (value 1 at 0); zero tau is rejected."""
     if cert.theorem != "T3":
         raise ValueError("modulus is defined for radius-weighted certificates only")
     tau = metrics.tau[iu, iv]

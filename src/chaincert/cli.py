@@ -17,8 +17,10 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from .chain import (
     certificate_thm1,
     certificate_thm3,
     certificate_to_json,
-    modulus_thm3,
+    modulus_pairs,
 )
 from .mc import brownian_grid_sampler, empirical_corollary, sample
 from .minorize import MinorizingMetrics
@@ -134,6 +136,17 @@ def _parse_functions(cfg, n, seed_override):
     return [rng.standard_normal(n) for _ in range(count)]
 
 
+def _certify(theorem, space, phi, psi, R, n0, tail_tol):
+    """Metrics, the selected certificate and its check of one function on space."""
+    metrics = MinorizingMetrics(space, phi)
+    if theorem == "T1":
+        cert = certificate_thm1(space, phi, psi, R, n0, tail_tol=tail_tol)
+        nabla_r = 1.0 if psi.kind == "power" else None
+        return metrics, cert, partial(verify_thm1, cert, metrics, nabla_r=nabla_r)
+    cert = certificate_thm3(space, phi, R, tail_tol=tail_tol)
+    return metrics, cert, partial(verify_thm3, cert, metrics)
+
+
 def _write_csv(path, header, rows):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -186,7 +199,7 @@ def emit_report(results, out_dir):
     return written
 
 
-def run(config_path, out_dir=None, seed=None, jobs=None, strict=False):
+def run(config_path, out_dir=None, seed=None, strict=False):
     """Execute one scenario; returns the process exit code."""
     config_path = Path(config_path)
     results = {"warnings": []}
@@ -201,8 +214,8 @@ def run(config_path, out_dir=None, seed=None, jobs=None, strict=False):
         R = float(_get(cfg, "certificate", "R", default="6"))
         n0 = int(_get(cfg, "certificate", "n0", default="1"))
         tail_tol = float(_get(cfg, "certificate", "tail_tol", default="1e-12"))
-        if R <= 1 or n0 < 1:
-            raise ConfigError("need R > 1 and n0 >= 1")
+        if not 1 < R < math.inf or n0 < 1:
+            raise ConfigError("need a finite R > 1 and n0 >= 1")
         space = _parse_space(cfg, config_path.parent)
         phi = _parse_young(cfg, "phi")
         psi = _parse_young(cfg, "psi") if cfg.has_section("psi") else None
@@ -219,11 +232,7 @@ def run(config_path, out_dir=None, seed=None, jobs=None, strict=False):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            metrics = MinorizingMetrics(space, phi)
-            if theorem == "T1":
-                cert = certificate_thm1(space, phi, psi, R, n0, tail_tol=tail_tol)
-            else:
-                cert = certificate_thm3(space, phi, R, tail_tol=tail_tol)
+            metrics, cert, check = _certify(theorem, space, phi, psi, R, n0, tail_tol)
         except (PreconditionError, CertificateError, ZeroMassAtomError, ArithmeticError) as exc:
             print(f"precondition failure: {exc}", file=sys.stderr)
             return EXIT_PRECONDITION
@@ -234,24 +243,18 @@ def run(config_path, out_dir=None, seed=None, jobs=None, strict=False):
         if cert.escalated_from is not None:
             results["warnings"].append(f"ratio escalated from {cert.escalated_from} to {cert.R}")
 
-        tau_rows = []
-        for i in range(space.n):
-            for j in range(i + 1, space.n):
-                mod = modulus_thm3(cert, metrics, i, j) if cert.theorem == "T3" else ""
-                tau_rows.append(
-                    (i, j, space.labels[i], space.labels[j],
-                     float(space.dist[i, j]), float(metrics.tau[i, j]), mod)
-                )
-        results["tau_rows"] = tau_rows
+        iu, iv = np.triu_indices(space.n, 1)
+        mods = modulus_pairs(cert, metrics, iu, iv) if theorem == "T3" else [""] * iu.size
+        results["tau_rows"] = [
+            (i, j, space.labels[i], space.labels[j],
+             float(space.dist[i, j]), float(metrics.tau[i, j]), mod)
+            for i, j, mod in zip(iu.tolist(), iv.tolist(), mods)
+        ]
 
         verify_rows = []
         all_passed = True
-        nabla_r = 1.0 if (psi is not None and psi.kind == "power") else None
         for idx, fvals in enumerate(functions):
-            if cert.theorem == "T1":
-                report = verify_thm1(cert, metrics, fvals, nabla_r=nabla_r)
-            else:
-                report = verify_thm3(cert, metrics, fvals)
+            report = check(fvals)
             all_passed &= report.passed
             for name, loc, lhs, rhs, margin, rel, ok in report.rows():
                 verify_rows.append((name, f"f{idx}:{loc}", lhs, rhs, margin, rel, ok))
@@ -270,15 +273,9 @@ def run(config_path, out_dir=None, seed=None, jobs=None, strict=False):
                 mc_seed = int(_get(cfg, "mc", "seed", default="0"))
                 if seed is not None:
                     mc_seed = seed
-                workers = jobs if jobs else int(_get(cfg, "mc", "workers", default="1"))
-                sampler_psi = psi if cert.theorem == "T1" else phi
-                sampler = brownian_grid_sampler(n_grid, sampler_psi)
-                mc_metrics = MinorizingMetrics(sampler.space, phi)
-                if cert.theorem == "T1":
-                    mc_cert = certificate_thm1(sampler.space, phi, psi, R, n0, tail_tol=tail_tol)
-                else:
-                    mc_cert = certificate_thm3(sampler.space, phi, R, tail_tol=tail_tol)
-                batch = sample(sampler, paths, mc_seed, workers=workers)
+                sampler = brownian_grid_sampler(n_grid, psi if theorem == "T1" else phi)
+                mc_metrics, mc_cert, _ = _certify(theorem, sampler.space, phi, psi, R, n0, tail_tol)
+                batch = sample(sampler, paths, mc_seed)
                 mc_report = empirical_corollary(batch, mc_cert, mc_metrics)
                 all_passed &= mc_report.passed
                 for s in mc_report.stats:
@@ -316,10 +313,9 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="scenario file (INI format)")
     parser.add_argument("--out", default=None, help="output directory (overrides the config)")
     parser.add_argument("--seed", type=int, default=None, help="override function and mc seeds")
-    parser.add_argument("--jobs", type=int, default=None, help="worker count for path sampling")
     parser.add_argument("--strict", action="store_true", help="treat warnings as errors")
     args = parser.parse_args(argv)
-    return run(args.config, out_dir=args.out, seed=args.seed, jobs=args.jobs, strict=args.strict)
+    return run(args.config, out_dir=args.out, seed=args.seed, strict=args.strict)
 
 
 if __name__ == "__main__":

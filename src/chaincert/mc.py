@@ -3,15 +3,14 @@
 Samplers generate Gaussian processes whose increments are normalized so that
 E psi(|X(s)-X(t)| / d(s,t)) = 1 exactly (power psi of any order, or the
 normalized exponential gauge with exponent 2; both have closed-form Gaussian
-moments). Path generation is reproducible bit for bit: each path draws from
-its own generator seeded by (seed, path index), so any worker count produces
-the same batch.
+moments). Path generation is reproducible bit for bit: paths are drawn in
+fixed blocks of 1,024, block b from its own generator seeded by (seed, b), so
+the first m paths of a batch do not depend on how many paths were drawn.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,33 +131,23 @@ class PathBatch:
         return self.values.shape[0]
 
 
-def _one_path(sampler, seed, index):
-    rng = np.random.default_rng([seed, index])
-    if sampler.kind == "brownian-grid":
-        dt = np.diff(sampler.times)
-        steps = rng.standard_normal(dt.size) * np.sqrt(dt)
-        return np.concatenate([[0.0], np.cumsum(steps)])
-    z = rng.standard_normal(sampler.n)
-    return sampler.chol @ z
+_BLOCK = 1024  # paths per generator
 
 
-def sample(sampler, n_paths, seed, workers=1):
-    """Draw n_paths paths; identical output for any worker count."""
+def sample(sampler, n_paths, seed):
+    """Draw n_paths paths; block b of _BLOCK paths draws from default_rng([seed, b])."""
     if n_paths < 1:
         raise ValueError("need at least one path")
-    values = np.empty((n_paths, sampler.n))
-
-    def fill(lo, hi):
-        for i in range(lo, hi):
-            values[i] = _one_path(sampler, seed, i)
-
-    if workers <= 1:
-        fill(0, n_paths)
-    else:
-        chunk = -(-n_paths // workers)
-        bounds = [(i, min(i + chunk, n_paths)) for i in range(0, n_paths, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda ab: fill(*ab), bounds))
+    values = np.zeros((n_paths, sampler.n))  # Brownian paths start at 0
+    for lo in range(0, n_paths, _BLOCK):
+        block = values[lo:lo + _BLOCK]
+        rng = np.random.default_rng([seed, lo // _BLOCK])
+        if sampler.kind == "brownian-grid":
+            dt = np.diff(sampler.times)
+            steps = rng.standard_normal((block.shape[0], dt.size)) * np.sqrt(dt)
+            np.cumsum(steps, axis=1, out=block[:, 1:])
+        else:
+            block[:] = rng.standard_normal(block.shape) @ sampler.chol.T
     return PathBatch(values=values, seed=int(seed), kind=sampler.kind)
 
 

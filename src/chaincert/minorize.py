@@ -19,7 +19,6 @@ __all__ = [
     "ball_growth_integral_riemann",
     "minorizing_metric",
     "MinorizingMetrics",
-    "minorizing_metrics",
     "majorizing_integral",
 ]
 
@@ -112,18 +111,21 @@ class MinorizingMetrics:
         rows = np.vstack([profiles[x].integral(space.dist[x]) for x in range(n)])
         self.tau = np.maximum(rows, rows.T)
         np.fill_diagonal(self.tau, 0.0)
-        D = space.diameter
-        self.total = float(np.dot(space.mass, [profiles[x].integral(D) for x in range(n)]))
+        self.total = _mass_integral(space, profiles)
 
     @property
     def n(self):
         return self.space.n
 
 
-def minorizing_metrics(space, phi):
-    return MinorizingMetrics(space, phi)
+def _mass_integral(space, profiles):
+    D = space.diameter
+    return float(np.dot(space.mass, [p.integral(D) for p in profiles]))
 
 
 def majorizing_integral(space, phi):
-    """Mass-weighted mean of the full growth integrals up to the diameter."""
-    return MinorizingMetrics(space, phi).total
+    """Mass-weighted mean of the full growth integrals up to the diameter.
+
+    The profiles are built one at a time, so memory stays O(n).
+    """
+    return _mass_integral(space, (_GrowthProfile(space, phi, x) for x in range(space.n)))

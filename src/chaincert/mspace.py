@@ -19,9 +19,7 @@ __all__ = [
     "ZeroMassAtomError",
     "MetricMeasureSpace",
     "RadiusTable",
-    "ball_mass",
     "radius_table",
-    "extended_radius",
     "generate_space",
     "space_to_json",
     "space_from_json",
@@ -53,11 +51,14 @@ class MetricMeasureSpace:
             raise SpaceValidationError("distance matrix must be square")
         if dist.shape[0] != mass.size:
             raise SpaceValidationError("distance matrix and mass vector disagree on size")
+        labels = list(labels) if labels is not None else [str(i) for i in range(mass.size)]
+        if len(labels) != mass.size:
+            raise SpaceValidationError(f"{len(labels)} labels for {mass.size} points")
         if validate:
             self._validate(dist, mass)
         self.dist = dist
         self.mass = mass
-        self.labels = list(labels) if labels is not None else [str(i) for i in range(mass.size)]
+        self.labels = labels
         self._order = np.argsort(dist, axis=1, kind="stable")
         self._sorted_d = np.take_along_axis(dist, self._order, axis=1)
         self._cum_mass = np.cumsum(mass[self._order], axis=1)
@@ -75,6 +76,8 @@ class MetricMeasureSpace:
             raise SpaceValidationError("diagonal of the distance matrix must be zero")
         if np.any(np.abs(dist - dist.T) > _ATOL):
             raise SpaceValidationError("distance matrix must be symmetric")
+        if np.any(dist[~np.eye(mass.size, dtype=bool)] == 0):
+            raise SpaceValidationError("distinct points must have positive distance (coincident points)")
         if np.any(mass < 0):
             raise SpaceValidationError("masses must be nonnegative")
         if abs(mass.sum() - 1.0) > _ATOL:
@@ -113,10 +116,6 @@ class MetricMeasureSpace:
         return self._sorted_d[x], self._cum_mass[x]
 
 
-def ball_mass(space, x, eps, closed=True):
-    return space.ball_mass(x, eps, closed=closed)
-
-
 class RadiusTable:
     """Critical radii r_k(x) for levels k = 0..kstar of a (space, phi, R) triple."""
 
@@ -142,13 +141,6 @@ class RadiusTable:
             out += (2.0 ** (i - k)) * self.radius_vector(i)
         return out
 
-    def extended(self, x, k, l):
-        return float(self.extended_vector(k, l)[x])
-
-
-def extended_radius(table, x, k, l):
-    return table.extended(x, k, l)
-
 
 def radius_table(space, phi, R, allow_zero_mass=False):
     """Build the radius table; rejects zero-mass atoms unless told otherwise.
@@ -157,8 +149,8 @@ def radius_table(space, phi, R, allow_zero_mass=False):
     positive-mass point instead of at zero; this diagnostic mode is not
     accepted by the certificate constructions.
     """
-    if R <= 1:
-        raise ValueError("R must exceed 1")
+    if not 1 < R < math.inf:
+        raise ValueError("R must be finite and exceed 1")
     mass = space.mass
     positive = mass > 0
     if not positive.all() and not allow_zero_mass:

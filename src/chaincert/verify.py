@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import averaging_kernel, composed_kernel, constant_a, modulus_pairs
+from .chain import averaging_kernel, constant_a, modulus_pairs
 from .minorize import ball_growth_integral
 from .mspace import radius_table
 from .orlicz import luxemburg_norm
@@ -371,7 +371,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
 
     if f is not None:
         f = _as_test_function(f)
-        checks.append(_smoothing_difference_check(table, space, f, s, t, l, tau, anchor, d_levels, n))
+        checks.append(_smoothing_difference_check(table, space, f, s, t, l, tau, anchor, ext, d_levels, n))
 
     return ProofTrace(
         s=s, t=t, l=l, distance=d, a=a, b=b, c=c,
@@ -393,7 +393,7 @@ def _averaged_quotient(space, fd_row, member_idx, threshold):
     return float(np.dot(w, vals)) / tot
 
 
-def _smoothing_difference_check(table, space, f, s, t, l, tau, anchor, d_levels, n):
+def _smoothing_difference_check(table, space, f, s, t, l, tau, anchor, ext, d_levels, n):
     R = table.R
     phi = table.phi
     fd = f.quotients(space)
@@ -401,7 +401,6 @@ def _smoothing_difference_check(table, space, f, s, t, l, tau, anchor, d_levels,
     smoothed = P_l @ f.values
     lhs = abs(float(smoothed[s] - smoothed[t]))
 
-    ext = {k: table.extended_vector(k, l) for k in range(0, l + 1)}
     total = d_levels[tau] * R ** (tau + n)
     total += sum(ext[k][x] * R ** (k + n) for x in (s, t) for k in range(tau, l))
     for x in (s, t):
@@ -623,20 +622,21 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     if R > 2:
         worst = -math.inf
         ll = kstar + 2
+        ext = [table.extended_vector(k, ll).tolist() for k in range(ll)]  # floats, as the rows expect
         for x in range(n):
             for c in range(ll):
-                lhs = sum(table.extended(x, k, ll) * R ** k for k in range(c, ll))
+                lhs = sum(ext[k][x] * R ** k for k in range(c, ll))
                 rhs = (R ** 2 / ((R - 1.0) * (R - 2.0))) * ball_growth_integral(
                     space, phi, x, table.radius(min(c, kstar), x)
                 )
                 worst = max(worst, _neg_margin(lhs, rhs))
         checks.append(Check("extended_series_integral", "all x,c", worst, 0.0))
 
+    ext = [table.extended_vector(k, l) for k in range(l + 1)]
     worst = -math.inf
     support_bad = 0.0
     for k in range(l):
-        ext_k = table.extended_vector(k, l)
-        ext_k1 = table.extended_vector(k + 1, l)
+        ext_k, ext_k1 = ext[k], ext[k + 1]
         for x in range(n):
             for u in _ball(space, x, ext_k1[x]):
                 r_u = table.radius(k, int(u))
@@ -656,9 +656,11 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     rng = np.random.default_rng(seed)
     fs = [rng.standard_normal(n) for _ in range(3)]
     worst_avg = -math.inf
-    for k in range(l + 1):
-        comp = composed_kernel(kernels, l, k).matrix
-        ext_k = table.extended_vector(k, l)
+    comp = None
+    for k in range(l, -1, -1):
+        # the composed kernel P_l ... P_k, one factor more per level
+        comp = kernels[k].matrix if comp is None else comp @ kernels[k].matrix
+        ext_k = ext[k]
         outside = dist > ext_k[:, None] + 1e-12 * np.maximum(1.0, ext_k)[:, None]
         worst_support = max(worst_support, float(np.abs(comp[outside]).max(initial=0.0)))
         worst_rowsum = max(worst_rowsum, float(np.max(np.abs(comp.sum(axis=1) - 1.0))))

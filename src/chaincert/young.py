@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "YoungFunction",
     "ConvexGauge",
-    "GrowthParams",
     "RatioCheck",
     "SeriesResult",
     "ratio_condition",
@@ -233,23 +232,6 @@ class ConvexGauge:
 
     def __repr__(self):
         return f"ConvexGauge({self.base!r})"
-
-
-@dataclass(frozen=True)
-class GrowthParams:
-    """Geometric-grid parameters: ratio base R, shift n0, product multiplier r
-    valid beyond threshold c."""
-
-    R: float
-    n0: int
-    r: float | None = None
-    c: float | None = None
-
-    def __post_init__(self):
-        if not self.R > 1:
-            raise ValueError("R must exceed 1")
-        if int(self.n0) != self.n0 or self.n0 < 1:
-            raise ValueError("n0 must be an integer >= 1")
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,10 @@ from chaincert import (
     averaging_kernel,
     certificate_thm1,
     certificate_thm3,
-    composed_kernel,
     constant_a,
     constant_b3,
     generate_space,
-    modulus_thm3,
+    modulus_pairs,
     radius_table,
 )
 from util import line3_space, random_battery, two_point_space
@@ -52,16 +51,13 @@ def test_averaging_kernel_levels():
 
 
 def test_composed_kernel():
+    # the composed kernel P_l ... P_k is the left-to-right product of level kernels
     line = line3_space()
     table = radius_table(line, PHI1, 2.0)
     kernels = {k: averaging_kernel(table, k) for k in range(3)}
-    single = composed_kernel(kernels, 1, 1)
-    assert np.array_equal(single.matrix, kernels[1].matrix)
-    comp = composed_kernel(kernels, 1, 0)
-    assert np.allclose(comp.matrix, line.mass[None, :])  # averaging absorbs everything
-    assert np.allclose(comp.matrix.sum(axis=1), 1.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        composed_kernel(kernels, 0, 1)
+    comp = kernels[1].matrix @ kernels[0].matrix
+    assert np.allclose(comp, line.mass[None, :])  # averaging absorbs everything
+    assert np.allclose(comp.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_certificate_thm1_weight_sum_oracle():
@@ -91,6 +87,14 @@ def test_certificate_thm1_preconditions():
         certificate_thm1(two_point_space(), bad, PHI2, 6.0, 1)  # ratio condition fails
     with pytest.raises(PreconditionError):
         certificate_thm1(two_point_space(), PHI1, PHI2, 6.0, 0)
+
+
+@pytest.mark.parametrize("R", [float("nan"), float("inf")])
+def test_certificates_reject_non_finite_ratio(R):
+    with pytest.raises(ValueError, match="finite"):
+        certificate_thm1(two_point_space(), PHI1, PHI2, R, 1)
+    with pytest.raises(ValueError, match="finite"):
+        certificate_thm3(two_point_space(), PHI2, R)
 
 
 def test_certificate_thm3_two_point():
@@ -123,11 +127,10 @@ def test_modulus_formula():
     two = two_point_space()
     cert = certificate_thm3(two, PHI2, 6.0)
     mets = MinorizingMetrics(two, PHI2)
-    assert modulus_thm3(cert, mets, 0, 0) == 0.0
     tau = mets.tau[0, 1]
     gauge = ConvexGauge(PHI2)
     expected = cert.C * tau * gauge.inverse_from_one(mets.total / (cert.K * tau))
-    got = modulus_thm3(cert, mets, 0, 1)
+    (got,) = modulus_pairs(cert, mets, np.array([0]), np.array([1]))
     assert got == pytest.approx(expected, rel=1e-12)
     # hand re-evaluation: C * sqrt(2) * sqrt(1 + 1/K)
     hand = 1511654.4 * np.sqrt(2.0) * np.sqrt(1.0 + 1.0 / 3.75)
@@ -144,8 +147,9 @@ def test_kernel_average_bound_line():
     rng = np.random.default_rng(2)
     for _ in range(5):
         f = rng.standard_normal(3)
-        for k in range(l + 1):
-            comp = composed_kernel(kernels, l, k).matrix
+        comp = np.eye(3)
+        for k in range(l, -1, -1):
+            comp = comp @ kernels[k].matrix
             ext = table.extended_vector(k, l)
             for x in range(3):
                 lhs = float(comp[x] @ np.abs(f))

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from chaincert.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, run
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -55,6 +57,35 @@ def test_corrupted_space_is_config_error(tmp_path):
         "[phi]\nkind = power\np = 2\n"
         "[certificate]\ntheorem = T3\nR = 6\n"
         "[functions]\nsource = values\nvalues = 0,1\n",
+    )
+    assert run(cfg, out_dir=tmp_path / "out") == EXIT_CONFIG
+
+
+_COINCIDENT = '{"labels": ["a","b","c"], "dist": [0,0,1, 0,0,1, 1,1,0], "mass": [0.25,0.25,0.5]}'
+_LINE3 = '{"labels": ["a","b","c"], "dist": [0,1,2, 1,0,1, 2,1,0], "mass": [0.25,0.25,0.5]}'
+_BAD_LABELS = '{"labels": ["a","b"], "dist": [0,1,2, 1,0,1, 2,1,0], "mass": [0.25,0.25,0.5]}'
+
+
+@pytest.mark.parametrize(
+    "space, theorem, R",
+    [
+        (_COINCIDENT, "T3", "6"),
+        (_COINCIDENT, "T1", "6"),
+        (_LINE3, "T1", "nan"),
+        (_LINE3, "T3", "inf"),
+        (_BAD_LABELS, "T3", "6"),
+    ],
+    ids=["coincident-T3", "coincident-T1", "R-nan", "R-inf", "label-count"],
+)
+def test_bad_inputs_are_config_errors(tmp_path, space, theorem, R):
+    _write(tmp_path, "space.json", space)
+    cfg = _write(
+        tmp_path,
+        "bad.cfg",
+        "[space]\nsource = file\nfile = space.json\n"
+        "[phi]\nkind = power\np = 1\n[psi]\nkind = power\np = 2\n"
+        f"[certificate]\ntheorem = {theorem}\nR = {R}\n"
+        "[functions]\nsource = values\nvalues = 0,1,0\n",
     )
     assert run(cfg, out_dir=tmp_path / "out") == EXIT_CONFIG
 

@@ -15,6 +15,7 @@ from chaincert import (
     increment_moment_stats,
     sample,
 )
+from util import per_path_sample
 
 PHI1 = YoungFunction.power(1)
 PHI2 = YoungFunction.power(2)
@@ -69,12 +70,21 @@ def test_sampling_determinism():
     assert not np.array_equal(a.values, c.values)
 
 
-def test_worker_invariance():
+def test_sampling_prefix_stable():
+    # blocks are seeded by (seed, block), so a short batch is a prefix of a long one
     s = brownian_grid_sampler(16, PHI2)
-    serial = sample(s, 333, seed=4)
-    for workers in (2, 4, 8):
-        parallel = sample(s, 333, seed=4, workers=workers)
-        assert np.array_equal(serial.values, parallel.values)
+    short = sample(s, 333, seed=4)
+    long = sample(s, 3000, seed=4)
+    assert np.array_equal(short.values, long.values[:333])
+
+
+def test_sample_matches_per_path_reference():
+    # 2,500 paths cross two block boundaries
+    brownian = brownian_grid_sampler(9, PHI2)
+    assert np.array_equal(sample(brownian, 2500, seed=8).values, per_path_sample(brownian, 2500, 8))
+    cov = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
+    gauss = gaussian_cov_sampler(cov, PHI2)
+    assert np.allclose(sample(gauss, 2500, seed=8).values, per_path_sample(gauss, 2500, 8), rtol=1e-12, atol=1e-12)
 
 
 def test_empirical_increment_moment():

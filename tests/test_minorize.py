@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,20 @@ def test_majorizing_integral_oracles():
     assert abs(majorizing_integral(line3_space(), PHI1) - 13.0 / 3.0) <= 1e-12
     single = generate_space("grid", n=1)
     assert majorizing_integral(single, PHI2) == 0.0
+
+
+def test_majorizing_integral_matches_metrics_without_tau():
+    # the same mass-weighted sum as MinorizingMetrics.total, without an n x n matrix
+    for sp in random_battery(22, 4, 3, 30):
+        for phi in (PHI1, PHI2):
+            assert majorizing_integral(sp, phi) == MinorizingMetrics(sp, phi).total
+    n = 400
+    sp = generate_space("random", n=n, seed=5)
+    tracemalloc.start()
+    majorizing_integral(sp, PHI2)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_metric_matrix_consistency():

@@ -10,7 +10,6 @@ from chaincert import (
     YoungFunction,
     ZeroMassAtomError,
     ball_growth_integral,
-    extended_radius,
     generate_space,
     radius_table,
     space_from_json,
@@ -43,7 +42,20 @@ def test_validation_rejects_bad_matrices():
         MetricMeasureSpace(bad, [1 / 3] * 3)
 
 
+def test_coincident_points_and_label_count_rejected():
+    with pytest.raises(SpaceValidationError, match="coincident"):
+        MetricMeasureSpace([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], [0.25, 0.25, 0.5])
+    with pytest.raises(SpaceValidationError, match="labels"):
+        MetricMeasureSpace([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], labels=["a"])
+
+
 NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("R", [NAN, INF])
+def test_radius_table_rejects_non_finite_ratio(R):
+    with pytest.raises(ValueError, match="finite"):
+        radius_table(two_point_space(), PHI1, R)
 
 
 @pytest.mark.parametrize(
@@ -196,10 +208,10 @@ def test_radius_lipschitz_and_sandwich():
 
 def test_extended_radius_examples():
     line = radius_table(line3_space(), PHI1, 2.0)
-    assert line.extended(0, 1, 1) == line.radius(1, 0)
-    assert extended_radius(line, 0, 1, 2) == 1.0
+    assert line.extended_vector(1, 1)[0] == line.radius(1, 0)
+    assert line.extended_vector(1, 2)[0] == 1.0
     two = radius_table(two_point_space(), PHI2, 2.0)
-    assert two.extended(0, 0, 1) == 1.0
+    assert two.extended_vector(0, 1)[0] == 1.0
 
 
 def test_radius_series_integral_bound():
@@ -221,7 +233,7 @@ def test_extended_series_integral_bound():
         l = table.kstar + 2
         for x in range(sp.n):
             for c in range(l):
-                lhs = sum(table.extended(x, k, l) * R ** k for k in range(c, l))
+                lhs = sum(table.extended_vector(k, l)[x] * R ** k for k in range(c, l))
                 rhs = R ** 2 / ((R - 1.0) * (R - 2.0)) * ball_growth_integral(
                     sp, PHI1, x, table.radius(c, x)
                 )
@@ -235,8 +247,8 @@ def test_ball_nesting():
         l = table.kstar + 1
         for k in range(l):
             for x in range(sp.n):
-                rlk = table.extended(x, k, l)
-                rlk1 = table.extended(x, k + 1, l)
+                rlk = table.extended_vector(k, l)[x]
+                rlk1 = table.extended_vector(k + 1, l)[x]
                 for u in range(sp.n):
                     if sp.dist[x, u] <= rlk1:
                         assert table.radius(k, u) <= table.radius(k, x) + rlk1 + 1e-12

@@ -5,7 +5,6 @@ import pytest
 
 from chaincert import (
     ConvexGauge,
-    GrowthParams,
     YoungFunction,
     pair_series,
     product_condition,
@@ -197,14 +196,6 @@ def test_pair_series_piecewise_flagged_heuristic():
 def test_shifted_series_tail_constant():
     res = shifted_series(YoungFunction.power(1), YoungFunction.power(2), 2.0, -1, 0)
     assert abs(res.total - 1.0) <= 1e-12
-
-
-def test_growth_params_validation():
-    GrowthParams(R=6.0, n0=1)
-    with pytest.raises(ValueError):
-        GrowthParams(R=1.0, n0=1)
-    with pytest.raises(ValueError):
-        GrowthParams(R=2.0, n0=0)
 
 
 def test_piecewise_knot_validation():
