@@ -21,6 +21,7 @@ import math
 import sys
 import warnings
 from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -151,12 +152,49 @@ def _write_csv(path, header, rows):
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
+
+
+def _tau_rows(space, metrics, cert):
+    """tau.csv rows as strings, one column at a time; the modulus is empty for T1."""
+    iu, iv = np.triu_indices(space.n, 1)
+    mods = repeat("") if cert.theorem == "T1" else map(repr, modulus_pairs(cert, metrics, iu, iv).tolist())
+    labels = [_fmt(x) for x in space.labels]
+    iu_list, iv_list = iu.tolist(), iv.tolist()
+    return zip(
+        map(str, iu_list), map(str, iv_list),
+        map(labels.__getitem__, iu_list), map(labels.__getitem__, iv_list),
+        map(repr, space.dist[iu, iv].tolist()), map(repr, metrics.tau[iu, iv].tolist()),
+        mods,
+    )
+
+
+_BOOL = {True: "true", False: "false"}
+
+
+def _report_rows(report, prefix):
+    """verify.csv rows of one report as strings; pair checks go column by column."""
+    rows = [
+        [_fmt(v) for v in (c.name, prefix + c.location, c.lhs, c.rhs, c.margin, c.rel_margin, c.passed)]
+        for c in report.checks
+    ]
+    return chain(rows, *(_pair_check_rows(p, prefix) for p in report.pair_checks))
+
+
+def _pair_check_rows(pair_checks, prefix):
+    loc, lhs, rhs, margin, rel, ok = pair_checks.columns()
+    return zip(
+        repeat(pair_checks.name), [prefix + x for x in loc], map(repr, lhs), map(repr, rhs),
+        map(repr, margin), map(repr, rel), map(_BOOL.__getitem__, ok),
+    )
 
 
 def emit_report(results, out_dir):
-    """Write the fixed file set; overwrites are idempotent."""
+    """Write the fixed file set; overwrites are idempotent.
+
+    The csv rows in results are iterables of ready strings; they may be lazy,
+    so their formatting happens here, while the files are written.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -243,27 +281,15 @@ def run(config_path, out_dir=None, seed=None, strict=False):
         if cert.escalated_from is not None:
             results["warnings"].append(f"ratio escalated from {cert.escalated_from} to {cert.R}")
 
-        iu, iv = np.triu_indices(space.n, 1)
-        mods = modulus_pairs(cert, metrics, iu, iv) if theorem == "T3" else [""] * iu.size
-        results["tau_rows"] = [
-            (i, j, space.labels[i], space.labels[j],
-             float(space.dist[i, j]), float(metrics.tau[i, j]), mod)
-            for i, j, mod in zip(iu.tolist(), iv.tolist(), mods)
-        ]
+        results["tau_rows"] = _tau_rows(space, metrics, cert)
 
-        verify_rows = []
-        all_passed = True
-        for idx, fvals in enumerate(functions):
-            report = check(fvals)
-            all_passed &= report.passed
-            for name, loc, lhs, rhs, margin, rel, ok in report.rows():
-                verify_rows.append((name, f"f{idx}:{loc}", lhs, rhs, margin, rel, ok))
+        reports = [(check(fvals), f"f{idx}:") for idx, fvals in enumerate(functions)]
+        all_passed = all(report.passed for report, _ in reports)
         if _get(cfg, "verify", "invariants", default="true").lower() in ("1", "true", "yes"):
             suite = invariant_suite(space, phi, psi, cert.R, n0)
             all_passed &= suite.passed
-            for name, loc, lhs, rhs, margin, rel, ok in suite.rows():
-                verify_rows.append((name, loc, lhs, rhs, margin, rel, ok))
-        results["verify_rows"] = verify_rows
+            reports.append((suite, ""))
+        results["verify_rows"] = chain.from_iterable(_report_rows(r, prefix) for r, prefix in reports)
 
         mc_rows = []
         if cfg.has_section("mc") and _get(cfg, "mc", "enabled", default="false").lower() in ("1", "true", "yes"):
@@ -279,7 +305,7 @@ def run(config_path, out_dir=None, seed=None, strict=False):
                 mc_report = empirical_corollary(batch, mc_cert, mc_metrics)
                 all_passed &= mc_report.passed
                 for s in mc_report.stats:
-                    mc_rows.append((s.name, s.mean, s.stderr, s.n_paths, s.threshold, s.passed))
+                    mc_rows.append([_fmt(v) for v in (s.name, s.mean, s.stderr, s.n_paths, s.threshold, s.passed)])
             except (PreconditionError, CertificateError, ValueError) as exc:
                 print(f"precondition failure in mc stage: {exc}", file=sys.stderr)
                 return EXIT_PRECONDITION

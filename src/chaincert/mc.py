@@ -179,12 +179,34 @@ class McReport:
         raise KeyError(name)
 
 
-def _path_sups(values, iu, iv, denom, chunk=512):
-    sups = np.empty(values.shape[0])
-    for lo in range(0, values.shape[0], chunk):
-        hi = min(lo + chunk, values.shape[0])
-        ratios = np.abs(values[lo:hi, iu] - values[lo:hi, iv]) / denom[None, :]
-        sups[lo:hi] = ratios.max(axis=1)
+def _pair_rows(values, denom):
+    """Yield |x_i - x_j| / denom for j > i, one point i at a time, as (n-1-i, paths).
+
+    values is (paths, n). The pairs are the np.triu_indices(n, 1) order, so
+    the denominators of point i are one contiguous slice of denom. The paths
+    are transposed once into contiguous rows, and every block is written into
+    one reused buffer, valid until the next block: memory is O(n * paths).
+    """
+    rows = np.ascontiguousarray(values.T)
+    n = rows.shape[0]
+    buf = np.empty((max(n - 1, 0), rows.shape[1]))
+    start = 0
+    for i in range(n - 1):
+        block = buf[:n - 1 - i]
+        np.subtract(rows[i], rows[i + 1:], out=block)
+        np.abs(block, out=block)
+        np.divide(block, denom[start:start + block.shape[0], None], out=block)
+        start += block.shape[0]
+        yield block
+
+
+def _path_sups(values, denom):
+    """Per-path max over the pairs of |x_i - x_j| / denom."""
+    if values.shape[1] < 2:
+        raise ValueError("the sup statistic needs at least two points")
+    sups = np.full(values.shape[0], -np.inf)
+    for block in _pair_rows(values, denom):
+        np.maximum(sups, block.max(axis=0), out=sups)
     return sups
 
 
@@ -200,12 +222,14 @@ def increment_moment_stats(batch, sampler):
     Sampler correctness: the worst empirical mean should sit within three
     standard errors of the analytic value 1.
     """
-    n = sampler.n
-    iu, iv = np.triu_indices(n, 1)
-    d = sampler.space.dist[iu, iv]
-    vals = sampler.psi.value(np.abs(batch.values[:, iu] - batch.values[:, iv]) / d[None, :])
-    means = vals.mean(axis=0)
-    ses = vals.std(axis=0, ddof=1) / math.sqrt(batch.n_paths)
+    iu, iv = np.triu_indices(sampler.n, 1)
+    means, ses = [], []
+    for block in _pair_rows(batch.values, sampler.space.dist[iu, iv]):
+        vals = sampler.psi.value(block)
+        means.append(vals.mean(axis=1))
+        ses.append(vals.std(axis=1, ddof=1))
+    means = np.concatenate(means)
+    ses = np.concatenate(ses) / math.sqrt(batch.n_paths)
     j = int(np.argmax(means - 3.0 * ses))
     worst = McStat("increment_moment_worst_pair", float(means[j]), float(ses[j]), batch.n_paths,
                    threshold=1.0 + 6.0 * float(ses[j]))
@@ -229,7 +253,7 @@ def empirical_corollary(batch, cert, metrics):
     stats = []
     if cert.theorem == "T1":
         denom = 2.0 * cert.K * tau
-        sups = _path_sups(batch.values, iu, iv, denom)
+        sups = _path_sups(batch.values, denom)
         m, se = _mean_stderr(sups)
         stats.append(McStat("increment_ratio_sup", m, se, batch.n_paths))
         gauge_vals = cert.psi.value(sups)
@@ -237,7 +261,7 @@ def empirical_corollary(batch, cert, metrics):
         stats.append(McStat("gauge_ratio_sup", m2, se2, batch.n_paths))
     else:
         denom = modulus_pairs(cert, metrics, iu, iv)
-        sups = _path_sups(batch.values, iu, iv, denom)
+        sups = _path_sups(batch.values, denom)
         vals = cert.phi.value(sups)
         m, se = _mean_stderr(vals)
         stats.append(McStat("modulus_ratio_sup", m, se, batch.n_paths))

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
-_TRIANGLE_BLOCK = 2 ** 20  # floats in one pivot block of the triangle check (8 MB)
+_TRIANGLE_BLOCK = 2 ** 16  # floats of two-hop sums in one tile of the triangle check (512 KB)
 
 
 class SpaceValidationError(ValueError):
@@ -83,15 +83,27 @@ class MetricMeasureSpace:
         if abs(mass.sum() - 1.0) > _ATOL:
             raise SpaceValidationError("masses must sum to 1")
         # d(i,j) <= d(i,k) + d(j,k) for all triples, up to float tolerance.
-        # The pivots k are taken in blocks of about _TRIANGLE_BLOCK floats, so
-        # memory stays O(n^2); the minimum is exact, so blocking changes no verdict.
+        # best[i,j] = min_k d(i,k) + d(j,k) is built in tiles of rows i and
+        # columns j, each walking the pivots k in blocks, so that the sums of
+        # one step (about _TRIANGLE_BLOCK floats, a cube of side `tile`) and the
+        # tile of best stay in cache; memory is O(n^2). The sum is symmetric in
+        # (i, j) exactly, so only tiles on and above the diagonal are computed
+        # and then mirrored. The minimum is exact, so tiling changes no verdict.
+        # A tile has at least 16 rows, so that a tiny budget still leaves whole
+        # rows of sums to each numpy call.
         n = mass.size
-        step = max(1, _TRIANGLE_BLOCK // (n * n))
+        tile = min(n, max(16, round(_TRIANGLE_BLOCK ** (1 / 3))))
+        step = max(1, _TRIANGLE_BLOCK // (tile * tile))
         cols = np.ascontiguousarray(dist.T)  # cols[k] = d(., k)
         best = np.full((n, n), np.inf)
-        for lo in range(0, n, step):
-            blk = cols[lo:lo + step]
-            np.minimum(best, (blk[:, :, None] + blk[:, None, :]).min(axis=0), out=best)
+        for a in range(0, n, tile):
+            for b in range(a, n, tile):
+                out = best[a:a + tile, b:b + tile]
+                for lo in range(0, n, step):
+                    blk = cols[lo:lo + step]
+                    sums = blk[:, a:a + tile, None] + blk[:, None, b:b + tile]
+                    np.minimum(out, sums.min(axis=0), out=out)
+        best = np.minimum(best, best.T)
         if np.any(dist > best + _ATOL):
             raise SpaceValidationError("triangle inequality violated")
 

@@ -146,10 +146,13 @@ def _root(g, lo, hi, tol):
 def amemiya_norm(values, measure, phi, rel_tol=1e-12):
     """inf_{a>0} a * (1 + sum_i w_i * phi(|v_i| / a)).
 
-    The objective is convex in a (perspective of a convex function plus a
-    linear term); it is minimized by ternary search on a bracket anchored at
-    the Luxemburg norm and expanded toward 0, where the infimum sits for
-    gauges with linear growth.
+    For a bare x^p the objective is a + S a^(1-p) with S = sum_i w_i |v_i|^p:
+    for p > 1 it is least at a^p = (p - 1) S, with value a p / (p - 1), and
+    for p = 1 it decreases to S as a -> 0. Other gauges: the objective is
+    convex in a (perspective of a convex function plus a linear term); it is
+    minimized by ternary search on a bracket anchored at the Luxemburg norm
+    and expanded toward 0, where the infimum sits for gauges with linear
+    growth.
     """
     v, w = _aligned(values, measure)
     lux = luxemburg_norm(values, measure, phi)
@@ -158,6 +161,12 @@ def amemiya_norm(values, measure, phi, rel_tol=1e-12):
     support = w > 0
     v = v[support]
     w = w[support]
+    if not isinstance(phi, ConvexGauge) and phi.kind == "power":
+        vmax = float(v.max())
+        s = float(np.dot(w, (v / vmax) ** phi.p))  # S / max|v|^p
+        if phi.p == 1.0:
+            return vmax * s
+        return vmax * ((phi.p - 1.0) * s) ** (1.0 / phi.p) * phi.p / (phi.p - 1.0)
 
     def objective(a):
         with np.errstate(over="ignore", invalid="ignore"):

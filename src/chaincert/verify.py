@@ -14,13 +14,15 @@ relative margin is at least -1e-9.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .chain import averaging_kernel, constant_a, modulus_pairs
-from .minorize import ball_growth_integral
+from .minorize import _GrowthProfile
 from .mspace import radius_table
 from .orlicz import luxemburg_norm
 from .young import ConvexGauge, pair_series, shifted_series
@@ -122,14 +124,38 @@ class PairChecks:
     def passed(self):
         return self.worst_rel_margin >= -REL_SLACK
 
-    def checks(self):
-        for j in range(self.iu.size):
-            yield Check(
-                self.name,
-                f"({int(self.iu[j])},{int(self.iv[j])})",
-                float(self.lhs[j]),
-                float(self.rhs[j]),
-            )
+    def columns(self):
+        """The verify.csv columns as lists: location, lhs, rhs, margin, rel_margin, passed.
+
+        Built on demand, never by verify_thm1 / verify_thm3 themselves; the
+        location strings are made once per pair list and shared.
+        """
+        rel = self.rel_margins
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, as for one Check
+            margin = self.rhs - self.lhs
+        return (
+            _pair_locations(self.iu, self.iv),
+            self.lhs.tolist(),
+            self.rhs.tolist(),
+            margin.tolist(),
+            rel.tolist(),
+            (rel >= -REL_SLACK).tolist(),
+        )
+
+
+@functools.lru_cache(maxsize=4)
+def _triu_locations(n):
+    iu, iv = np.triu_indices(n, 1)
+    return iu, iv, tuple(f"({i},{j})" for i, j in zip(iu.tolist(), iv.tolist()))
+
+
+def _pair_locations(iu, iv):
+    """Location strings "(i,j)" per pair, cached for the np.triu_indices(n, 1) list of the verifiers."""
+    n = int(iv[-1]) + 1 if iv.size else 0
+    tu, tv, locations = _triu_locations(n)
+    if np.array_equal(iu, tu) and np.array_equal(iv, tv):
+        return locations
+    return tuple(f"({i},{j})" for i, j in zip(iu.tolist(), iv.tolist()))
 
 
 @dataclass
@@ -161,8 +187,7 @@ class VerificationReport:
         for c in self.checks:
             yield (c.name, c.location, c.lhs, c.rhs, c.margin, c.rel_margin, c.passed)
         for p in self.pair_checks:
-            for c in p.checks():
-                yield (c.name, c.location, c.lhs, c.rhs, c.margin, c.rel_margin, c.passed)
+            yield from zip(repeat(p.name), *p.columns())
 
 
 def _as_test_function(f):
@@ -545,10 +570,11 @@ def converse_witness(space, phi, psi, R, n0, t, l):
     checks.append(worst_rec)
 
     ratios = np.zeros(n)
+    profile = _GrowthProfile(space, phi, t)
     for x in range(n):
         if x == t or dists[x] == 0:
             continue
-        growth = ball_growth_integral(space, phi, t, float(dists[x]))
+        growth = profile.integral(float(dists[x]))
         w = _step_integral(full_radii, R, n0, float(dists[x]), table.kstar)
         ratios[x] = growth / w if w > 0 else math.inf
 
@@ -611,11 +637,16 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     checks.append(Check("ball_mass_lower", "all x,k", worst_lo, 0.0))
     checks.append(Check("ball_mass_upper", "all x,k", worst_hi, 0.0))
 
+    profiles = [_GrowthProfile(space, phi, x) for x in range(n)]
+
+    def growth(x, u):  # radii are distances, so no clamp to the diameter is needed
+        return 0.0 if u == 0.0 else profiles[x].integral(u)
+
     worst = -math.inf
     for x in range(n):
         for c in range(kstar + 1):
             lhs = sum(radii[k, x] * R ** k for k in range(c, kstar + 1))
-            rhs = (R / (R - 1.0)) * ball_growth_integral(space, phi, x, radii[c, x])
+            rhs = (R / (R - 1.0)) * growth(x, radii[c, x])
             worst = max(worst, _neg_margin(lhs, rhs))
     checks.append(Check("radius_series_integral", "all x,c", worst, 0.0))
 
@@ -626,9 +657,7 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
         for x in range(n):
             for c in range(ll):
                 lhs = sum(ext[k][x] * R ** k for k in range(c, ll))
-                rhs = (R ** 2 / ((R - 1.0) * (R - 2.0))) * ball_growth_integral(
-                    space, phi, x, table.radius(min(c, kstar), x)
-                )
+                rhs = (R ** 2 / ((R - 1.0) * (R - 2.0))) * growth(x, table.radius(min(c, kstar), x))
                 worst = max(worst, _neg_margin(lhs, rhs))
         checks.append(Check("extended_series_integral", "all x,c", worst, 0.0))
 

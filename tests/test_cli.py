@@ -1,11 +1,26 @@
+import csv
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from chaincert.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, run
+from chaincert import (
+    MinorizingMetrics,
+    YoungFunction,
+    certificate_thm1,
+    certificate_thm3,
+    generate_space,
+    invariant_suite,
+    modulus_pairs,
+    verify_thm1,
+    verify_thm3,
+)
+from chaincert.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, _fmt, run
+from util import per_check_rows
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -153,3 +168,65 @@ def test_console_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
+
+
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def _oracle_tau_and_verify(space, theorem, phi, psi, functions):
+    """tau.csv and verify.csv rebuilt one Check per pair and one _fmt per value."""
+    metrics = MinorizingMetrics(space, phi)
+    iu, iv = np.triu_indices(space.n, 1)
+    if theorem == "T1":
+        cert = certificate_thm1(space, phi, psi, 6.0, 1)
+        reports = [verify_thm1(cert, metrics, f, nabla_r=1.0) for f in functions]
+        mods = [""] * iu.size
+    else:
+        cert = certificate_thm3(space, phi, 6.0)
+        reports = [verify_thm3(cert, metrics, f) for f in functions]
+        mods = modulus_pairs(cert, metrics, iu, iv)
+    tau_rows = [
+        (i, j, space.labels[i], space.labels[j], float(space.dist[i, j]), float(metrics.tau[i, j]), mod)
+        for i, j, mod in zip(iu.tolist(), iv.tolist(), mods)
+    ]
+    verify_rows = [
+        (name, f"f{idx}:{loc}", *rest)
+        for idx, report in enumerate(reports)
+        for name, loc, *rest in per_check_rows(report)
+    ]
+    verify_rows += per_check_rows(invariant_suite(space, phi, psi, cert.R, 1))
+    return (
+        _csv_text(["i", "j", "label_i", "label_j", "distance", "tau", "modulus"], tau_rows),
+        _csv_text(["check", "location", "lhs", "rhs", "margin", "rel_margin", "passed"], verify_rows),
+    )
+
+
+def test_csv_rows_match_per_check_oracle(tmp_path):
+    # brownian64 (T1 on three points) and a 12-point T3 grid with random functions
+    t3 = _write(
+        tmp_path,
+        "t3grid.cfg",
+        "[space]\nkind = grid\nn = 12\ngamma = 0.5\n"
+        "[phi]\nkind = power\np = 2\n"
+        "[certificate]\ntheorem = T3\nR = 6\n"
+        "[functions]\nsource = random\ncount = 4\nseed = 3\n",
+    )
+    cases = [
+        (SCENARIOS / "brownian64.cfg", generate_space("grid", n=3, scale=2.0), "T1",
+         YoungFunction.power(1), YoungFunction.power(2), 7, 10),
+        (t3, generate_space("grid", n=12, gamma=0.5), "T3", YoungFunction.power(2), None, 3, 4),
+    ]
+    for cfg, space, theorem, phi, psi, seed, count in cases:
+        out = tmp_path / cfg.stem
+        assert run(cfg, out_dir=out) == EXIT_OK
+        rng = np.random.default_rng(seed)
+        functions = [rng.standard_normal(space.n) for _ in range(count)]
+        tau_text, verify_text = _oracle_tau_and_verify(space, theorem, phi, psi, functions)
+        assert (out / "tau.csv").read_bytes() == tau_text.encode()
+        assert (out / "verify.csv").read_bytes() == verify_text.encode()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,10 @@ from chaincert import (
     gaussian_abs_moment,
     gaussian_cov_sampler,
     increment_moment_stats,
+    modulus_pairs,
     sample,
 )
-from util import per_path_sample
+from util import gather_path_sups, per_path_sample
 
 PHI1 = YoungFunction.power(1)
 PHI2 = YoungFunction.power(2)
@@ -124,3 +127,62 @@ def test_empirical_corollary_modulus_variant():
     report = empirical_corollary(batch, cert, mets)
     assert report.passed
     assert report.stat("modulus_ratio_sup").mean < 1.0
+
+
+def _ou_sampler(n, psi):
+    # Ornstein-Uhlenbeck covariance, drawn through the Cholesky factor
+    t = np.linspace(0.0, 1.0, n)
+    return gaussian_cov_sampler(np.exp(-3.0 * np.abs(t[:, None] - t[None, :])), psi)
+
+
+def _gathered_stats(batch, cert, mets):
+    """The corollary's statistics from the chunked gather, as (mean, stderr) per stat."""
+    iu, iv = np.triu_indices(mets.n, 1)
+    if cert.theorem == "T1":
+        sups = gather_path_sups(batch.values, iu, iv, 2.0 * cert.K * mets.tau[iu, iv])
+        samples = [sups, cert.psi.value(sups)]
+    else:
+        sups = gather_path_sups(batch.values, iu, iv, modulus_pairs(cert, mets, iu, iv))
+        samples = [cert.phi.value(sups)]
+    out = []
+    for x in samples:
+        se = float(np.std(x, ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+        out.append((float(np.mean(x)), se))
+    return out
+
+
+@pytest.mark.parametrize("make", [brownian_grid_sampler, _ou_sampler], ids=["brownian", "cholesky"])
+@pytest.mark.parametrize("theorem", ["T1", "T3"])
+def test_sup_statistic_matches_chunked_gather(make, theorem):
+    # path counts off the gather's 512-path chunks and the sampler's 1,024-path blocks
+    for n, paths in ((2, 1), (3, 700), (10, 513), (33, 1100), (64, 1537)):
+        sampler = make(n, PHI2)
+        if theorem == "T1":
+            cert = certificate_thm1(sampler.space, PHI1, PHI2, 6.0, 1)
+            mets = MinorizingMetrics(sampler.space, PHI1)
+        else:
+            cert = certificate_thm3(sampler.space, PHI2, 6.0)
+            mets = MinorizingMetrics(sampler.space, PHI2)
+        batch = sample(sampler, paths, seed=n)
+        got = [(st.mean, st.stderr) for st in empirical_corollary(batch, cert, mets).stats]
+        assert got == _gathered_stats(batch, cert, mets)
+
+
+@pytest.mark.parametrize("sampler", [
+    brownian_grid_sampler(17, PHI2),
+    _ou_sampler(12, YoungFunction.power(4)),
+    brownian_grid_sampler(9, YoungFunction.exponential(2)),
+], ids=["brownian-x2", "cholesky-x4", "brownian-exp2"])
+def test_increment_moment_stats_matches_full_array(sampler):
+    batch = sample(sampler, 3001, seed=5)
+    iu, iv = np.triu_indices(sampler.n, 1)
+    d = sampler.space.dist[iu, iv]
+    vals = sampler.psi.value(np.abs(batch.values[:, iu] - batch.values[:, iv]) / d[None, :])
+    means = vals.mean(axis=0)
+    ses = vals.std(axis=0, ddof=1) / math.sqrt(batch.n_paths)
+    j = int(np.argmax(means - 3.0 * ses))
+    stat = increment_moment_stats(batch, sampler).stats[0]
+    assert stat.n_paths == 3001
+    assert stat.mean == pytest.approx(means[j], rel=1e-12, abs=0.0)
+    assert stat.stderr == pytest.approx(ses[j], rel=1e-12, abs=0.0)
+    assert stat.threshold == pytest.approx(1.0 + 6.0 * ses[j], rel=1e-12, abs=0.0)

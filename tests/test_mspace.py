@@ -118,7 +118,8 @@ def _triangle_cases(rng):
 
 @pytest.mark.parametrize("block", [mspace._TRIANGLE_BLOCK, 2000, 1])
 def test_triangle_check_matches_tensor_oracle(monkeypatch, block):
-    # the smaller budgets split the pivots into blocks of 1..500 with ragged ends
+    # the smaller budgets split the rows into tiles of 16 and the pivots into
+    # blocks of 7 and 1, with ragged ends
     monkeypatch.setattr(mspace, "_TRIANGLE_BLOCK", block)
     verdicts = []
     for dist in _triangle_cases(np.random.default_rng(33)):

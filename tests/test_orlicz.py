@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chaincert import ConvexGauge, FiniteMeasure, YoungFunction, amemiya_norm, luxemburg_norm
-from util import bisection_luxemburg
+from util import bisection_luxemburg, ternary_amemiya
 
 PHI2 = YoungFunction.power(2)
 BASES = [YoungFunction.power(p) for p in (1, 1.5, 2, 4)] + [
@@ -171,3 +171,15 @@ def test_luxemburg_bracket_survives_inexact_inverse():
             w = [1.0 / (knot_value * (1.0 + rel))]
             got = luxemburg_norm([1.0], w, gauge)
             assert abs(got - bisection_luxemburg([1.0], w, gauge)) <= 1e-12 * got
+
+
+@pytest.mark.parametrize("gauge", [YoungFunction.power(p) for p in (1, 1.01, 1.5, 2, 3, 4, 7.5)]
+                         + [YoungFunction.exponential(2), ConvexGauge(PHI2)], ids=_gauge_id)
+def test_amemiya_matches_ternary_oracle(gauge):
+    # bare powers take the closed form, the other gauges the ternary search
+    rng = np.random.default_rng(77)
+    for values, weights in _oracle_cases(rng):
+        for scale in (1e-100, 1.0, 1e100):
+            got = amemiya_norm(scale * values, weights, gauge)
+            ref = ternary_amemiya(scale * values, weights, gauge)
+            assert abs(got - ref) <= 1e-10 * ref

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from chaincert import (
     MinorizingMetrics,
     TestFunction,
+    VerificationReport,
     YoungFunction,
     averaging_kernel,
     certificate_thm1,
@@ -17,7 +20,8 @@ from chaincert import (
     verify_thm3,
 )
 from chaincert.chain import AveragingKernel
-from util import line3_space, random_battery, two_point_space
+from chaincert.verify import PairChecks
+from util import line3_space, per_check_rows, random_battery, two_point_space
 
 PHI1 = YoungFunction.power(1)
 PHI2 = YoungFunction.power(2)
@@ -198,3 +202,22 @@ def test_invariant_suite_detects_corrupted_kernel():
     report = invariant_suite(line, PHI1, PHI2, 6.0, 1, kernels=kernels)
     assert not report.passed
     assert "kernel_stochastic" in report.failed_names()
+
+
+def test_pair_check_columns_with_infinities():
+    inf = math.inf
+    iu, iv = np.triu_indices(4, 1)
+    lhs = np.array([inf, 1.0, inf, 0.5, 3.0, 0.0])
+    rhs = np.array([1.0, inf, inf, 2.0, 1.0, 0.0])
+    pc = PairChecks("c", iu, iv, lhs, rhs)
+    report = VerificationReport([], [pc], {})
+    rows = list(report.rows())
+    # repr compares nan (inf - inf) as equal and tells np.float64 from float
+    assert [tuple(map(repr, r)) for r in rows] == [tuple(map(repr, r)) for r in per_check_rows(report)]
+    assert [r[5] for r in rows[:3]] == [-inf, inf, -inf]
+    assert [r[6] for r in rows] == [False, True, False, True, False, True]
+    assert math.isnan(rows[2][4])
+    assert not pc.passed and pc.worst_rel_margin == -inf
+    # a pair list other than np.triu_indices keeps its own locations
+    odd = PairChecks("c", np.array([0, 2]), np.array([3, 1]), np.zeros(2), np.ones(2))
+    assert odd.columns()[0] == ("(0,3)", "(2,1)")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from chaincert import generate_space
+from chaincert import Check, generate_space, luxemburg_norm
 
 
 def two_point_space():
@@ -122,3 +122,66 @@ def per_path_sample(sampler, n_paths, seed, block=1024):
             else:
                 out[b * block + j] = sampler.chol @ zj
     return out
+
+
+def gather_path_sups(values, iu, iv, denom, chunk=512):
+    """Reference sup statistic: max over pairs of |x_iu - x_iv| / denom per path.
+
+    Gathers every pair's increments for chunks of paths by fancy indexing,
+    so memory is O(chunk * pairs); the library walks one point row at a time.
+    """
+    sups = np.empty(values.shape[0])
+    for lo in range(0, values.shape[0], chunk):
+        hi = min(lo + chunk, values.shape[0])
+        ratios = np.abs(values[lo:hi, iu] - values[lo:hi, iv]) / denom[None, :]
+        sups[lo:hi] = ratios.max(axis=1)
+    return sups
+
+
+def per_check_rows(report):
+    """Reference verify rows: one Check object per pair and per scalar check.
+
+    Each pair's margin, relative margin and verdict come from the scalar
+    Check properties, independently of the vectorised PairChecks columns.
+    """
+    checks = list(report.checks)
+    for p in report.pair_checks:
+        for j in range(p.iu.size):
+            checks.append(Check(p.name, f"({int(p.iu[j])},{int(p.iv[j])})", float(p.lhs[j]), float(p.rhs[j])))
+    for c in checks:
+        yield (c.name, c.location, c.lhs, c.rhs, c.margin, c.rel_margin, c.passed)
+
+
+def ternary_amemiya(values, weights, phi, rel_tol=1e-12):
+    """Reference Amemiya norm: ternary search of a (1 + sum w phi(|v| / a)) over a.
+
+    The bracket runs from 1e-12 to 2 times the Luxemburg norm; up to 240
+    steps, each evaluating phi on every atom.
+    """
+    v = np.abs(np.asarray(values, dtype=float).ravel())
+    w = np.asarray(weights, dtype=float).ravel()
+    lux = luxemburg_norm(v, w, phi)
+    if lux == 0.0:
+        return 0.0
+    v = v[w > 0]
+    w = w[w > 0]
+
+    def objective(a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return a * (1.0 + float(np.sum(w * phi.value(v / a))))
+
+    lo = lux * 1e-12
+    hi = 2.0 * lux * (1.0 + 1e-12)
+    best = min(objective(lux), objective(hi))
+    for _ in range(240):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        f1, f2 = objective(m1), objective(m2)
+        best = min(best, f1, f2)
+        if f1 <= f2:
+            hi = m2
+        else:
+            lo = m1
+        if hi - lo <= rel_tol * max(hi, 1e-300):
+            break
+    return min(best, objective(0.5 * (lo + hi)))
