@@ -29,9 +29,7 @@ from .mc import (
 from .minorize import (
     MinorizingMetrics,
     ball_growth_integral,
-    ball_growth_integral_riemann,
     majorizing_integral,
-    minorizing_metric,
 )
 from .mspace import (
     MetricMeasureSpace,

@@ -3,9 +3,7 @@
 The growth integral int_0^u phi^{-1}(1/m(B(x, eps))) d(eps) has a piecewise
 constant integrand: closed-ball mass is a right-continuous step function of
 the radius that jumps exactly at the sorted distances from x. Integrals are
-therefore computed as finite sums over those breakpoints. A midpoint Riemann
-evaluation over a refined uniform grid is provided as an independent
-cross-check.
+therefore computed as finite sums over those breakpoints.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ import numpy as np
 
 __all__ = [
     "ball_growth_integral",
-    "ball_growth_integral_riemann",
-    "minorizing_metric",
     "MinorizingMetrics",
     "majorizing_integral",
 ]
@@ -67,37 +63,6 @@ def ball_growth_integral(space, phi, x, upper, warn_clamp=True):
     if u == 0.0:
         return 0.0
     return _GrowthProfile(space, phi, x).integral(u)
-
-
-def ball_growth_integral_riemann(space, phi, x, upper, panels=100000):
-    """Midpoint-rule cross-check of the growth integral.
-
-    Uses a uniform grid refined at the distances from x and evaluates the
-    ball mass directly per midpoint, independently of the cumulative-mass
-    bookkeeping of the exact path.
-    """
-    u = _clamped_upper(space, upper, warn_clamp=False)
-    if u == 0.0:
-        return 0.0
-    grid = np.linspace(0.0, u, panels + 1)
-    row = space.dist[x]
-    cuts = row[(row > 0) & (row < u)]
-    grid = np.unique(np.concatenate([grid, cuts]))
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    masses = (row[None, :] <= mids[:, None]) @ space.mass
-    vals = phi.inverse(1.0 / masses)
-    return float(np.sum(vals * np.diff(grid)))
-
-
-def minorizing_metric(space, phi, s, t):
-    """max of the two growth integrals of the pair, up to their distance."""
-    d = float(space.dist[s, t])
-    if d == 0.0:
-        return 0.0
-    return max(
-        ball_growth_integral(space, phi, s, d),
-        ball_growth_integral(space, phi, t, d),
-    )
 
 
 class MinorizingMetrics:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -31,7 +32,6 @@ __all__ = [
     "REL_SLACK",
     "TestFunction",
     "Check",
-    "PairChecks",
     "VerificationReport",
     "verify_thm1",
     "verify_thm3",
@@ -68,79 +68,29 @@ class TestFunction:
         return out
 
 
-def _rel_margin(lhs, rhs):
-    if math.isinf(lhs):
-        return -math.inf
-    if math.isinf(rhs):
-        return math.inf
-    return (rhs - lhs) / max(1.0, abs(rhs))
+class _PairLocations(Sequence):
+    """The "(i,j)" location of each pair of a pair list, formatted on demand.
 
+    Indexing formats one label; iterating shares the labels of the
+    np.triu_indices(n, 1) list the verifiers use, made once per n.
+    """
 
-@dataclass(frozen=True)
-class Check:
-    """A single measured inequality lhs <= rhs."""
+    def __init__(self, iu, iv):
+        self.iu = iu
+        self.iv = iv
 
-    name: str
-    location: str
-    lhs: float
-    rhs: float
+    def __len__(self):
+        return self.iu.size
 
-    @property
-    def margin(self):
-        return self.rhs - self.lhs
+    def __getitem__(self, j):
+        return f"({self.iu[j]},{self.iv[j]})"
 
-    @property
-    def rel_margin(self):
-        return _rel_margin(self.lhs, self.rhs)
-
-    @property
-    def passed(self):
-        return self.rel_margin >= -REL_SLACK
-
-
-@dataclass(frozen=True)
-class PairChecks:
-    """One named inequality measured on every point pair (vectorized)."""
-
-    name: str
-    iu: np.ndarray = field(repr=False)
-    iv: np.ndarray = field(repr=False)
-    lhs: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-
-    @property
-    def rel_margins(self):
-        with np.errstate(invalid="ignore"):
-            out = (self.rhs - self.lhs) / np.maximum(1.0, np.abs(self.rhs))
-        out = np.where(np.isinf(self.rhs) & ~np.isinf(self.lhs), np.inf, out)
-        return np.where(np.isinf(self.lhs), -np.inf, out)
-
-    @property
-    def worst_rel_margin(self):
-        m = self.rel_margins
-        return float(m.min()) if m.size else math.inf
-
-    @property
-    def passed(self):
-        return self.worst_rel_margin >= -REL_SLACK
-
-    def columns(self):
-        """The verify.csv columns as lists: location, lhs, rhs, margin, rel_margin, passed.
-
-        Built on demand, never by verify_thm1 / verify_thm3 themselves; the
-        location strings are made once per pair list and shared.
-        """
-        rel = self.rel_margins
-        with np.errstate(invalid="ignore"):  # inf - inf is nan, as for one Check
-            margin = self.rhs - self.lhs
-        return (
-            _pair_locations(self.iu, self.iv),
-            self.lhs.tolist(),
-            self.rhs.tolist(),
-            margin.tolist(),
-            rel.tolist(),
-            (rel >= -REL_SLACK).tolist(),
-        )
+    def __iter__(self):
+        n = int(self.iv[-1]) + 1 if self.iv.size else 0
+        tu, tv, labels = _triu_locations(n)
+        if np.array_equal(self.iu, tu) and np.array_equal(self.iv, tv):
+            return iter(labels)
+        return (f"({i},{j})" for i, j in zip(self.iu.tolist(), self.iv.tolist()))
 
 
 @functools.lru_cache(maxsize=4)
@@ -149,45 +99,108 @@ def _triu_locations(n):
     return iu, iv, tuple(f"({i},{j})" for i, j in zip(iu.tolist(), iv.tolist()))
 
 
-def _pair_locations(iu, iv):
-    """Location strings "(i,j)" per pair, cached for the np.triu_indices(n, 1) list of the verifiers."""
-    n = int(iv[-1]) + 1 if iv.size else 0
-    tu, tv, locations = _triu_locations(n)
-    if np.array_equal(iu, tu) and np.array_equal(iv, tv):
-        return locations
-    return tuple(f"({i},{j})" for i, j in zip(iu.tolist(), iv.tolist()))
+@dataclass(frozen=True, eq=False)
+class Check:
+    """One named inequality lhs <= rhs, measured at one or more locations.
 
+    lhs and rhs hold one value per location; a single location may be given
+    as a string and a single value as a float, for a check of size 1.
+    """
 
-@dataclass
-class VerificationReport:
-    checks: list
-    pair_checks: list
-    params: dict
+    name: str
+    locations: Sequence[str] = field(repr=False)
+    lhs: np.ndarray = field(repr=False)
+    rhs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if isinstance(self.locations, str):
+            object.__setattr__(self, "locations", (self.locations,))
+        lhs = np.atleast_1d(np.asarray(self.lhs, dtype=float))
+        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
+        if not len(self.locations) == lhs.size == rhs.size:
+            raise ValueError("a check needs one lhs and one rhs value per location")
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    @property
+    def iu(self):
+        """First points of a check measured on a pair list."""
+        return self.locations.iu
+
+    @property
+    def rel_margins(self):
+        """(rhs - lhs) / max(1, |rhs|); -inf where lhs is infinite, else inf where rhs is."""
+        with np.errstate(invalid="ignore"):
+            out = (self.rhs - self.lhs) / np.maximum(1.0, np.abs(self.rhs))
+        out[np.isinf(self.rhs)] = np.inf
+        out[np.isinf(self.lhs)] = -np.inf
+        return out
+
+    @property
+    def rel_margin(self):
+        """The smallest relative margin; inf for a check with no locations."""
+        m = self.rel_margins
+        return float(m.min()) if m.size else math.inf
 
     @property
     def passed(self):
-        return all(c.passed for c in self.checks) and all(p.passed for p in self.pair_checks)
+        return self.rel_margin >= -REL_SLACK
+
+    def worst(self):
+        """The first location with the smallest relative margin, as a check of size 1."""
+        j = int(np.argmin(self.rel_margins))
+        return Check(self.name, self.locations[j], self.lhs[[j]], self.rhs[[j]])
+
+    def columns(self):
+        """The verify.csv columns: locations, then lhs, rhs, margin, rel_margin, passed as lists."""
+        rel = self.rel_margins
+        with np.errstate(invalid="ignore"):  # inf - inf is nan
+            margin = self.rhs - self.lhs
+        return (
+            self.locations,
+            self.lhs.tolist(),
+            self.rhs.tolist(),
+            margin.tolist(),
+            rel.tolist(),
+            (rel >= -REL_SLACK).tolist(),
+        )
+
+
+class _CheckList:
+    """Verdict and lookup over the checks list of a report, trace or witness."""
+
+    @property
+    def passed(self):
+        return all(c.passed for c in self.checks)
+
+    def check(self, name):
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+
+@dataclass
+class VerificationReport(_CheckList):
+    checks: list
+    params: dict
+
+    @property
+    def pair_checks(self):
+        """The checks measured on every point pair."""
+        return [c for c in self.checks if isinstance(c.locations, _PairLocations)]
 
     @property
     def worst_rel_margin(self):
-        worst = math.inf
-        for c in self.checks:
-            worst = min(worst, c.rel_margin)
-        for p in self.pair_checks:
-            worst = min(worst, p.worst_rel_margin)
-        return worst
+        return min((c.rel_margin for c in self.checks), default=math.inf)
 
     def failed_names(self):
-        names = [c.name for c in self.checks if not c.passed]
-        names += [p.name for p in self.pair_checks if not p.passed]
-        return sorted(set(names))
+        return sorted({c.name for c in self.checks if not c.passed})
 
     def rows(self):
-        """(name, location, lhs, rhs, margin, rel_margin, passed) per inequality."""
+        """(name, location, lhs, rhs, margin, rel_margin, passed) per location of every check."""
         for c in self.checks:
-            yield (c.name, c.location, c.lhs, c.rhs, c.margin, c.rel_margin, c.passed)
-        for p in self.pair_checks:
-            yield from zip(repeat(p.name), *p.columns())
+            yield from zip(repeat(c.name), *c.columns())
 
 
 def _as_test_function(f):
@@ -223,19 +236,15 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
     lux = luxemburg_norm(fd.ravel(), cert.nu.ravel(), gauge)
 
     iu, iv = np.triu_indices(space.n, 1)
+    pairs = _PairLocations(iu, iv)
     lhs = np.abs(f.values[iu] - f.values[iv])
     tau = metrics.tau[iu, iv]
-    rhs = cert.K * lux * tau
-    pair_checks = [PairChecks("holder_bound", iu, iv, lhs, rhs)]
+    holder = Check("holder_bound", pairs, lhs, cert.K * lux * tau)
 
     checks = []
     relaxed_K = cert.A * cert.R ** (cert.n0 + 1) * (1.0 + cert.B)
-    rhs_relaxed = relaxed_K * lux * tau
-    j = int(np.argmin((rhs_relaxed - lhs) / np.maximum(1.0, rhs_relaxed))) if lhs.size else None
-    if j is not None:
-        checks.append(
-            Check("holder_bound_relaxed", f"({iu[j]},{iv[j]})", float(lhs[j]), float(rhs_relaxed[j]))
-        )
+    if lhs.size:
+        checks.append(Check("holder_bound_relaxed", pairs, lhs, relaxed_K * lux * tau).worst())
 
     if nabla_r is not None:
         rhs_int = float(np.sum(cert.nu * gauge.value(fd)))
@@ -243,6 +252,7 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
             ratios = np.where(tau > 0, lhs / (cert.K * nabla_r * tau), np.where(lhs > 0, np.inf, 0.0))
         sup_lhs = float(gauge.value(ratios).max()) if ratios.size else 0.0
         checks.append(Check("gauge_sup_bound", "sup", sup_lhs, rhs_int))
+    checks.append(holder)
 
     params = {
         "theorem": "T1",
@@ -251,7 +261,7 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
         "nabla_r": nabla_r,
         "relaxed_K": relaxed_K,
     }
-    return VerificationReport(checks, pair_checks, params)
+    return VerificationReport(checks, params)
 
 
 def verify_thm3(cert, metrics, f):
@@ -272,14 +282,14 @@ def verify_thm3(cert, metrics, f):
         lhs = gauge.value(diff / mod)
     rhs = np.full(iu.size, rhs_int)
     params = {"theorem": "T3", "K": cert.K, "C": cert.C, "mass_integral": metrics.total}
-    return VerificationReport([], [PairChecks("modulus_bound", iu, iv, lhs, rhs)], params)
+    return VerificationReport([Check("modulus_bound", _PairLocations(iu, iv), lhs, rhs)], params)
 
 
 # -- proof traces -------------------------------------------------------------
 
 
 @dataclass
-class ProofTrace:
+class ProofTrace(_CheckList):
     s: int
     t: int
     l: int
@@ -293,16 +303,6 @@ class ProofTrace:
     anchor: int
     d_levels: np.ndarray
     checks: list
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def check(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _ball(space, x, radius, closed=True):
@@ -373,16 +373,10 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     checks = []
 
     # start_level_gap: d_tau <= r_(tau-1)(u) on the balls that define tau
-    worst = None
-    for x in (s, t):
-        if tau_by_point[x] != tau:
-            continue
-        for u in _ball(space, x, ext[tau][x]):
-            cand = Check("start_level_gap", f"u={int(u)}", float(d_levels[tau]), table.radius(tau - 1, int(u)))
-            if worst is None or cand.rel_margin < worst.rel_margin:
-                worst = cand
-    if worst is not None:
-        checks.append(worst)
+    us = np.concatenate([_ball(space, x, ext[tau][x]) for x in (s, t) if tau_by_point[x] == tau])
+    gap = Check("start_level_gap", [f"u={u}" for u in us.tolist()], np.full(us.size, d_levels[tau]),
+                table.radius_vector(tau - 1)[us])
+    checks.append(gap.worst())
 
     lhs_sum = d_levels[tau] * R ** tau
     lhs_sum += sum((ext[k][s] + ext[k][t]) * R ** k for k in range(tau, c + 1))
@@ -453,7 +447,7 @@ def _smoothing_difference_check(table, space, f, s, t, l, tau, anchor, ext, d_le
 
 
 @dataclass
-class ConverseWitness:
+class ConverseWitness(_CheckList):
     base_point: int
     l: int
     tail_constant: float
@@ -462,16 +456,6 @@ class ConverseWitness:
     witness_values: np.ndarray
     growth_ratios: np.ndarray
     checks: list
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def check(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _step_value(radii, R, n0, eps, l):
@@ -536,38 +520,27 @@ def converse_witness(space, phi, psi, R, n0, t, l):
 
     witness = _step_integral(radii, R, n0, dists, l)
     psi_integral = _step_integral(radii, R, n0, dists, l, transform=psi.value)
-    worst_jensen = None
-    worst_avg = None
-    for u in range(n):
-        for v in range(u + 1, n):
-            duv = space.dist[u, v]
-            if duv <= 0:
-                continue
-            quot = abs(witness[u] - witness[v]) / duv
-            gap = abs(dists[u] - dists[v])
-            avg = abs(psi_integral[u] - psi_integral[v]) / gap if gap > 0 else 0.0
-            c1 = Check("difference_jensen", f"({u},{v})", float(psi.value(quot)), float(avg))
-            c2 = Check("step_average_bound", f"({u},{v})", float(avg), float(psi_h[u] + psi_h[v]))
-            if worst_jensen is None or c1.rel_margin < worst_jensen.rel_margin:
-                worst_jensen = c1
-            if worst_avg is None or c2.rel_margin < worst_avg.rel_margin:
-                worst_avg = c2
-    if worst_jensen is not None:
-        checks.append(worst_jensen)
-        checks.append(worst_avg)
+    iu, iv = np.triu_indices(n, 1)
+    if iu.size:
+        pairs = _PairLocations(iu, iv)
+        quot = np.abs(witness[iu] - witness[iv]) / space.dist[iu, iv]
+        gap = np.abs(dists[iu] - dists[iv])
+        avg = np.zeros(iu.size)
+        np.divide(np.abs(psi_integral[iu] - psi_integral[iv]), gap, out=avg, where=gap > 0)
+        checks.append(Check("difference_jensen", pairs, psi.value(quot), avg).worst())
+        checks.append(Check("step_average_bound", pairs, avg, psi_h[iu] + psi_h[iv]).worst())
 
     # reconstruction against the full ladder (levels beyond l add no zeros)
     full_radii = np.array([table.radius(k, t) for k in range(table.kstar + 2)])
     breakpoints = np.unique(dists)
-    worst_rec = None
+    sorted_d, cum = space.distances_from(t)
+    closed_mass = cum[np.searchsorted(sorted_d, breakpoints, side="right") - 1]
     factor = R ** (n0 + 1)
-    for eps in breakpoints:
-        lhs = phi.inverse(1.0 / space.ball_mass(t, eps, closed=True))
-        rhs = factor * _step_value(full_radii, R, n0, float(eps), table.kstar)
-        cand = Check("inverse_reconstruction", f"eps={eps:.6g}", float(lhs), float(rhs))
-        if worst_rec is None or cand.rel_margin < worst_rec.rel_margin:
-            worst_rec = cand
-    checks.append(worst_rec)
+    rec = Check(
+        "inverse_reconstruction", [f"eps={eps:.6g}" for eps in breakpoints.tolist()],
+        phi.inverse(1.0 / closed_mass), factor * _step_value(full_radii, R, n0, breakpoints, table.kstar),
+    )
+    checks.append(rec.worst())
 
     ratios = np.zeros(n)
     profile = _GrowthProfile(space, phi, t)
@@ -653,7 +626,7 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     if R > 2:
         worst = -math.inf
         ll = kstar + 2
-        ext = [table.extended_vector(k, ll).tolist() for k in range(ll)]  # floats, as the rows expect
+        ext = [table.extended_vector(k, ll) for k in range(ll)]
         for x in range(n):
             for c in range(ll):
                 lhs = sum(ext[k][x] * R ** k for k in range(c, ll))
@@ -717,7 +690,7 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
         checks.append(Check("operator_settles", "k=kstar", settle, 0.0))
 
     params = {"R": R, "n0": n0, "kstar": kstar, "phi": phi.spec(), "psi": psi.spec() if psi else None}
-    return VerificationReport(checks, [], params)
+    return VerificationReport(checks, params)
 
 
 def _neg_margin(lhs, rhs):

@@ -19,7 +19,6 @@ from chaincert import (
     YoungFunction,
     averaging_kernel,
     ball_growth_integral,
-    ball_growth_integral_riemann,
     brownian_grid_sampler,
     certificate_thm1,
     certificate_thm3,
@@ -29,7 +28,6 @@ from chaincert import (
     luxemburg_norm,
     amemiya_norm,
     majorizing_integral,
-    minorizing_metric,
     pair_series,
     proof_trace,
     radius_table,
@@ -38,7 +36,7 @@ from chaincert import (
     verify_thm3,
 )
 from chaincert.chain import AveragingKernel
-from util import line3_space, random_battery, two_point_space
+from util import ball_growth_integral_riemann, line3_space, minorizing_metric, random_battery, two_point_space
 
 PHI1 = YoungFunction.power(1)
 PHI2 = YoungFunction.power(2)
@@ -143,7 +141,7 @@ def _holder_battery(phi, psi, label, expect_print=True):
             report = verify_thm1(cert, mets, f, nabla_r=1.0)
             for p in report.pair_checks:
                 if p.name == "holder_bound":
-                    worst_pair = min(worst_pair, p.worst_rel_margin)
+                    worst_pair = min(worst_pair, p.rel_margin)
             for c in report.checks:
                 if c.name == "gauge_sup_bound":
                     worst_sup = min(worst_sup, c.rel_margin)
@@ -164,6 +162,7 @@ def test_criterion5_holder_bound_linear_quadratic():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the composite constant 3*A*B*R^(n0+1) undercuts the provable bound "
     "A*R^(n0+1)*(1+B) whenever the weight normalizer B < 1; for "
     "(power 2, power 4) with R=6, n0=1, B ~ 1.8e-6 and the pairwise bound "

@@ -13,6 +13,9 @@ REMOVED = (
     "ball_mass",
     "extended_radius",
     "GrowthParams",
+    "PairChecks",
+    "minorizing_metric",
+    "ball_growth_integral_riemann",
 )
 
 

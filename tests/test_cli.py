@@ -19,7 +19,15 @@ from chaincert import (
     verify_thm1,
     verify_thm3,
 )
-from chaincert.cli import EXIT_ASSERTION, EXIT_CONFIG, EXIT_OK, EXIT_PRECONDITION, _fmt, run
+from chaincert.cli import (
+    CAPITALIZED_VERDICTS,
+    EXIT_ASSERTION,
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_PRECONDITION,
+    _fmt,
+    run,
+)
 from util import per_check_rows
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -49,6 +57,17 @@ def test_line3_scenario_and_pair_rows(tmp_path):
     assert run(SCENARIOS / "line3.cfg", out_dir=out) == EXIT_OK
     rows = (out / "tau.csv").read_text().strip().splitlines()
     assert len(rows) - 1 == 3  # n(n-1)/2 unordered pairs
+
+
+def test_line3_verdict_spelling(tmp_path):
+    # only the named invariant rows keep the capitalized verdicts of the recorded outputs
+    out = tmp_path / "out"
+    assert run(SCENARIOS / "line3.cfg", out_dir=out) == EXIT_OK
+    with (out / "verify.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    capitalized = {r[0] for r in rows if r[6] in ("True", "False")}
+    assert capitalized == set(CAPITALIZED_VERDICTS) == {"radius_series_integral", "ball_nesting"}
+    assert all(r[6] in ("true", "false") for r in rows if r[0] not in capitalized)
 
 
 def test_divergent_series_is_precondition_failure(tmp_path):
@@ -180,7 +199,7 @@ def _csv_text(header, rows):
 
 
 def _oracle_tau_and_verify(space, theorem, phi, psi, functions):
-    """tau.csv and verify.csv rebuilt one Check per pair and one _fmt per value."""
+    """tau.csv and verify.csv rebuilt one scalar margin per row and one _fmt per value."""
     metrics = MinorizingMetrics(space, phi)
     iu, iv = np.triu_indices(space.n, 1)
     if theorem == "T1":
@@ -201,6 +220,7 @@ def _oracle_tau_and_verify(space, theorem, phi, psi, functions):
         for name, loc, *rest in per_check_rows(report)
     ]
     verify_rows += per_check_rows(invariant_suite(space, phi, psi, cert.R, 1))
+    verify_rows = [(*r[:6], str(r[6]) if r[0] in CAPITALIZED_VERDICTS else r[6]) for r in verify_rows]
     return (
         _csv_text(["i", "j", "label_i", "label_j", "distance", "tau", "modulus"], tau_rows),
         _csv_text(["check", "location", "lhs", "rhs", "margin", "rel_margin", "passed"], verify_rows),

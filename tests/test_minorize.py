@@ -7,12 +7,10 @@ from chaincert import (
     MinorizingMetrics,
     YoungFunction,
     ball_growth_integral,
-    ball_growth_integral_riemann,
     generate_space,
     majorizing_integral,
-    minorizing_metric,
 )
-from util import line3_space, random_battery, two_point_space
+from util import ball_growth_integral_riemann, line3_space, minorizing_metric, random_battery, two_point_space
 
 PHI1 = YoungFunction.power(1)
 PHI2 = YoungFunction.power(2)

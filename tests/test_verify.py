@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chaincert import (
+    Check,
     MinorizingMetrics,
     TestFunction,
     VerificationReport,
@@ -20,8 +21,15 @@ from chaincert import (
     verify_thm3,
 )
 from chaincert.chain import AveragingKernel
-from chaincert.verify import PairChecks
-from util import line3_space, per_check_rows, random_battery, two_point_space
+from chaincert.verify import _PairLocations
+from util import (
+    line3_space,
+    per_check_rows,
+    random_battery,
+    two_point_space,
+    worst_start_level_gap,
+    worst_witness_rows,
+)
 
 PHI1 = YoungFunction.power(1)
 PHI2 = YoungFunction.power(2)
@@ -204,20 +212,89 @@ def test_invariant_suite_detects_corrupted_kernel():
     assert "kernel_stochastic" in report.failed_names()
 
 
-def test_pair_check_columns_with_infinities():
+def test_check_columns_with_infinities():
     inf = math.inf
     iu, iv = np.triu_indices(4, 1)
     lhs = np.array([inf, 1.0, inf, 0.5, 3.0, 0.0])
     rhs = np.array([1.0, inf, inf, 2.0, 1.0, 0.0])
-    pc = PairChecks("c", iu, iv, lhs, rhs)
-    report = VerificationReport([], [pc], {})
+    pc = Check("c", _PairLocations(iu, iv), lhs, rhs)
+    report = VerificationReport([Check("s", "sup", inf, inf), pc], {})
+    assert report.pair_checks == [pc]
     rows = list(report.rows())
     # repr compares nan (inf - inf) as equal and tells np.float64 from float
     assert [tuple(map(repr, r)) for r in rows] == [tuple(map(repr, r)) for r in per_check_rows(report)]
-    assert [r[5] for r in rows[:3]] == [-inf, inf, -inf]
-    assert [r[6] for r in rows] == [False, True, False, True, False, True]
-    assert math.isnan(rows[2][4])
-    assert not pc.passed and pc.worst_rel_margin == -inf
+    assert [r[5] for r in rows[1:4]] == [-inf, inf, -inf]
+    assert [r[6] for r in rows] == [False, False, True, False, True, False, True]
+    assert math.isnan(rows[0][4]) and math.isnan(rows[3][4])
+    assert not pc.passed and pc.rel_margin == -inf
     # a pair list other than np.triu_indices keeps its own locations
-    odd = PairChecks("c", np.array([0, 2]), np.array([3, 1]), np.zeros(2), np.ones(2))
-    assert odd.columns()[0] == ("(0,3)", "(2,1)")
+    odd = Check("c", _PairLocations(np.array([0, 2]), np.array([3, 1])), np.zeros(2), np.ones(2))
+    assert tuple(odd.columns()[0]) == ("(0,3)", "(2,1)")
+    assert odd.locations[1] == "(2,1)"
+
+
+def test_check_worst_takes_first_minimum():
+    iu, iv = np.triu_indices(4, 1)
+    tied = Check("c", _PairLocations(iu, iv), np.array([0.0, 2.0, 1.0, 2.0, 2.0, 0.0]), np.ones(6))
+    w = tied.worst()
+    assert w.locations == ("(0,2)",) and w.lhs.tolist() == [2.0] and w.rhs.tolist() == [1.0]
+    assert w.rel_margin == tied.rel_margin == -1.0
+    # the row is copied, not a view that would keep the pair arrays alive
+    assert w.lhs.base is None and w.rhs.base is None
+    # infinities: an infinite lhs is the worst, before any finite shortfall
+    inf = math.inf
+    mixed = Check("c", ("a", "b", "c", "d"), [5.0, inf, 1.0, inf], [1.0, inf, inf, 0.0])
+    assert mixed.worst().locations == ("b",)
+    assert mixed.worst().rel_margin == -inf
+    assert Check("c", ("a", "b"), [1.0, 2.0], [inf, inf]).worst().locations == ("a",)
+
+
+def test_check_sizes_must_agree():
+    with pytest.raises(ValueError):
+        Check("c", ("a", "b"), [1.0, 2.0], [1.0])
+    one = Check("c", "x", 1.0, 2.0)
+    assert one.locations == ("x",) and one.lhs.shape == (1,) and one.rel_margin == 0.5
+
+
+def _oracle_battery():
+    spaces = [generate_space("random", n=n, seed=n) for n in (5, 17, 40, 64)]
+    spaces += [generate_space("grid", n=n, gamma=0.5) for n in (6, 25)]
+    spaces += [generate_space("grid", n=9, scale=8.0)]
+    spaces += [generate_space("tree", depth=d) for d in (2, 4)]
+    return spaces
+
+
+def _assert_worst_row(check, expected):
+    loc, lhs, rhs, rel = expected
+    assert check.locations == (loc,), (check.name, check.locations, loc)
+    assert check.lhs[0] == pytest.approx(lhs, rel=1e-12, abs=0.0)
+    assert check.rhs[0] == pytest.approx(rhs, rel=1e-12, abs=0.0)
+    assert check.rel_margin == pytest.approx(rel, rel=1e-12, abs=1e-300)
+
+
+def test_proof_trace_worst_rows_match_scalar_oracle():
+    rng = np.random.default_rng(12)
+    for sp in _oracle_battery():
+        for phi in (PHI1, PHI2):
+            table = radius_table(sp, phi, 6.0)
+            mets = MinorizingMetrics(sp, phi)
+            for _ in range(6):
+                s, t = (int(v) for v in rng.choice(sp.n, size=2, replace=False))
+                tr = proof_trace(table, mets, s, t, l=table.kstar + 2)
+                _assert_worst_row(tr.check("start_level_gap"), worst_start_level_gap(table, tr))
+
+
+def test_converse_witness_worst_rows_match_scalar_oracle():
+    rng = np.random.default_rng(13)
+    for sp in _oracle_battery():
+        for phi, psi, R in ((PHI2, PHI1, 2.0), (PHI2, PHI1, 6.0), (YoungFunction.power(3), PHI2, 3.0)):
+            for t in rng.choice(sp.n, size=2, replace=False).tolist():
+                for l in (1, 4):
+                    w = converse_witness(sp, phi, psi, R, 1, t=t, l=l)
+                    expected = worst_witness_rows(sp, phi, psi, R, 1, t, l)
+                    assert [c.name for c in w.checks] == [
+                        "step_moment_identity", "step_moment_bound",
+                        "difference_jensen", "step_average_bound", "inverse_reconstruction",
+                    ]
+                    for name, row in expected.items():
+                        _assert_worst_row(w.check(name), row)

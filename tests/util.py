@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 
-from chaincert import Check, generate_space, luxemburg_norm
+from chaincert import ball_growth_integral, generate_space, luxemburg_norm, radius_table
+from chaincert.verify import REL_SLACK, _step_integral, _step_value
 
 
 def two_point_space():
@@ -138,18 +139,110 @@ def gather_path_sups(values, iu, iv, denom, chunk=512):
     return sups
 
 
-def per_check_rows(report):
-    """Reference verify rows: one Check object per pair and per scalar check.
+def rel_margin(lhs, rhs):
+    """Reference relative margin of one inequality lhs <= rhs."""
+    if math.isinf(lhs):
+        return -math.inf
+    if math.isinf(rhs):
+        return math.inf
+    return (rhs - lhs) / max(1.0, abs(rhs))
 
-    Each pair's margin, relative margin and verdict come from the scalar
-    Check properties, independently of the vectorised PairChecks columns.
+
+def per_check_rows(report):
+    """Reference verify rows: one scalar margin and verdict per location of every check.
+
+    Pair locations are formatted from the pair indices, independently of the
+    check's own location labels and vectorised columns.
     """
-    checks = list(report.checks)
-    for p in report.pair_checks:
-        for j in range(p.iu.size):
-            checks.append(Check(p.name, f"({int(p.iu[j])},{int(p.iv[j])})", float(p.lhs[j]), float(p.rhs[j])))
-    for c in checks:
-        yield (c.name, c.location, c.lhs, c.rhs, c.margin, c.rel_margin, c.passed)
+    for c in report.checks:
+        pairs = c in report.pair_checks
+        for j in range(len(c.locations)):
+            loc = f"({int(c.locations.iu[j])},{int(c.locations.iv[j])})" if pairs else c.locations[j]
+            lhs, rhs = float(c.lhs[j]), float(c.rhs[j])
+            m = rel_margin(lhs, rhs)
+            yield (c.name, loc, lhs, rhs, rhs - lhs, m, m >= -REL_SLACK)
+
+
+def _keep_worst(best, name, location, lhs, rhs):
+    """Keep the first candidate with the smallest reference relative margin per name."""
+    m = rel_margin(lhs, rhs)
+    if name not in best or m < best[name][3]:
+        best[name] = (location, lhs, rhs, m)
+
+
+def worst_start_level_gap(table, trace):
+    """Reference start_level_gap row of a trace: (location, lhs, rhs, rel_margin).
+
+    Walks every u in the extended balls of the points whose start level is
+    tau, one scalar candidate at a time.
+    """
+    best = {}
+    ext = table.extended_vector(trace.tau, trace.l)
+    for x, tau_x in ((trace.s, trace.tau_s), (trace.t, trace.tau_t)):
+        if tau_x != trace.tau:
+            continue
+        radius = ext[x] + 1e-12 * max(1.0, ext[x])
+        for u in np.flatnonzero(table.space.dist[x] <= radius):
+            _keep_worst(best, "start_level_gap", f"u={int(u)}",
+                        float(trace.d_levels[trace.tau]), table.radius(trace.tau - 1, int(u)))
+    return best["start_level_gap"]
+
+
+def worst_witness_rows(space, phi, psi, R, n0, t, l):
+    """Reference worst rows of the witness's pair and breakpoint checks.
+
+    Returns {name: (location, lhs, rhs, rel_margin)} for difference_jensen,
+    step_average_bound and inverse_reconstruction, one pair or breakpoint at
+    a time.
+    """
+    table = radius_table(space, phi, R)
+    radii = np.array([table.radius(k, t) for k in range(l + 2)])
+    full_radii = np.array([table.radius(k, t) for k in range(table.kstar + 2)])
+    dists = space.dist[:, t]
+    psi_h = psi.value(_step_value(radii, R, n0, dists, l))
+    witness = _step_integral(radii, R, n0, dists, l)
+    psi_integral = _step_integral(radii, R, n0, dists, l, transform=psi.value)
+    best = {}
+    for u in range(space.n):
+        for v in range(u + 1, space.n):
+            quot = abs(witness[u] - witness[v]) / space.dist[u, v]
+            gap = abs(dists[u] - dists[v])
+            avg = float(abs(psi_integral[u] - psi_integral[v]) / gap) if gap > 0 else 0.0
+            _keep_worst(best, "difference_jensen", f"({u},{v})", float(psi.value(quot)), avg)
+            _keep_worst(best, "step_average_bound", f"({u},{v})", avg, float(psi_h[u] + psi_h[v]))
+    for eps in np.unique(dists):
+        lhs = phi.inverse(1.0 / space.ball_mass(t, eps, closed=True))
+        rhs = R ** (n0 + 1) * _step_value(full_radii, R, n0, float(eps), table.kstar)
+        _keep_worst(best, "inverse_reconstruction", f"eps={eps:.6g}", float(lhs), float(rhs))
+    return best
+
+
+def ball_growth_integral_riemann(space, phi, x, upper, panels=100000):
+    """Reference growth integral: the midpoint rule on a uniform grid.
+
+    The grid is refined at the distances from x, and the ball mass is
+    evaluated directly per midpoint, independently of the cumulative-mass
+    bookkeeping of the exact breakpoint sum. upper is clamped to the diameter.
+    """
+    u = min(float(upper), space.diameter)
+    if u == 0.0:
+        return 0.0
+    grid = np.linspace(0.0, u, panels + 1)
+    row = space.dist[x]
+    cuts = row[(row > 0) & (row < u)]
+    grid = np.unique(np.concatenate([grid, cuts]))
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    masses = (row[None, :] <= mids[:, None]) @ space.mass
+    vals = phi.inverse(1.0 / masses)
+    return float(np.sum(vals * np.diff(grid)))
+
+
+def minorizing_metric(space, phi, s, t):
+    """Reference tau(s, t): the larger of the pair's two growth integrals up to their distance."""
+    d = float(space.dist[s, t])
+    if d == 0.0:
+        return 0.0
+    return max(ball_growth_integral(space, phi, s, d), ball_growth_integral(space, phi, t, d))
 
 
 def ternary_amemiya(values, weights, phi, rel_tol=1e-12):
