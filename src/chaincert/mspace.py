@@ -137,6 +137,9 @@ class RadiusTable:
         self.R = float(R)
         self.radii = radii  # (kstar + 1, n)
         self.kstar = int(kstar)
+        # l -> the per-level extended radii, ball masks and kernel that the
+        # diagnostics in verify read, each built on first use (verify._levels)
+        self._levels = {}
 
     def radius_vector(self, k):
         return self.radii[min(k, self.kstar)]

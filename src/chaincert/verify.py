@@ -87,16 +87,25 @@ class _PairLocations(Sequence):
 
     def __iter__(self):
         n = int(self.iv[-1]) + 1 if self.iv.size else 0
-        tu, tv, labels = _triu_locations(n)
+        tu, tv = _triu(n)
         if np.array_equal(self.iu, tu) and np.array_equal(self.iv, tv):
-            return iter(labels)
+            return iter(_triu_locations(n))
         return (f"({i},{j})" for i, j in zip(self.iu.tolist(), self.iv.tolist()))
 
 
 @functools.lru_cache(maxsize=4)
-def _triu_locations(n):
+def _triu(n):
+    """The pair list np.triu_indices(n, 1), made once per n and read-only."""
     iu, iv = np.triu_indices(n, 1)
-    return iu, iv, tuple(f"({i},{j})" for i, j in zip(iu.tolist(), iv.tolist()))
+    iu.flags.writeable = False
+    iv.flags.writeable = False
+    return iu, iv
+
+
+@functools.lru_cache(maxsize=4)
+def _triu_locations(n):
+    iu, iv = _triu(n)
+    return tuple(f"({i},{j})" for i, j in zip(iu.tolist(), iv.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +244,7 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
     fd = f.quotients(space)
     lux = luxemburg_norm(fd.ravel(), cert.nu.ravel(), gauge)
 
-    iu, iv = np.triu_indices(space.n, 1)
+    iu, iv = _triu(space.n)
     pairs = _PairLocations(iu, iv)
     lhs = np.abs(f.values[iu] - f.values[iv])
     tau = metrics.tau[iu, iv]
@@ -275,7 +284,7 @@ def verify_thm3(cert, metrics, f):
     fd = f.quotients(space)
     rhs_int = float(np.sum(cert.nu * gauge.value(fd)))
 
-    iu, iv = np.triu_indices(space.n, 1)
+    iu, iv = _triu(space.n)
     mod = modulus_pairs(cert, metrics, iu, iv)
     diff = np.abs(f.values[iu] - f.values[iv])
     with np.errstate(over="ignore"):
@@ -305,10 +314,59 @@ class ProofTrace(_CheckList):
     checks: list
 
 
-def _ball(space, x, radius, closed=True):
-    row = space.dist[x]
-    tol = 1e-12 * max(1.0, radius)
-    return np.flatnonzero(row <= radius + tol) if closed else np.flatnonzero(row < radius)
+class _Levels:
+    """Per-level data of one radius table up to level l, each part built on first use.
+
+    ext[k] is extended_vector(k, l); ext_ball[k], ball[k] and open_ball[k]
+    are (n, n) masks whose row x is the closed ball of radius ext_k(x), the
+    closed ball of radius r_k(x) and the open ball of radius r_k(x), for
+    k = 0..l. Closed balls take the tolerance 1e-12 * max(1, r); the level-0
+    open ball is the whole space by convention. kernel is the matrix of
+    averaging_kernel(table, l). Memory is O(l n^2) bools.
+    """
+
+    def __init__(self, table, l):
+        self.table = table
+        self.l = l
+
+    @functools.cached_property
+    def ext(self):
+        return np.vstack([self.table.extended_vector(k, self.l) for k in range(self.l + 1)])
+
+    @functools.cached_property
+    def radii(self):
+        return np.vstack([self.table.radius_vector(k) for k in range(self.l + 1)])
+
+    @functools.cached_property
+    def ext_ball(self):
+        return _closed_balls(self.table.space.dist, self.ext)
+
+    @functools.cached_property
+    def ball(self):
+        return _closed_balls(self.table.space.dist, self.radii)
+
+    @functools.cached_property
+    def open_ball(self):
+        out = self.table.space.dist[None, :, :] < self.radii[:, :, None]
+        out[0] = True
+        return out
+
+    @functools.cached_property
+    def kernel(self):
+        return averaging_kernel(self.table, self.l).matrix
+
+
+def _levels(table, l):
+    """The table's per-level data up to level l, kept on the table for later calls."""
+    if l not in table._levels:
+        table._levels[l] = _Levels(table, l)
+    return table._levels[l]
+
+
+def _closed_balls(dist, radii):
+    """Stacked masks d(x, .) <= r(x) + 1e-12 max(1, r(x)), one per row r of radii."""
+    edge = radii + 1e-12 * np.maximum(1.0, radii)
+    return dist[None, :, :] <= edge[:, :, None]
 
 
 def _bracket_index(table, x, d):
@@ -345,20 +403,19 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     if l <= c:
         raise ValueError("need l > c")
 
-    ext = {k: table.extended_vector(k, l) for k in range(0, l + 1)}
+    levels = _levels(table, l)
+    ext = levels.ext
+    balls = levels.ext_ball
 
     def condition(k, x):
         # union of the level-k extended balls sits strictly inside the
         # previous-level open ball around every point of the x ball
-        u_ball = _ball(space, x, ext[k][x])
-        union = np.union1d(_ball(space, s, ext[k][s]), _ball(space, t, ext[k][t]))
         if k == 1:
             return True  # level-0 open balls are the whole space by convention
-        for u in u_ball:
-            r_prev = table.radius(k - 1, u)
-            if np.any(space.dist[u, union] >= r_prev):
-                return False
-        return True
+        u_ball = balls[k, x]
+        union = balls[k, s] | balls[k, t]
+        r_prev = table.radius_vector(k - 1)[u_ball]
+        return not np.any(space.dist[np.ix_(u_ball, union)] >= r_prev[:, None])
 
     cap = max(c, 1)
     tau_by_point = {}
@@ -369,11 +426,11 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     tau = min(tau_s, tau_t)
     anchor = t if tau == tau_t else s
 
-    d_levels = np.array([min(ext[k][s] + ext[k][t] + d, D) for k in range(l + 1)])
+    d_levels = np.minimum(ext[:, s] + ext[:, t] + d, D)
     checks = []
 
     # start_level_gap: d_tau <= r_(tau-1)(u) on the balls that define tau
-    us = np.concatenate([_ball(space, x, ext[tau][x]) for x in (s, t) if tau_by_point[x] == tau])
+    us = np.concatenate([np.flatnonzero(balls[tau, x]) for x in (s, t) if tau_by_point[x] == tau])
     gap = Check("start_level_gap", [f"u={u}" for u in us.tolist()], np.full(us.size, d_levels[tau]),
                 table.radius_vector(tau - 1)[us])
     checks.append(gap.worst())
@@ -390,7 +447,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
 
     if f is not None:
         f = _as_test_function(f)
-        checks.append(_smoothing_difference_check(table, space, f, s, t, l, tau, anchor, ext, d_levels, n))
+        checks.append(_smoothing_difference_check(levels, f, s, t, tau, anchor, d_levels, n))
 
     return ProofTrace(
         s=s, t=t, l=l, distance=d, a=a, b=b, c=c,
@@ -399,46 +456,56 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     )
 
 
-def _averaged_quotient(space, fd_row, member_idx, threshold):
-    """Normalized average of fd over a ball, keeping quotients >= threshold."""
-    if member_idx.size == 0:
-        return 0.0
-    w = space.mass[member_idx]
-    tot = float(w.sum())
-    if tot <= 0.0:
-        return 0.0
-    vals = fd_row[member_idx]
-    vals = np.where(vals >= threshold, vals, 0.0)
-    return float(np.dot(w, vals)) / tot
+def _ball_averages(space, fd, balls, thresholds, rows):
+    """out[i, u]: the mass average of fd[u] over the ball balls[i, u] where rows[i, u], else 0.
+
+    Quotients below thresholds[i] count as 0, so a ball without one at or
+    above it averages to 0. Each other ball is summed with np.dot over its
+    own members: a masked matrix product would group the terms differently
+    and change the last bits.
+    """
+    out = np.zeros(rows.shape)
+    hits = rows & np.any(balls & (fd >= np.asarray(thresholds)[:, None, None]), axis=2)
+    for i, u in zip(*np.nonzero(hits)):
+        member = np.flatnonzero(balls[i, u])
+        w = space.mass[member]
+        tot = float(w.sum())
+        if tot > 0.0:
+            vals = fd[u, member]
+            out[i, u] = float(np.dot(w, np.where(vals >= thresholds[i], vals, 0.0))) / tot
+    return out
 
 
-def _smoothing_difference_check(table, space, f, s, t, l, tau, anchor, ext, d_levels, n):
+def _index_order_sums(terms, mask):
+    """Per row, terms[mask] added one at a time in index order (masked-out terms add an exact 0)."""
+    return np.cumsum(np.where(mask, terms, 0.0), axis=-1)[..., -1]
+
+
+def _smoothing_difference_check(levels, f, s, t, tau, anchor, d_levels, n):
+    table, l, ext = levels.table, levels.l, levels.ext
+    space = table.space
     R = table.R
     phi = table.phi
     fd = f.quotients(space)
-    P_l = averaging_kernel(table, l).matrix
-    smoothed = P_l @ f.values
+    smoothed = levels.kernel @ f.values
     lhs = abs(float(smoothed[s] - smoothed[t]))
 
     total = d_levels[tau] * R ** (tau + n)
     total += sum(ext[k][x] * R ** (k + n) for x in (s, t) for k in range(tau, l))
+    # levels k = tau..l-1: each point u of the level-(k+1) extended balls of s
+    # and t adds mass(u) r_k(u) times its ball average, once for s and once for t
+    outer = levels.ext_ball[tau + 1:l + 1]
+    avg = _ball_averages(space, fd, levels.ball[tau:l], [R ** (k + n) for k in range(tau, l)],
+                         outer[:, s] | outer[:, t])
+    terms = space.mass * levels.radii[tau:l] * avg
+    acc = {x: _index_order_sums(terms, outer[:, x]) for x in (s, t)}
+    weight = [phi.value(R ** (k + 1)) for k in range(tau, l)]
     for x in (s, t):
-        for k in range(tau, l):
-            outer = _ball(space, x, ext[k + 1][x])
-            acc = 0.0
-            thr = R ** (k + n)
-            for u in outer:
-                inner = _ball(space, int(u), table.radius(k, int(u)))
-                acc += space.mass[u] * table.radius(k, int(u)) * _averaged_quotient(space, fd[u], inner, thr)
-            total += phi.value(R ** (k + 1)) * acc
-    acc = 0.0
-    thr = R ** (tau + n)
-    for u in _ball(space, anchor, ext[tau][anchor]):
-        if tau - 1 == 0:
-            inner = np.arange(space.n)
-        else:
-            inner = _ball(space, int(u), table.radius(tau - 1, int(u)), closed=False)
-        acc += space.mass[u] * _averaged_quotient(space, fd[u], inner, thr)
+        for i in range(l - tau):
+            total += weight[i] * acc[x][i]
+    start = levels.ext_ball[tau, anchor][None, :]
+    avg = _ball_averages(space, fd, levels.open_ball[tau - 1:tau], [R ** (tau + n)], start)
+    acc = _index_order_sums(space.mass * avg[0], start[0])
     total += d_levels[tau] * phi.value(R ** (tau + 1)) * acc
     return Check("smoothing_difference_bound", f"n={n}", lhs, float(total))
 
@@ -520,7 +587,7 @@ def converse_witness(space, phi, psi, R, n0, t, l):
 
     witness = _step_integral(radii, R, n0, dists, l)
     psi_integral = _step_integral(radii, R, n0, dists, l, transform=psi.value)
-    iu, iv = np.triu_indices(n, 1)
+    iu, iv = _triu(n)
     if iu.size:
         pairs = _PairLocations(iu, iv)
         quot = np.abs(witness[iu] - witness[iv]) / space.dist[iu, iv]
@@ -543,13 +610,10 @@ def converse_witness(space, phi, psi, R, n0, t, l):
     checks.append(rec.worst())
 
     ratios = np.zeros(n)
-    profile = _GrowthProfile(space, phi, t)
-    for x in range(n):
-        if x == t or dists[x] == 0:
-            continue
-        growth = profile.integral(float(dists[x]))
-        w = _step_integral(full_radii, R, n0, float(dists[x]), table.kstar)
-        ratios[x] = growth / w if w > 0 else math.inf
+    away = (np.arange(n) != t) & (dists > 0)
+    growth = _GrowthProfile(space, phi, t).integral(dists[away])
+    w = _step_integral(full_radii, R, n0, dists[away], table.kstar)
+    ratios[away] = np.divide(growth, w, out=np.full(w.size, math.inf), where=w > 0)
 
     return ConverseWitness(
         base_point=t,
@@ -586,7 +650,7 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
         kernels = [averaging_kernel(table, k) for k in range(l + 1)]
     checks = []
 
-    radii = np.vstack([table.radius_vector(k) for k in range(kstar + 1)])
+    radii = table.radii
     checks.append(Check("radii_monotone", "all k", float(np.max(np.diff(radii, axis=0), initial=-np.inf)), 0.0))
     lip = max(
         float(np.max(np.abs(radii[k][:, None] - radii[k][None, :]) - dist))
@@ -599,56 +663,55 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     logR = math.log(R)
     for k in range(kstar + 1):
         pk = math.exp(phi.log_value_exp(k * logR))
-        for x in range(n):
-            if k == 0:
-                closed, opened = 1.0, 1.0
-            else:
-                closed = space.ball_mass(x, radii[k, x], closed=True)
-                opened = space.ball_mass(x, radii[k, x], closed=False)
-            worst_lo = max(worst_lo, 1.0 - pk * closed)
-            worst_hi = max(worst_hi, pk * opened - 1.0)
+        if k == 0:
+            closed = opened = 1.0
+        else:
+            closed = _ball_masses(space, radii[k], closed=True)
+            opened = _ball_masses(space, radii[k], closed=False)
+        worst_lo = max(worst_lo, float(np.max(1.0 - pk * closed)))
+        worst_hi = max(worst_hi, float(np.max(pk * opened - 1.0)))
     checks.append(Check("ball_mass_lower", "all x,k", worst_lo, 0.0))
     checks.append(Check("ball_mass_upper", "all x,k", worst_hi, 0.0))
 
-    profiles = [_GrowthProfile(space, phi, x) for x in range(n)]
-
-    def growth(x, u):  # radii are distances, so no clamp to the diameter is needed
-        return 0.0 if u == 0.0 else profiles[x].integral(u)
-
-    worst = -math.inf
+    # growth[c, x]: the growth integral of x up to r_c(x), one profile per point
+    # (radii are distances, so no clamp to the diameter is needed)
+    growth = np.zeros_like(radii)
     for x in range(n):
-        for c in range(kstar + 1):
-            lhs = sum(radii[k, x] * R ** k for k in range(c, kstar + 1))
-            rhs = (R / (R - 1.0)) * growth(x, radii[c, x])
-            worst = max(worst, _neg_margin(lhs, rhs))
+        pos = radii[:, x] > 0
+        growth[pos, x] = _GrowthProfile(space, phi, x).integral(radii[pos, x])
+
+    worst = _worst_series_margin([radii[k] * R ** k for k in range(kstar + 1)], (R / (R - 1.0)) * growth)
     checks.append(Check("radius_series_integral", "all x,c", worst, 0.0))
 
     if R > 2:
-        worst = -math.inf
         ll = kstar + 2
-        ext = [table.extended_vector(k, ll) for k in range(ll)]
-        for x in range(n):
-            for c in range(ll):
-                lhs = sum(ext[k][x] * R ** k for k in range(c, ll))
-                rhs = (R ** 2 / ((R - 1.0) * (R - 2.0))) * growth(x, table.radius(min(c, kstar), x))
-                worst = max(worst, _neg_margin(lhs, rhs))
+        ext = _levels(table, ll).ext
+        scale = R ** 2 / ((R - 1.0) * (R - 2.0))
+        worst = _worst_series_margin([ext[k] * R ** k for k in range(ll)],
+                                     [scale * growth[min(c, kstar)] for c in range(ll)])
         checks.append(Check("extended_series_integral", "all x,c", worst, 0.0))
 
-    ext = [table.extended_vector(k, l) for k in range(l + 1)]
+    levels = _levels(table, l)
+    ext = levels.ext
     worst = -math.inf
-    support_bad = 0.0
+    support_bad = 0
     for k in range(l):
-        ext_k, ext_k1 = ext[k], ext[k + 1]
-        for x in range(n):
-            for u in _ball(space, x, ext_k1[x]):
-                r_u = table.radius(k, int(u))
-                mid = table.radius(k, x) + ext_k1[x]
-                worst = max(worst, _neg_margin(r_u, mid), _neg_margin(mid, ext_k[x]))
-                outside = dist[u] > ext_k[x] + 1e-12 * max(1.0, ext_k[x])
-                inside_u = dist[u] <= r_u + 1e-12 * max(1.0, r_u)
-                support_bad = max(support_bad, float(np.sum(inside_u & outside)))
+        # the pairs (x, u) with u in the closed ball of radius ext_(k+1)(x)
+        pairs = levels.ext_ball[k + 1]
+        r_k = table.radius_vector(k)
+        mid = r_k + ext[k + 1]
+        inner = r_k[None, :] - mid[:, None] - (REL_SLACK * np.maximum(1.0, np.abs(mid)))[:, None]
+        outer = mid - ext[k] - REL_SLACK * np.maximum(1.0, np.abs(ext[k]))
+        worst = max(worst, float(inner[pairs].max()), float(outer.max()))
+        # #{w : ext_k(x) < d(u, w) <= r_k(u)} is the count of u's ball less the
+        # count of d(u, .) <= ext_k(x) on u's sorted row, clipped at 0
+        edge = ext[k] + 1e-12 * np.maximum(1.0, ext[k])
+        in_ball = levels.ball[k].sum(axis=1)
+        for u, xs in enumerate(pairs.T):
+            below = np.searchsorted(space._sorted_d[u], edge[xs], side="right")
+            support_bad = max(support_bad, int(in_ball[u] - below.min()))
     checks.append(Check("ball_nesting", "all x,u,k", worst, 0.0))
-    checks.append(Check("ball_nesting_support", "all x,u,k", support_bad, 0.0))
+    checks.append(Check("ball_nesting_support", "all x,u,k", float(support_bad), 0.0))
 
     dev = max(float(np.max(np.abs(kernels[k].matrix.sum(axis=1) - 1.0))) for k in range(l + 1))
     checks.append(Check("kernel_stochastic", "all k", dev, 0.0))
@@ -662,14 +725,12 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     for k in range(l, -1, -1):
         # the composed kernel P_l ... P_k, one factor more per level
         comp = kernels[k].matrix if comp is None else comp @ kernels[k].matrix
-        ext_k = ext[k]
-        outside = dist > ext_k[:, None] + 1e-12 * np.maximum(1.0, ext_k)[:, None]
-        worst_support = max(worst_support, float(np.abs(comp[outside]).max(initial=0.0)))
+        inball = levels.ext_ball[k]
+        worst_support = max(worst_support, float(np.abs(comp[~inball]).max(initial=0.0)))
         worst_rowsum = max(worst_rowsum, float(np.max(np.abs(comp.sum(axis=1) - 1.0))))
         pk = math.exp(phi.log_value_exp(k * logR))
         for fvals in fs:
             lhs_vec = comp @ np.abs(fvals)
-            inball = dist <= ext_k[:, None] + 1e-12 * np.maximum(1.0, ext_k)[:, None]
             rhs_vec = pk * (inball * (mass * np.abs(fvals))[None, :]).sum(axis=1)
             worst_avg = max(worst_avg, float(np.max(lhs_vec - rhs_vec - REL_SLACK * np.maximum(1.0, rhs_vec))))
     checks.append(Check("kernel_support", "composed", max(worst_support, worst_rowsum), 0.0))
@@ -693,6 +754,19 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     return VerificationReport(checks, params)
 
 
-def _neg_margin(lhs, rhs):
-    """Positive when lhs exceeds rhs beyond the relative slack."""
-    return lhs - rhs - REL_SLACK * max(1.0, abs(rhs))
+def _ball_masses(space, radii, closed):
+    """space.ball_mass(x, radii[x], closed) for every point x: a count on each sorted row."""
+    sorted_d = space._sorted_d
+    count = (sorted_d <= radii[:, None] if closed else sorted_d < radii[:, None]).sum(axis=1)
+    return np.where(count > 0, space._cum_mass[np.arange(space.n), count - 1], 0.0)
+
+
+def _worst_series_margin(terms, rhs):
+    """Largest lhs - rhs[c] - slack over c and points, lhs = sum of terms[k] for k >= c in ascending k."""
+    worst = -math.inf
+    for c in range(len(terms)):
+        lhs = terms[c]
+        for k in range(c + 1, len(terms)):
+            lhs = lhs + terms[k]
+        worst = max(worst, float(np.max(lhs - rhs[c] - REL_SLACK * np.maximum(1.0, np.abs(rhs[c])))))
+    return worst

@@ -5,6 +5,7 @@ import pytest
 
 from chaincert import (
     Check,
+    MetricMeasureSpace,
     MinorizingMetrics,
     TestFunction,
     VerificationReport,
@@ -21,9 +22,12 @@ from chaincert import (
     verify_thm3,
 )
 from chaincert.chain import AveragingKernel
-from chaincert.verify import _PairLocations
+from chaincert.verify import _PairLocations, _triu
 from util import (
     line3_space,
+    loop_growth_ratios,
+    loop_invariant_suite,
+    loop_proof_trace,
     per_check_rows,
     random_battery,
     two_point_space,
@@ -298,3 +302,99 @@ def test_converse_witness_worst_rows_match_scalar_oracle():
                     ]
                     for name, row in expected.items():
                         _assert_worst_row(w.check(name), row)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _assert_same_checks(got, expected):
+    assert [c.name for c in got] == [c.name for c in expected]
+    for g, e in zip(got, expected):
+        assert tuple(g.locations) == tuple(e.locations), g.name
+        assert _bits(g.lhs) == _bits(e.lhs), (g.name, g.lhs, e.lhs)
+        assert _bits(g.rhs) == _bits(e.rhs), (g.name, g.rhs, e.rhs)
+
+
+def _assert_same_trace(got, expected):
+    for name in ("a", "b", "c", "tau_s", "tau_t", "tau", "anchor"):
+        assert getattr(got, name) == getattr(expected, name), name
+    assert _bits(got.d_levels) == _bits(expected.d_levels)
+    _assert_same_checks(got.checks, expected.checks)
+
+
+def _array_battery():
+    # grids and trees have tied distances, so balls gain and lose whole shells at once
+    spaces = [generate_space("random", n=n, seed=n) for n in (4, 23, 64)]
+    spaces += [generate_space("random", n=30, mass="random", seed=2)]
+    spaces += [generate_space("grid", n=n, gamma=0.5) for n in (7, 40)]
+    spaces += [generate_space("grid", n=33, mass="random", seed=3), generate_space("grid", n=9, scale=8.0)]
+    spaces += [generate_space("tree", depth=d) for d in (2, 5)]
+    return spaces
+
+
+def test_proof_traces_match_loop_oracle():
+    # large f and small threshold shifts n make ball averages nonzero, which
+    # exercises the per-ball sums as well as the all-zero fast case
+    rng = np.random.default_rng(21)
+    spaces = [(sp, 4) for sp in _array_battery()] + [(generate_space("random", n=300, seed=9), 1)]
+    for sp, pairs in spaces:
+        for phi in (PHI1, PHI2):
+            table = radius_table(sp, phi, 6.0)
+            mets = MinorizingMetrics(sp, phi)
+            for _ in range(pairs):
+                s, t = (int(v) for v in rng.choice(sp.n, size=2, replace=False))
+                f = rng.standard_normal(sp.n) * 10.0 ** rng.integers(0, 7)
+                for l, shift in ((table.kstar + 1, 2), (table.kstar + 3, -2), (table.kstar + 2, 0)):
+                    try:
+                        expected = loop_proof_trace(table, mets, s, t, l, f=f, n=shift)
+                    except ValueError:  # l <= c
+                        continue
+                    _assert_same_trace(proof_trace(table, mets, s, t, l, f=f, n=shift), expected)
+
+
+def test_invariant_suite_matches_loop_oracle():
+    spaces = _array_battery() + [generate_space("random", n=300, seed=9)]
+    cases = ((PHI1, PHI2, 6.0), (PHI2, YoungFunction.power(4), 3.0), (PHI2, PHI2, 2.0))
+    for sp in spaces:
+        for phi, psi, R in cases if sp.n <= 64 else cases[:1]:
+            _assert_same_checks(invariant_suite(sp, phi, psi, R, 1).checks,
+                                loop_invariant_suite(sp, phi, psi, R, 1).checks)
+    # on a metric space the support count is 0; a matrix that breaks the
+    # triangle inequality (not validated) makes it positive
+    rng = np.random.default_rng(0)
+    d = np.triu(rng.uniform(0.05, 1.0, (16, 16)), 1)
+    broken = MetricMeasureSpace(d + d.T, np.full(16, 1 / 16), validate=False)
+    report = invariant_suite(broken, PHI1, PHI2, 3.0, 1)
+    _assert_same_checks(report.checks, loop_invariant_suite(broken, PHI1, PHI2, 3.0, 1).checks)
+    assert report.check("ball_nesting_support").lhs[0] > 0
+
+
+def test_converse_witness_ratios_match_loop_oracle():
+    for sp in _array_battery():
+        for t in (0, sp.n // 2):
+            w = converse_witness(sp, PHI2, PHI1, 2.0, 1, t=t, l=3)
+            assert _bits(w.growth_ratios) == _bits(loop_growth_ratios(sp, PHI2, 2.0, 1, t))
+
+
+def test_level_memo_matches_fresh_tables():
+    sp = generate_space("grid", n=20, gamma=0.5, mass="random", seed=5)
+    table = radius_table(sp, PHI1, 6.0)
+    mets = MinorizingMetrics(sp, PHI1)
+    rng = np.random.default_rng(8)
+    fs = [rng.standard_normal(sp.n), 1e4 * rng.standard_normal(sp.n)]
+    levels = [table.kstar + 3, table.kstar + 1, table.kstar + 3, table.kstar + 2]
+    for l in levels:
+        for f in fs:
+            for s, t in ((0, 7), (7, 0), (19, 3), (3, 19)):
+                fresh = proof_trace(radius_table(sp, PHI1, 6.0), mets, s, t, l, f=f, n=0)
+                _assert_same_trace(proof_trace(table, mets, s, t, l, f=f, n=0), fresh)
+    assert sorted(table._levels) == sorted(set(levels))
+
+
+def test_pair_list_is_cached_and_read_only():
+    iu, iv = _triu(6)
+    assert _triu(6)[0] is iu
+    assert np.array_equal(iu, np.triu_indices(6, 1)[0]) and np.array_equal(iv, np.triu_indices(6, 1)[1])
+    with pytest.raises(ValueError):
+        iu[0] = 1

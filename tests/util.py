@@ -4,8 +4,19 @@ import math
 
 import numpy as np
 
-from chaincert import ball_growth_integral, generate_space, luxemburg_norm, radius_table
-from chaincert.verify import REL_SLACK, _step_integral, _step_value
+from chaincert import (
+    Check,
+    ProofTrace,
+    VerificationReport,
+    averaging_kernel,
+    ball_growth_integral,
+    constant_a,
+    generate_space,
+    luxemburg_norm,
+    radius_table,
+)
+from chaincert.minorize import _GrowthProfile
+from chaincert.verify import REL_SLACK, _as_test_function, _bracket_index, _step_integral, _step_value
 
 
 def two_point_space():
@@ -278,3 +289,270 @@ def ternary_amemiya(values, weights, phi, rel_tol=1e-12):
         if hi - lo <= rel_tol * max(hi, 1e-300):
             break
     return min(best, objective(0.5 * (lo + hi)))
+
+
+def _loop_ball(space, x, radius, closed=True):
+    row = space.dist[x]
+    tol = 1e-12 * max(1.0, radius)
+    return np.flatnonzero(row <= radius + tol) if closed else np.flatnonzero(row < radius)
+
+
+def _loop_neg_margin(lhs, rhs):
+    return lhs - rhs - REL_SLACK * max(1.0, abs(rhs))
+
+
+def loop_proof_trace(table, metrics, s, t, l, f=None, n=2):
+    """Reference proof trace: one ball query per point and level, one scalar step at a time.
+
+    Rebuilds the extended radii, the balls and P_l on every call and sums
+    each ball average with np.dot over the ball's members.
+    """
+    space = table.space
+    R = table.R
+    if R <= 5:
+        raise ValueError("proof traces require R > 5")
+    if s == t:
+        raise ValueError("need two distinct points")
+    d = float(space.dist[s, t])
+    D = space.diameter
+
+    if d >= D * (1.0 - 1e-12):
+        a = b = c = 0
+    else:
+        a = _bracket_index(table, s, d)
+        b = _bracket_index(table, t, d)
+        c = max(a, b)
+    if l <= c:
+        raise ValueError("need l > c")
+
+    ext = {k: table.extended_vector(k, l) for k in range(0, l + 1)}
+
+    def condition(k, x):
+        u_ball = _loop_ball(space, x, ext[k][x])
+        union = np.union1d(_loop_ball(space, s, ext[k][s]), _loop_ball(space, t, ext[k][t]))
+        if k == 1:
+            return True
+        for u in u_ball:
+            r_prev = table.radius(k - 1, u)
+            if np.any(space.dist[u, union] >= r_prev):
+                return False
+        return True
+
+    cap = max(c, 1)
+    tau_by_point = {}
+    for x in (s, t):
+        satisfied = [k for k in range(1, cap + 1) if condition(k, x)]
+        tau_by_point[x] = max(satisfied)
+    tau_s, tau_t = tau_by_point[s], tau_by_point[t]
+    tau = min(tau_s, tau_t)
+    anchor = t if tau == tau_t else s
+
+    d_levels = np.array([min(ext[k][s] + ext[k][t] + d, D) for k in range(l + 1)])
+    checks = []
+
+    us = np.concatenate([_loop_ball(space, x, ext[tau][x]) for x in (s, t) if tau_by_point[x] == tau])
+    gap = Check("start_level_gap", [f"u={u}" for u in us.tolist()], np.full(us.size, d_levels[tau]),
+                table.radius_vector(tau - 1)[us])
+    checks.append(gap.worst())
+
+    lhs_sum = d_levels[tau] * R ** tau
+    lhs_sum += sum((ext[k][s] + ext[k][t]) * R ** k for k in range(tau, c + 1))
+    rhs_sum = (R / (R - 5.0)) * R ** c * (1.5 * d + 2.0 * (ext[c][s] + ext[c][t]))
+    checks.append(Check("geometric_level_sum", f"c={c}", float(lhs_sum), float(rhs_sum)))
+
+    A = constant_a(R)
+    lhs_tm = d_levels[tau] * R ** tau
+    lhs_tm += sum(ext[k][x] * R ** k for x in (s, t) for k in range(tau, l))
+    checks.append(Check("trace_metric_bound", "A*tau", float(lhs_tm), float(A * metrics.tau[s, t])))
+
+    if f is not None:
+        f = _as_test_function(f)
+        checks.append(_loop_smoothing_check(table, space, f, s, t, l, tau, anchor, ext, d_levels, n))
+
+    return ProofTrace(
+        s=s, t=t, l=l, distance=d, a=a, b=b, c=c,
+        tau_s=tau_s, tau_t=tau_t, tau=tau, anchor=anchor,
+        d_levels=d_levels, checks=checks,
+    )
+
+
+def _loop_averaged_quotient(space, fd_row, member_idx, threshold):
+    if member_idx.size == 0:
+        return 0.0
+    w = space.mass[member_idx]
+    tot = float(w.sum())
+    if tot <= 0.0:
+        return 0.0
+    vals = fd_row[member_idx]
+    vals = np.where(vals >= threshold, vals, 0.0)
+    return float(np.dot(w, vals)) / tot
+
+
+def _loop_smoothing_check(table, space, f, s, t, l, tau, anchor, ext, d_levels, n):
+    R = table.R
+    phi = table.phi
+    fd = f.quotients(space)
+    P_l = averaging_kernel(table, l).matrix
+    smoothed = P_l @ f.values
+    lhs = abs(float(smoothed[s] - smoothed[t]))
+
+    total = d_levels[tau] * R ** (tau + n)
+    total += sum(ext[k][x] * R ** (k + n) for x in (s, t) for k in range(tau, l))
+    for x in (s, t):
+        for k in range(tau, l):
+            outer = _loop_ball(space, x, ext[k + 1][x])
+            acc = 0.0
+            thr = R ** (k + n)
+            for u in outer:
+                inner = _loop_ball(space, int(u), table.radius(k, int(u)))
+                acc += space.mass[u] * table.radius(k, int(u)) * _loop_averaged_quotient(space, fd[u], inner, thr)
+            total += phi.value(R ** (k + 1)) * acc
+    acc = 0.0
+    thr = R ** (tau + n)
+    for u in _loop_ball(space, anchor, ext[tau][anchor]):
+        if tau - 1 == 0:
+            inner = np.arange(space.n)
+        else:
+            inner = _loop_ball(space, int(u), table.radius(tau - 1, int(u)), closed=False)
+        acc += space.mass[u] * _loop_averaged_quotient(space, fd[u], inner, thr)
+    total += d_levels[tau] * phi.value(R ** (tau + 1)) * acc
+    return Check("smoothing_difference_bound", f"n={n}", lhs, float(total))
+
+
+def loop_invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
+    """Reference invariant suite: every aggregate check as a loop over points, levels and balls.
+
+    Ball masses come from one searchsorted per point, the growth integral
+    from one profile call per (point, radius), and ball_nesting walks every
+    (x, u in the ball of x) pair with a full-row support count.
+    """
+    table = radius_table(space, phi, R)
+    kstar = table.kstar
+    l = kstar + 1
+    n = space.n
+    dist = space.dist
+    mass = space.mass
+    if kernels is None:
+        kernels = [averaging_kernel(table, k) for k in range(l + 1)]
+    checks = []
+
+    radii = np.vstack([table.radius_vector(k) for k in range(kstar + 1)])
+    checks.append(Check("radii_monotone", "all k", float(np.max(np.diff(radii, axis=0), initial=-np.inf)), 0.0))
+    lip = max(
+        float(np.max(np.abs(radii[k][:, None] - radii[k][None, :]) - dist))
+        for k in range(kstar + 1)
+    )
+    checks.append(Check("radii_lipschitz", "all k", lip, 0.0))
+
+    worst_lo = -math.inf
+    worst_hi = -math.inf
+    logR = math.log(R)
+    for k in range(kstar + 1):
+        pk = math.exp(phi.log_value_exp(k * logR))
+        for x in range(n):
+            if k == 0:
+                closed, opened = 1.0, 1.0
+            else:
+                closed = space.ball_mass(x, radii[k, x], closed=True)
+                opened = space.ball_mass(x, radii[k, x], closed=False)
+            worst_lo = max(worst_lo, 1.0 - pk * closed)
+            worst_hi = max(worst_hi, pk * opened - 1.0)
+    checks.append(Check("ball_mass_lower", "all x,k", worst_lo, 0.0))
+    checks.append(Check("ball_mass_upper", "all x,k", worst_hi, 0.0))
+
+    profiles = [_GrowthProfile(space, phi, x) for x in range(n)]
+
+    def growth(x, u):
+        return 0.0 if u == 0.0 else profiles[x].integral(u)
+
+    worst = -math.inf
+    for x in range(n):
+        for c in range(kstar + 1):
+            lhs = sum(radii[k, x] * R ** k for k in range(c, kstar + 1))
+            rhs = (R / (R - 1.0)) * growth(x, radii[c, x])
+            worst = max(worst, _loop_neg_margin(lhs, rhs))
+    checks.append(Check("radius_series_integral", "all x,c", worst, 0.0))
+
+    if R > 2:
+        worst = -math.inf
+        ll = kstar + 2
+        ext = [table.extended_vector(k, ll) for k in range(ll)]
+        for x in range(n):
+            for c in range(ll):
+                lhs = sum(ext[k][x] * R ** k for k in range(c, ll))
+                rhs = (R ** 2 / ((R - 1.0) * (R - 2.0))) * growth(x, table.radius(min(c, kstar), x))
+                worst = max(worst, _loop_neg_margin(lhs, rhs))
+        checks.append(Check("extended_series_integral", "all x,c", worst, 0.0))
+
+    ext = [table.extended_vector(k, l) for k in range(l + 1)]
+    worst = -math.inf
+    support_bad = 0.0
+    for k in range(l):
+        ext_k, ext_k1 = ext[k], ext[k + 1]
+        for x in range(n):
+            for u in _loop_ball(space, x, ext_k1[x]):
+                r_u = table.radius(k, int(u))
+                mid = table.radius(k, x) + ext_k1[x]
+                worst = max(worst, _loop_neg_margin(r_u, mid), _loop_neg_margin(mid, ext_k[x]))
+                outside = dist[u] > ext_k[x] + 1e-12 * max(1.0, ext_k[x])
+                inside_u = dist[u] <= r_u + 1e-12 * max(1.0, r_u)
+                support_bad = max(support_bad, float(np.sum(inside_u & outside)))
+    checks.append(Check("ball_nesting", "all x,u,k", worst, 0.0))
+    checks.append(Check("ball_nesting_support", "all x,u,k", support_bad, 0.0))
+
+    dev = max(float(np.max(np.abs(kernels[k].matrix.sum(axis=1) - 1.0))) for k in range(l + 1))
+    checks.append(Check("kernel_stochastic", "all k", dev, 0.0))
+
+    worst_support = -math.inf
+    worst_rowsum = -math.inf
+    rng = np.random.default_rng(seed)
+    fs = [rng.standard_normal(n) for _ in range(3)]
+    worst_avg = -math.inf
+    comp = None
+    for k in range(l, -1, -1):
+        comp = kernels[k].matrix if comp is None else comp @ kernels[k].matrix
+        ext_k = ext[k]
+        outside = dist > ext_k[:, None] + 1e-12 * np.maximum(1.0, ext_k)[:, None]
+        worst_support = max(worst_support, float(np.abs(comp[outside]).max(initial=0.0)))
+        worst_rowsum = max(worst_rowsum, float(np.max(np.abs(comp.sum(axis=1) - 1.0))))
+        pk = math.exp(phi.log_value_exp(k * logR))
+        for fvals in fs:
+            lhs_vec = comp @ np.abs(fvals)
+            inball = dist <= ext_k[:, None] + 1e-12 * np.maximum(1.0, ext_k)[:, None]
+            rhs_vec = pk * (inball * (mass * np.abs(fvals))[None, :]).sum(axis=1)
+            worst_avg = max(worst_avg, float(np.max(lhs_vec - rhs_vec - REL_SLACK * np.maximum(1.0, rhs_vec))))
+    checks.append(Check("kernel_support", "composed", max(worst_support, worst_rowsum), 0.0))
+    checks.append(Check("kernel_average_bound", "composed", worst_avg, 0.0))
+
+    unit_dev = max(
+        float(np.max(np.abs(kernels[k].matrix @ np.ones(n) - 1.0))) for k in range(l + 1)
+    )
+    checks.append(Check("operator_unit", "all k", unit_dev, 0.0))
+    g = fs[0] + np.abs(rng.standard_normal(n))
+    mono = max(
+        float(np.max(kernels[k].matrix @ fs[0] - kernels[k].matrix @ g)) for k in range(l + 1)
+    )
+    checks.append(Check("operator_monotone", "f<=g", mono, 0.0))
+    offdiag = dist[~np.eye(n, dtype=bool)]
+    if offdiag.size == 0 or offdiag.min() > 0:
+        settle = float(np.max(np.abs(kernels[min(kstar, l)].matrix @ fs[0] - fs[0])))
+        checks.append(Check("operator_settles", "k=kstar", settle, 0.0))
+
+    params = {"R": R, "n0": n0, "kstar": kstar, "phi": phi.spec(), "psi": psi.spec() if psi else None}
+    return VerificationReport(checks, params)
+
+
+def loop_growth_ratios(space, phi, R, n0, t):
+    """Reference witness growth ratios: one growth integral and one step integral per point."""
+    table = radius_table(space, phi, R)
+    full_radii = np.array([table.radius(k, t) for k in range(table.kstar + 2)])
+    dists = space.dist[:, t]
+    ratios = np.zeros(space.n)
+    profile = _GrowthProfile(space, phi, t)
+    for x in range(space.n):
+        if x == t or dists[x] == 0:
+            continue
+        growth = profile.integral(float(dists[x]))
+        w = _step_integral(full_radii, R, n0, float(dists[x]), table.kstar)
+        ratios[x] = growth / w if w > 0 else math.inf
+    return ratios
