@@ -1,7 +1,6 @@
 """Chaining certificates and minorizing metrics on finite metric measure spaces."""
 
 from .chain import (
-    AveragingKernel,
     CertificateError,
     ChainCertificate,
     PreconditionError,
@@ -41,7 +40,7 @@ from .mspace import (
     space_from_json,
     space_to_json,
 )
-from .orlicz import FiniteMeasure, amemiya_norm, luxemburg_norm
+from .orlicz import amemiya_norm, luxemburg_norm
 from .verify import (
     Check,
     ConverseWitness,

@@ -23,7 +23,6 @@ from .young import ConvexGauge, pair_series, ratio_condition
 __all__ = [
     "PreconditionError",
     "CertificateError",
-    "AveragingKernel",
     "ChainCertificate",
     "constant_a",
     "constant_b3",
@@ -57,18 +56,6 @@ def constant_b3(R):
     return 3.0 * R ** 4 / (R - 1.0) ** 2
 
 
-@dataclass(frozen=True)
-class AveragingKernel:
-    """Row-stochastic matrix of the closed-ball averaging operator at one level."""
-
-    level: int
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-
 def _ball_rows(space, radii, closed=True):
     """Row x averages over the closed (d <= r(x)) or open (d < r(x)) ball around x."""
     ind = space.dist <= radii[:, None] if closed else space.dist < radii[:, None]
@@ -79,11 +66,10 @@ def _ball_rows(space, radii, closed=True):
 
 
 def averaging_kernel(table, k):
-    """Averaging operator over closed balls B(x, r_k(x)) as a row matrix."""
+    """Row-stochastic matrix of the averaging operator over closed balls B(x, r_k(x))."""
     if k < 0:
         raise ValueError("level must be nonnegative")
-    P = _ball_rows(table.space, table.radius_vector(k))
-    return AveragingKernel(level=k, matrix=P)
+    return _ball_rows(table.space, table.radius_vector(k))
 
 
 def _ball_levels(space, table):
@@ -159,8 +145,8 @@ def _log_gauge(psi, log_x_exponent):
     return lv + math.log1p(-math.exp(-lv))
 
 
-def _check_ratio(phi, R, kmax=60):
-    chk = ratio_condition(phi, R, kmax=kmax)
+def _check_ratio(phi, R):
+    chk = ratio_condition(phi, R, kmax=60)
     if not chk.ok:
         raise PreconditionError(
             f"growth ratios of phi are not monotone along the grid R={R} "
@@ -177,6 +163,8 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
     scalar weight tail, which is bounded geometrically by tail_tol relative
     to the weight sum.
     """
+    if not 0.0 <= tail_tol < math.inf:
+        raise ValueError("tail_tol must be finite and nonnegative")
     _require_positive_atoms(space)
     if int(n0) != n0 or n0 < 1:
         raise PreconditionError("n0 must be an integer >= 1")
@@ -258,12 +246,11 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
     )
 
 
-def certificate_thm3(space, phi, R, tail_tol=1e-12):
+def certificate_thm3(space, phi, R):
     """Certificate with kernel weights r_k(u) * R^(k+1).
 
     The radii vanish from the stabilization level on, so the kernel series
-    is a finite exact sum; tail_tol is accepted for interface symmetry and
-    the recorded tail bound is exactly zero.
+    is a finite exact sum and the recorded tail bound is exactly zero.
     """
     _require_positive_atoms(space)
     Reff, escalated_from = _effective_ratio(R)
@@ -285,8 +272,6 @@ def certificate_thm3(space, phi, R, tail_tol=1e-12):
         )
     normalizer = total / (1.0 - 1.0 / Reff)
     nu = S / total
-    if tail_tol < 0.0:
-        raise ValueError("tail_tol must be nonnegative")
     A = constant_a(Reff)
     B3 = constant_b3(Reff)
     C = 2.0 * A * Reff ** 5

@@ -6,9 +6,10 @@ optional Monte Carlo), and writes a fixed file set into the output directory:
 certificate.json, tau.csv, verify.csv, mc.csv and summary.json. Outputs are
 byte-identical across reruns of the same scenario and seed.
 
-Exit codes: 0 success, 2 configuration error, 3 precondition failure
-(growth-ratio or series divergence, invalid parameter ranges), 4 failed
-verification assertion.
+Exit codes: 0 success, 2 configuration error (unreadable or malformed
+config, invalid parameter ranges, non-boolean switches, invalid spaces),
+3 precondition failure (growth-ratio or series divergence, degenerate
+certificates), 4 failed verification assertion.
 """
 
 from __future__ import annotations
@@ -130,11 +131,32 @@ def _parse_functions(cfg, n, seed_override):
     if source != "random":
         raise ConfigError(f"unknown function source {source!r}")
     count = int(_get(cfg, "functions", "count", default="20"))
+    if count < 0:
+        raise ConfigError(f"[functions] count must be >= 0, not {count}")
     seed = int(_get(cfg, "functions", "seed", default="0"))
     if seed_override is not None:
         seed = seed_override
     rng = np.random.default_rng(seed)
     return [rng.standard_normal(n) for _ in range(count)]
+
+
+def _get_bool(cfg, section, key, default):
+    try:
+        return cfg.getboolean(section, key, fallback=default)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} must be a boolean, not {cfg.get(section, key)!r}") from None
+
+
+def _parse_mc(cfg, seed_override):
+    """(grid points, paths, seed) of the Monte Carlo stage, or None when it is disabled."""
+    if not _get_bool(cfg, "mc", "enabled", False):
+        return None
+    n_grid = int(_get(cfg, "mc", "n", default="64"))
+    paths = int(_get(cfg, "mc", "paths", default="10000"))
+    mc_seed = int(_get(cfg, "mc", "seed", default="0")) if seed_override is None else seed_override
+    if n_grid < 2 or paths < 1 or mc_seed < 0:
+        raise ConfigError(f"[mc] needs n >= 2, paths >= 1 and seed >= 0 (n = {n_grid}, paths = {paths}, seed = {mc_seed})")
+    return n_grid, paths, mc_seed
 
 
 def _certify(theorem, space, phi, psi, R, n0, tail_tol):
@@ -144,7 +166,7 @@ def _certify(theorem, space, phi, psi, R, n0, tail_tol):
         cert = certificate_thm1(space, phi, psi, R, n0, tail_tol=tail_tol)
         nabla_r = 1.0 if psi.kind == "power" else None
         return metrics, cert, partial(verify_thm1, cert, metrics, nabla_r=nabla_r)
-    cert = certificate_thm3(space, phi, R, tail_tol=tail_tol)
+    cert = certificate_thm3(space, phi, R)
     return metrics, cert, partial(verify_thm3, cert, metrics)
 
 
@@ -251,12 +273,16 @@ def run(config_path, out_dir=None, seed=None, strict=False):
         tail_tol = float(_get(cfg, "certificate", "tail_tol", default="1e-12"))
         if not 1 < R < math.inf or n0 < 1:
             raise ConfigError("need a finite R > 1 and n0 >= 1")
+        if not 0.0 <= tail_tol < math.inf:
+            raise ConfigError(f"tail_tol must be finite and >= 0, not {tail_tol!r}")
         space = _parse_space(cfg, config_path.parent)
         phi = _parse_young(cfg, "phi")
         psi = _parse_young(cfg, "psi") if cfg.has_section("psi") else None
         if theorem == "T1" and psi is None:
             raise ConfigError("theorem T1 needs a [psi] section")
         functions = _parse_functions(cfg, space.n, seed)
+        invariants = _get_bool(cfg, "verify", "invariants", True)
+        mc = _parse_mc(cfg, seed)
         out = Path(out_dir) if out_dir else Path(_get(cfg, "output", "dir", default="out"))
         if not out.is_absolute():
             out = config_path.parent / out
@@ -282,20 +308,16 @@ def run(config_path, out_dir=None, seed=None, strict=False):
 
         reports = [(check(fvals), f"f{idx}:") for idx, fvals in enumerate(functions)]
         all_passed = all(report.passed for report, _ in reports)
-        if _get(cfg, "verify", "invariants", default="true").lower() in ("1", "true", "yes"):
+        if invariants:
             suite = invariant_suite(space, phi, psi, cert.R, n0)
             all_passed &= suite.passed
             reports.append((suite, ""))
         results["verify_rows"] = chain.from_iterable(_report_rows(r, prefix) for r, prefix in reports)
 
         mc_rows = []
-        if cfg.has_section("mc") and _get(cfg, "mc", "enabled", default="false").lower() in ("1", "true", "yes"):
+        if mc is not None:
+            n_grid, paths, mc_seed = mc
             try:
-                n_grid = int(_get(cfg, "mc", "n", default="64"))
-                paths = int(_get(cfg, "mc", "paths", default="10000"))
-                mc_seed = int(_get(cfg, "mc", "seed", default="0"))
-                if seed is not None:
-                    mc_seed = seed
                 sampler = brownian_grid_sampler(n_grid, psi if theorem == "T1" else phi)
                 mc_metrics, mc_cert, _ = _certify(theorem, sampler.space, phi, psi, R, n0, tail_tol)
                 batch = sample(sampler, paths, mc_seed)

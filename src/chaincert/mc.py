@@ -81,11 +81,12 @@ def brownian_grid_sampler(n, psi):
     return ProcessSampler(kind="brownian-grid", space=space, sigma=sigma, psi=psi, times=times)
 
 
-def gaussian_cov_sampler(cov, psi, mass=None):
+def gaussian_cov_sampler(cov, psi):
     """Centered Gaussian vector with the given covariance.
 
-    The metric is c * sigma(s,t) with sigma the L2 increment distance; rows
-    with identical covariance profiles are rejected (zero distance).
+    The metric is c * sigma(s,t) with sigma the L2 increment distance and the
+    masses are uniform; rows with identical covariance profiles are rejected
+    (zero distance).
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
@@ -97,8 +98,8 @@ def gaussian_cov_sampler(cov, psi, mass=None):
     if np.any(sigma[~np.eye(n, dtype=bool)] <= 0):
         raise ValueError("covariance induces coincident points")
     c = _normalizer(psi)
-    m = np.full(n, 1.0 / n) if mass is None else np.asarray(mass, dtype=float)
-    space = MetricMeasureSpace(c * sigma, m / m.sum())
+    m = np.full(n, 1.0 / n)
+    space = MetricMeasureSpace(c * sigma, m / m.sum())  # n copies of 1/n need not sum to 1
     chol = np.linalg.cholesky(cov + 1e-12 * np.eye(n))
     return ProcessSampler(kind="gaussian-cov", space=space, sigma=sigma, psi=psi, chol=chol)
 
@@ -123,8 +124,6 @@ def analytic_increment_moment(sampler):
 @dataclass(frozen=True)
 class PathBatch:
     values: np.ndarray = field(repr=False)  # (n_paths, n_points)
-    seed: int
-    kind: str
 
     @property
     def n_paths(self):
@@ -148,7 +147,7 @@ def sample(sampler, n_paths, seed):
             np.cumsum(steps, axis=1, out=block[:, 1:])
         else:
             block[:] = rng.standard_normal(block.shape) @ sampler.chol.T
-    return PathBatch(values=values, seed=int(seed), kind=sampler.kind)
+    return PathBatch(values=values)
 
 
 @dataclass(frozen=True)

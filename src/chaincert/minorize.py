@@ -42,24 +42,21 @@ class _GrowthProfile:
         return float(out) if np.ndim(u) == 0 else out
 
 
-def _clamped_upper(space, upper, warn_clamp):
+def ball_growth_integral(space, phi, x, upper):
+    """int_0^upper phi^{-1}(1/m(B(x, eps))) d(eps), exact breakpoint sum.
+
+    An upper limit beyond the diameter is clamped to it, with a warning.
+    """
     if upper < 0:
         raise ValueError("upper limit must be nonnegative")
     D = space.diameter
     if upper > D + 1e-12:
-        if warn_clamp:
-            warnings.warn(
-                f"upper limit {upper} exceeds the diameter {D}; clamped "
-                "(the integrand is constant 1 beyond the diameter)",
-                stacklevel=3,
-            )
-        return D
-    return min(upper, D)
-
-
-def ball_growth_integral(space, phi, x, upper, warn_clamp=True):
-    """int_0^upper phi^{-1}(1/m(B(x, eps))) d(eps), exact breakpoint sum."""
-    u = _clamped_upper(space, upper, warn_clamp)
+        warnings.warn(
+            f"upper limit {upper} exceeds the diameter {D}; clamped "
+            "(the integrand is constant 1 beyond the diameter)",
+            stacklevel=2,
+        )
+    u = min(upper, D)
     if u == 0.0:
         return 0.0
     return _GrowthProfile(space, phi, x).integral(u)

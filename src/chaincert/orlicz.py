@@ -8,42 +8,16 @@ convention 0/0 = 0 applies to every averaged integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .young import ConvexGauge
 
-__all__ = ["FiniteMeasure", "luxemburg_norm", "amemiya_norm"]
+__all__ = ["luxemburg_norm", "amemiya_norm"]
 
 
-@dataclass(frozen=True)
-class FiniteMeasure:
-    """Nonnegative weights over a finite index set."""
-
-    weights: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if w.size == 0:
-            raise ValueError("a finite measure needs at least one atom")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def total(self):
-        return float(self.weights.sum())
-
-    @property
-    def is_probability(self):
-        return abs(self.total - 1.0) <= 1e-12
-
-
-def _aligned(values, measure):
-    w = measure.weights if isinstance(measure, FiniteMeasure) else np.asarray(measure, dtype=float).ravel()
+def _aligned(values, weights):
+    w = np.asarray(weights, dtype=float).ravel()
     v = np.abs(np.asarray(values, dtype=float).ravel())
     if v.shape != w.shape:
         raise ValueError(f"values and weights are misaligned: {v.shape} vs {w.shape}")
@@ -56,7 +30,7 @@ def _aligned(values, measure):
     return v, w
 
 
-def luxemburg_norm(values, measure, gauge, rel_tol=1e-13):
+def luxemburg_norm(values, weights, gauge):
     """inf{a > 0 : sum_i w_i * gauge(|v_i| / a) <= 1}, 0 when v = 0 a.e.
 
     Exact on the atoms with w_i > 0 and v_i != 0. With u_i = |v_i| / max|v|
@@ -67,11 +41,11 @@ def luxemburg_norm(values, measure, gauge, rel_tol=1e-13):
       prefix sums of w u^p, and a = max|v| (S_k / (1 + W_k))^(1/p) on the
       segment whose integral crosses 1;
     - other gauges: one bracketed root-find of sum_i w_i gauge(u_i t) = 1 in
-      log t, t = max|v| / a, to width rel_tol. The integral is at most
+      log t, t = max|v| / a, to relative width 1e-13. The integral is at most
       gauge(t) sum_i w_i u_i and at least W_k gauge(u_k t), which brackets t
       between gauge^-1(1 / sum_i w_i u_i) and min_k gauge^-1(1 / W_k) / u_k.
     """
-    v, w = _aligned(values, measure)
+    v, w = _aligned(values, weights)
     atoms = (w > 0) & (v > 0)
     if not atoms.any():
         return 0.0
@@ -101,7 +75,7 @@ def luxemburg_norm(values, measure, gauge, rel_tol=1e-13):
 
     lo = gauge.inverse(1.0 / np.dot(w, u))
     hi = float(np.min(gauge.inverse(1.0 / W) / u))
-    return vmax * math.exp(-_root(log_integral, math.log(lo), math.log(hi), rel_tol))
+    return vmax * math.exp(-_root(log_integral, math.log(lo), math.log(hi), 1e-13))
 
 
 def _root(g, lo, hi, tol):
@@ -143,19 +117,19 @@ def _root(g, lo, hi, tol):
     return 0.5 * (lo + hi)
 
 
-def amemiya_norm(values, measure, phi, rel_tol=1e-12):
+def amemiya_norm(values, weights, phi):
     """inf_{a>0} a * (1 + sum_i w_i * phi(|v_i| / a)).
 
     For a bare x^p the objective is a + S a^(1-p) with S = sum_i w_i |v_i|^p:
     for p > 1 it is least at a^p = (p - 1) S, with value a p / (p - 1), and
     for p = 1 it decreases to S as a -> 0. Other gauges: the objective is
     convex in a (perspective of a convex function plus a linear term); it is
-    minimized by ternary search on a bracket anchored at the Luxemburg norm
-    and expanded toward 0, where the infimum sits for gauges with linear
-    growth.
+    minimized by ternary search, to relative width 1e-12, on a bracket
+    anchored at the Luxemburg norm and expanded toward 0, where the infimum
+    sits for gauges with linear growth.
     """
-    v, w = _aligned(values, measure)
-    lux = luxemburg_norm(values, measure, phi)
+    v, w = _aligned(values, weights)
+    lux = luxemburg_norm(values, weights, phi)
     if lux == 0.0:
         return 0.0
     support = w > 0
@@ -184,6 +158,6 @@ def amemiya_norm(values, measure, phi, rel_tol=1e-12):
             hi = m2
         else:
             lo = m1
-        if hi - lo <= rel_tol * max(hi, 1e-300):
+        if hi - lo <= 1e-12 * max(hi, 1e-300):
             break
     return min(best, objective(0.5 * (lo + hi)))

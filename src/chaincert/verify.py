@@ -69,11 +69,7 @@ class TestFunction:
 
 
 class _PairLocations(Sequence):
-    """The "(i,j)" location of each pair of a pair list, formatted on demand.
-
-    Indexing formats one label; iterating shares the labels of the
-    np.triu_indices(n, 1) list the verifiers use, made once per n.
-    """
+    """The "(i,j)" location of each pair of a pair list, formatted on demand."""
 
     def __init__(self, iu, iv):
         self.iu = iu
@@ -86,10 +82,6 @@ class _PairLocations(Sequence):
         return f"({self.iu[j]},{self.iv[j]})"
 
     def __iter__(self):
-        n = int(self.iv[-1]) + 1 if self.iv.size else 0
-        tu, tv = _triu(n)
-        if np.array_equal(self.iu, tu) and np.array_equal(self.iv, tv):
-            return iter(_triu_locations(n))
         return (f"({i},{j})" for i, j in zip(self.iu.tolist(), self.iv.tolist()))
 
 
@@ -100,12 +92,6 @@ def _triu(n):
     iu.flags.writeable = False
     iv.flags.writeable = False
     return iu, iv
-
-
-@functools.lru_cache(maxsize=4)
-def _triu_locations(n):
-    iu, iv = _triu(n)
-    return tuple(f"({i},{j})" for i, j in zip(iu.tolist(), iv.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +339,7 @@ class _Levels:
 
     @functools.cached_property
     def kernel(self):
-        return averaging_kernel(self.table, self.l).matrix
+        return averaging_kernel(self.table, self.l)
 
 
 def _levels(table, l):
@@ -630,15 +616,16 @@ def converse_witness(space, phi, psi, R, n0, t, l):
 # -- structural invariant suite -------------------------------------------------
 
 
-def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
+def invariant_suite(space, phi, psi, R, n0, kernels=None):
     """Measure the structural invariants of one configuration.
 
     Covers: monotone and 1-Lipschitz radii, the ball-mass sandwich
     1/m(B_k) <= phi(R^k) <= 1/m(open B_k), the two radius-series integral
     bounds, ball nesting, composed-kernel support and stochasticity, the
     kernel averaging bound, and the averaging-operator identities. A caller
-    may inject its own kernels (e.g. deliberately corrupted ones); they are
-    then used for every kernel-level check.
+    may inject its own kernel matrices, one per level 0..kstar+1 (e.g.
+    deliberately corrupted ones); they are then used for every kernel-level
+    check. The random test functions come from default_rng(0).
     """
     table = radius_table(space, phi, R)
     kstar = table.kstar
@@ -713,18 +700,18 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     checks.append(Check("ball_nesting", "all x,u,k", worst, 0.0))
     checks.append(Check("ball_nesting_support", "all x,u,k", float(support_bad), 0.0))
 
-    dev = max(float(np.max(np.abs(kernels[k].matrix.sum(axis=1) - 1.0))) for k in range(l + 1))
+    dev = max(float(np.max(np.abs(kernels[k].sum(axis=1) - 1.0))) for k in range(l + 1))
     checks.append(Check("kernel_stochastic", "all k", dev, 0.0))
 
     worst_support = -math.inf
     worst_rowsum = -math.inf
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     fs = [rng.standard_normal(n) for _ in range(3)]
     worst_avg = -math.inf
     comp = None
     for k in range(l, -1, -1):
         # the composed kernel P_l ... P_k, one factor more per level
-        comp = kernels[k].matrix if comp is None else comp @ kernels[k].matrix
+        comp = kernels[k] if comp is None else comp @ kernels[k]
         inball = levels.ext_ball[k]
         worst_support = max(worst_support, float(np.abs(comp[~inball]).max(initial=0.0)))
         worst_rowsum = max(worst_rowsum, float(np.max(np.abs(comp.sum(axis=1) - 1.0))))
@@ -737,17 +724,17 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     checks.append(Check("kernel_average_bound", "composed", worst_avg, 0.0))
 
     unit_dev = max(
-        float(np.max(np.abs(kernels[k].matrix @ np.ones(n) - 1.0))) for k in range(l + 1)
+        float(np.max(np.abs(kernels[k] @ np.ones(n) - 1.0))) for k in range(l + 1)
     )
     checks.append(Check("operator_unit", "all k", unit_dev, 0.0))
     g = fs[0] + np.abs(rng.standard_normal(n))
     mono = max(
-        float(np.max(kernels[k].matrix @ fs[0] - kernels[k].matrix @ g)) for k in range(l + 1)
+        float(np.max(kernels[k] @ fs[0] - kernels[k] @ g)) for k in range(l + 1)
     )
     checks.append(Check("operator_monotone", "f<=g", mono, 0.0))
     offdiag = dist[~np.eye(n, dtype=bool)]
     if offdiag.size == 0 or offdiag.min() > 0:
-        settle = float(np.max(np.abs(kernels[min(kstar, l)].matrix @ fs[0] - fs[0])))
+        settle = float(np.max(np.abs(kernels[min(kstar, l)] @ fs[0] - fs[0])))
         checks.append(Check("operator_settles", "k=kstar", settle, 0.0))
 
     params = {"R": R, "n0": n0, "kstar": kstar, "phi": phi.spec(), "psi": psi.spec() if psi else None}

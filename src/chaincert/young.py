@@ -104,8 +104,6 @@ class YoungFunction:
             out = self._pwl_value(arr)
         return float(out) if np.ndim(x) == 0 else out
 
-    __call__ = value
-
     def _pwl_value(self, arr):
         idx = np.searchsorted(self.knots_x, arr, side="right") - 1
         idx = np.clip(idx, 0, len(self.knots_x) - 1)
@@ -218,8 +216,6 @@ class ConvexGauge:
         out = np.maximum(np.asarray(v, dtype=float) - 1.0, 0.0)
         return float(out) if np.ndim(v) == 0 else out
 
-    __call__ = value
-
     def inverse(self, y):
         arr = np.asarray(y, dtype=float)
         out = np.where(arr > 0, self.base.inverse(np.maximum(arr, 0.0) + 1.0), 0.0)
@@ -302,13 +298,17 @@ class SeriesResult:
     heuristic: bool
 
 
-def shifted_series(num, den, R, num_shift=0, den_shift=0, tol=1e-14, max_terms=20000):
+_SERIES_TOL = 1e-14
+_SERIES_MAX_TERMS = 20000
+
+
+def shifted_series(num, den, R, num_shift=0, den_shift=0):
     """sum_{k>=0} num(R^(k+num_shift)) / den(R^(k+den_shift)).
 
     Terms are computed in log space. The sum stops once the geometric tail
-    bound last_term * rho/(1 - rho) drops below tol relative to the partial
-    sum; divergence is declared after 20 consecutive non-decreasing terms.
-    Verdicts for piecewise-linear kinds are flagged heuristic.
+    bound last_term * rho/(1 - rho) drops below 1e-14 relative to the partial
+    sum; divergence is declared after 20 consecutive non-decreasing terms or
+    at 20,000 terms. Verdicts for piecewise-linear kinds are flagged heuristic.
     """
     logR = math.log(R)
     heuristic = num.kind == "piecewise" or den.kind == "piecewise"
@@ -316,7 +316,7 @@ def shifted_series(num, den, R, num_shift=0, den_shift=0, tol=1e-14, max_terms=2
     prev = None
     rising = 0
     recent: list[float] = []
-    for k in range(max_terms):
+    for k in range(_SERIES_MAX_TERMS):
         lt = num.log_value_exp((k + num_shift) * logR) - den.log_value_exp((k + den_shift) * logR)
         if lt == -math.inf or math.isnan(lt):
             return SeriesResult(True, total, 0.0, k + 1, heuristic)
@@ -333,20 +333,20 @@ def shifted_series(num, den, R, num_shift=0, den_shift=0, tol=1e-14, max_terms=2
             rising = rising + 1 if rho >= 1.0 - 1e-12 else 0
             if rising >= 20:
                 return SeriesResult(False, total, math.inf, k + 1, heuristic)
-            if rho < 1.0 and t <= tol * max(total, 1e-300):
+            if rho < 1.0 and t <= _SERIES_TOL * max(total, 1e-300):
                 rho_hat = max(recent)
                 if rho_hat < 1.0:
                     bound = t * rho_hat / (1.0 - rho_hat)
-                    if bound <= tol * max(total, 1e-300):
+                    if bound <= _SERIES_TOL * max(total, 1e-300):
                         return SeriesResult(True, total, bound, k + 1, heuristic)
         prev = t
-    return SeriesResult(False, total, math.inf, max_terms, True)
+    return SeriesResult(False, total, math.inf, _SERIES_MAX_TERMS, True)
 
 
-def pair_series(num, den, R, n0, tol=1e-14, max_terms=20000):
+def pair_series(num, den, R, n0):
     """sum_{k>=0} num(R^k)/den(R^(k+n0)), with convergence verdict and tail bound."""
     if R <= 1:
         raise ValueError("R must exceed 1")
     if n0 < 1:
         raise ValueError("n0 must be >= 1")
-    return shifted_series(num, den, R, 0, n0, tol=tol, max_terms=max_terms)
+    return shifted_series(num, den, R, 0, n0)

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -16,6 +18,8 @@ REMOVED = (
     "PairChecks",
     "minorizing_metric",
     "ball_growth_integral_riemann",
+    "AveragingKernel",
+    "FiniteMeasure",
 )
 
 
@@ -31,3 +35,24 @@ def test_removed_names_are_not_exported():
     for mod in mods:
         stale = [name for name in REMOVED if hasattr(mod, name)]
         assert not stale, f"{mod.__name__} still defines {stale}"
+
+
+def test_removed_keywords_stay_gone():
+    from chaincert import chain, minorize, orlicz, young
+
+    removed = {
+        orlicz.luxemburg_norm: {"rel_tol"},
+        orlicz.amemiya_norm: {"rel_tol"},
+        young.shifted_series: {"tol", "max_terms"},
+        young.pair_series: {"tol", "max_terms"},
+        chain._check_ratio: {"kmax"},
+        minorize.ball_growth_integral: {"warn_clamp"},
+        chaincert.invariant_suite: {"seed"},
+        chaincert.gaussian_cov_sampler: {"mass"},
+        chain.certificate_thm3: {"tail_tol"},
+    }
+    for fn, names in removed.items():
+        assert not names & set(inspect.signature(fn).parameters), fn.__name__
+    assert [f.name for f in dataclasses.fields(chaincert.PathBatch)] == ["values"]
+    assert not callable(young.YoungFunction.power(2))
+    assert not callable(young.ConvexGauge(young.YoungFunction.power(2)))

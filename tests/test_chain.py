@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -40,14 +41,14 @@ def test_averaging_kernel_levels():
     line = line3_space()
     table = radius_table(line, PHI1, 2.0)
     k0 = averaging_kernel(table, 0)
-    assert np.allclose(k0.matrix, line.mass[None, :])  # full-space average
+    assert np.allclose(k0, line.mass[None, :])  # full-space average
     k1 = averaging_kernel(table, 1)
-    assert np.allclose(k1.matrix[0], [0.5, 0.5, 0.0])
+    assert np.allclose(k1[0], [0.5, 0.5, 0.0])
     khigh = averaging_kernel(table, table.kstar + 3)
-    assert np.array_equal(khigh.matrix, np.eye(3))
+    assert np.array_equal(khigh, np.eye(3))
     for kern in (k0, k1, khigh):
-        assert np.allclose(kern.matrix.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(kern.matrix >= 0.0)
+        assert np.allclose(kern.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(kern >= 0.0)
 
 
 def test_composed_kernel():
@@ -55,7 +56,7 @@ def test_composed_kernel():
     line = line3_space()
     table = radius_table(line, PHI1, 2.0)
     kernels = {k: averaging_kernel(table, k) for k in range(3)}
-    comp = kernels[1].matrix @ kernels[0].matrix
+    comp = kernels[1] @ kernels[0]
     assert np.allclose(comp, line.mass[None, :])  # averaging absorbs everything
     assert np.allclose(comp.sum(axis=1), 1.0, atol=1e-12)
 
@@ -149,7 +150,7 @@ def test_kernel_average_bound_line():
         f = rng.standard_normal(3)
         comp = np.eye(3)
         for k in range(l, -1, -1):
-            comp = comp @ kernels[k].matrix
+            comp = comp @ kernels[k]
             ext = table.extended_vector(k, l)
             for x in range(3):
                 lhs = float(comp[x] @ np.abs(f))
@@ -164,3 +165,9 @@ def test_certificate_rejects_zero_mass():
         certificate_thm1(sp, PHI1, PHI2, 6.0, 1)
     with pytest.raises(ZeroMassAtomError):
         certificate_thm3(sp, PHI2, 6.0)
+
+
+def test_certificate_thm1_rejects_bad_tail_tol():
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            certificate_thm1(line3_space(), PHI1, PHI2, 6.0, 1, tail_tol=bad)

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import io
 import json
@@ -122,6 +123,49 @@ def test_bad_inputs_are_config_errors(tmp_path, space, theorem, R):
         "[functions]\nsource = values\nvalues = 0,1,0\n",
     )
     assert run(cfg, out_dir=tmp_path / "out") == EXIT_CONFIG
+
+
+def _scenario_with(tmp_path, name, section, key, value):
+    """The shipped scenario `name` with one [section] key set to value."""
+    cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cfg.read(SCENARIOS / f"{name}.cfg")
+    cfg[section][key] = value
+    path = tmp_path / f"{name}.cfg"
+    with path.open("w") as fh:
+        cfg.write(fh)
+    return path
+
+
+@pytest.mark.parametrize(
+    "name, section, key, value",
+    [
+        ("twopoint", "certificate", "tail_tol", "-1"),
+        ("twopoint", "certificate", "tail_tol", "nan"),
+        ("line3", "certificate", "tail_tol", "-1"),
+        ("line3", "certificate", "tail_tol", "nan"),
+        ("brownian64", "mc", "paths", "abc"),
+        ("brownian64", "mc", "paths", "0"),
+        ("brownian64", "mc", "n", "1"),
+        ("brownian64", "mc", "seed", "-1"),
+        ("brownian64", "functions", "count", "-1"),
+        ("line3", "verify", "invariants", "maybe"),
+        ("brownian64", "mc", "enabled", "maybe"),
+    ],
+)
+def test_bad_scenario_values_are_config_errors(tmp_path, capsys, name, section, key, value):
+    cfg = _scenario_with(tmp_path, name, section, key, value)
+    assert run(cfg, out_dir=tmp_path / "out") == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_boolean_switches_take_configparser_spellings(tmp_path):
+    cfg = _scenario_with(tmp_path, "twopoint", "verify", "invariants", "off")
+    assert run(cfg, out_dir=tmp_path / "a") == EXIT_OK
+    assert "radii_monotone" not in (tmp_path / "a" / "verify.csv").read_text()
+    cfg = _scenario_with(tmp_path, "brownian64", "mc", "enabled", "on")
+    assert run(cfg, out_dir=tmp_path / "b") == EXIT_OK
+    assert "increment_ratio_sup" in (tmp_path / "b" / "mc.csv").read_text()
 
 
 def test_failed_bound_is_assertion_error(tmp_path):

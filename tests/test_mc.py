@@ -102,7 +102,7 @@ def test_empirical_corollary_constant_paths():
     s = brownian_grid_sampler(6, PHI2)
     cert = certificate_thm1(s.space, PHI1, PHI2, 6.0, 1)
     mets = MinorizingMetrics(s.space, PHI1)
-    batch = PathBatch(values=np.zeros((50, 6)), seed=0, kind="brownian-grid")
+    batch = PathBatch(values=np.zeros((50, 6)))
     report = empirical_corollary(batch, cert, mets)
     for stat in report.stats:
         assert stat.mean == 0.0 and stat.stderr == 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chaincert import ConvexGauge, FiniteMeasure, YoungFunction, amemiya_norm, luxemburg_norm
+from chaincert import ConvexGauge, YoungFunction, amemiya_norm, luxemburg_norm
 from util import bisection_luxemburg, ternary_amemiya
 
 PHI2 = YoungFunction.power(2)
@@ -108,12 +108,11 @@ def test_monotonicity():
         assert luxemburg_norm(h1, mu, PHI2) <= luxemburg_norm(h2, mu, PHI2) + 1e-10
 
 
-def test_finite_measure_wrapper():
-    m = FiniteMeasure(np.array([0.25, 0.75]))
-    assert m.is_probability
-    assert luxemburg_norm([1.0, 1.0], m, PHI2) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        FiniteMeasure(np.array([-0.1, 1.1]))
+def test_weight_arrays():
+    # a finite measure is an array of nonnegative weights
+    assert luxemburg_norm([1.0, 1.0], np.array([0.25, 0.75]), PHI2) == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(ValueError, match="nonnegative"):
+        luxemburg_norm([1.0, 1.0], np.array([-0.1, 1.1]), PHI2)
 
 
 def test_non_finite_weights_rejected():
@@ -122,8 +121,6 @@ def test_non_finite_weights_rejected():
             luxemburg_norm([1.0, 2.0], [bad, 0.5], PHI2)
         with pytest.raises(ValueError, match="finite"):
             amemiya_norm([1.0, 2.0], [bad, 0.5], PHI2)
-        with pytest.raises(ValueError, match="finite"):
-            FiniteMeasure(np.array([bad, 0.5]))
 
 
 def _oracle_cases(rng):

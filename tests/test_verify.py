@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from chaincert import (
     verify_thm1,
     verify_thm3,
 )
-from chaincert.chain import AveragingKernel
 from chaincert.verify import _PairLocations, _triu
 from util import (
     line3_space,
@@ -208,9 +209,7 @@ def test_invariant_suite_detects_corrupted_kernel():
     table = radius_table(line, PHI1, 6.0)
     l = table.kstar + 1
     kernels = [averaging_kernel(table, k) for k in range(l + 1)]
-    bad = kernels[1].matrix.copy()
-    bad[0] *= 1.1
-    kernels[1] = AveragingKernel(level=1, matrix=bad)
+    kernels[1][0] *= 1.1
     report = invariant_suite(line, PHI1, PHI2, 6.0, 1, kernels=kernels)
     assert not report.passed
     assert "kernel_stochastic" in report.failed_names()
@@ -398,3 +397,22 @@ def test_pair_list_is_cached_and_read_only():
     assert np.array_equal(iu, np.triu_indices(6, 1)[0]) and np.array_equal(iv, np.triu_indices(6, 1)[1])
     with pytest.raises(ValueError):
         iu[0] = 1
+
+
+def test_pair_labels_are_not_kept_after_the_report():
+    space = generate_space("grid", n=400)
+    metrics = MinorizingMetrics(space, PHI2)
+    cert = certificate_thm3(space, PHI2, 6.0)
+    f = np.random.default_rng(0).standard_normal(space.n)
+    verify_thm3(cert, metrics, f)  # makes the cached pair list outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_thm3(cert, metrics, f)
+        assert sum(1 for _ in report.checks[0].locations) == 400 * 399 // 2
+        del report
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20

@@ -392,7 +392,7 @@ def _loop_smoothing_check(table, space, f, s, t, l, tau, anchor, ext, d_levels, 
     R = table.R
     phi = table.phi
     fd = f.quotients(space)
-    P_l = averaging_kernel(table, l).matrix
+    P_l = averaging_kernel(table, l)
     smoothed = P_l @ f.values
     lhs = abs(float(smoothed[s] - smoothed[t]))
 
@@ -500,7 +500,7 @@ def loop_invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     checks.append(Check("ball_nesting", "all x,u,k", worst, 0.0))
     checks.append(Check("ball_nesting_support", "all x,u,k", support_bad, 0.0))
 
-    dev = max(float(np.max(np.abs(kernels[k].matrix.sum(axis=1) - 1.0))) for k in range(l + 1))
+    dev = max(float(np.max(np.abs(kernels[k].sum(axis=1) - 1.0))) for k in range(l + 1))
     checks.append(Check("kernel_stochastic", "all k", dev, 0.0))
 
     worst_support = -math.inf
@@ -510,7 +510,7 @@ def loop_invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     worst_avg = -math.inf
     comp = None
     for k in range(l, -1, -1):
-        comp = kernels[k].matrix if comp is None else comp @ kernels[k].matrix
+        comp = kernels[k] if comp is None else comp @ kernels[k]
         ext_k = ext[k]
         outside = dist > ext_k[:, None] + 1e-12 * np.maximum(1.0, ext_k)[:, None]
         worst_support = max(worst_support, float(np.abs(comp[outside]).max(initial=0.0)))
@@ -525,17 +525,17 @@ def loop_invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     checks.append(Check("kernel_average_bound", "composed", worst_avg, 0.0))
 
     unit_dev = max(
-        float(np.max(np.abs(kernels[k].matrix @ np.ones(n) - 1.0))) for k in range(l + 1)
+        float(np.max(np.abs(kernels[k] @ np.ones(n) - 1.0))) for k in range(l + 1)
     )
     checks.append(Check("operator_unit", "all k", unit_dev, 0.0))
     g = fs[0] + np.abs(rng.standard_normal(n))
     mono = max(
-        float(np.max(kernels[k].matrix @ fs[0] - kernels[k].matrix @ g)) for k in range(l + 1)
+        float(np.max(kernels[k] @ fs[0] - kernels[k] @ g)) for k in range(l + 1)
     )
     checks.append(Check("operator_monotone", "f<=g", mono, 0.0))
     offdiag = dist[~np.eye(n, dtype=bool)]
     if offdiag.size == 0 or offdiag.min() > 0:
-        settle = float(np.max(np.abs(kernels[min(kstar, l)].matrix @ fs[0] - fs[0])))
+        settle = float(np.max(np.abs(kernels[min(kstar, l)] @ fs[0] - fs[0])))
         checks.append(Check("operator_settles", "k=kstar", settle, 0.0))
 
     params = {"R": R, "n0": n0, "kstar": kstar, "phi": phi.spec(), "psi": psi.spec() if psi else None}
