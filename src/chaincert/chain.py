@@ -316,7 +316,7 @@ def certificate_to_json(cert):
         "B": cert.B,
         "K": cert.K,
         "C": cert.C,
-        "nu": [float(v) for v in cert.nu.ravel()],
+        "nu": cert.nu.ravel().tolist(),
         "tail_bound": cert.tail_bound,
         "escalated_R": cert.escalated_from,
     }

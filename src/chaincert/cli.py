@@ -7,7 +7,8 @@ certificate.json, tau.csv, verify.csv, mc.csv and summary.json. Outputs are
 byte-identical across reruns of the same scenario and seed.
 
 Exit codes: 0 success, 2 configuration error (unreadable or malformed
-config, invalid parameter ranges, non-boolean switches, invalid spaces),
+config, non-numeric values, invalid parameter ranges, non-boolean switches,
+invalid spaces, a Monte Carlo gauge the samplers cannot normalize),
 3 precondition failure (growth-ratio or series divergence, degenerate
 certificates), 4 failed verification assertion.
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import json
 import math
 import sys
@@ -35,7 +37,7 @@ from .chain import (
     certificate_to_json,
     modulus_pairs,
 )
-from .mc import brownian_grid_sampler, empirical_corollary, sample
+from .mc import _normalizer, brownian_grid_sampler, empirical_corollary, sample
 from .minorize import MinorizingMetrics
 from .mspace import SpaceValidationError, ZeroMassAtomError, generate_space, space_from_json
 from .verify import invariant_suite, verify_thm1, verify_thm3
@@ -67,12 +69,29 @@ def _get(cfg, section, key, default=None, required=False):
     return default
 
 
+_NUMBER_KINDS = {int: "an integer", float: "a number"}
+
+
+def _number(kind, text, section, key):
+    """text converted by kind (int or float); a value it cannot convert is a ConfigError naming [section] key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} must be {_NUMBER_KINDS[kind]}, not {text!r}") from None
+
+
+def _get_number(cfg, section, key, kind, default=None, required=False):
+    """[section] key read by _number, or None when it is absent and has no default."""
+    text = _get(cfg, section, key, default, required)
+    return None if text is None else _number(kind, text, section, key)
+
+
 def _parse_young(cfg, section):
     kind = _get(cfg, section, "kind", required=True)
     if kind == "power":
-        return YoungFunction.power(float(_get(cfg, section, "p", required=True)))
+        return YoungFunction.power(_get_number(cfg, section, "p", float, required=True))
     if kind == "exponential":
-        return YoungFunction.exponential(float(_get(cfg, section, "q", required=True)))
+        return YoungFunction.exponential(_get_number(cfg, section, "q", float, required=True))
     if kind == "piecewise":
         raw = _get(cfg, section, "knots", required=True)
         knots = []
@@ -80,7 +99,7 @@ def _parse_young(cfg, section):
             xs = part.split(",")
             if len(xs) != 2:
                 raise ConfigError(f"bad knot {part!r} in [{section}]")
-            knots.append((float(xs[0]), float(xs[1])))
+            knots.append((_number(float, xs[0], section, "knots"), _number(float, xs[1], section, "knots")))
         return YoungFunction.piecewise(knots)
     raise ConfigError(f"unknown Young function kind {kind!r} in [{section}]")
 
@@ -97,22 +116,21 @@ def _parse_space(cfg, base_dir):
     if source != "generate":
         raise ConfigError(f"unknown space source {source!r}")
     kind = _get(cfg, "space", "kind", default="grid")
-    seed = _get(cfg, "space", "seed")
-    seed = int(seed) if seed is not None else None
+    seed = _get_number(cfg, "space", "seed", int)
     params = {}
     if kind == "grid":
-        params["n"] = int(_get(cfg, "space", "n", required=True))
-        params["gamma"] = float(_get(cfg, "space", "gamma", default="1.0"))
-        params["scale"] = float(_get(cfg, "space", "scale", default="1.0"))
+        params["n"] = _get_number(cfg, "space", "n", int, required=True)
+        params["gamma"] = _get_number(cfg, "space", "gamma", float, default="1.0")
+        params["scale"] = _get_number(cfg, "space", "scale", float, default="1.0")
     elif kind == "tree":
-        params["depth"] = int(_get(cfg, "space", "depth", required=True))
+        params["depth"] = _get_number(cfg, "space", "depth", int, required=True)
     elif kind == "random":
-        params["n"] = int(_get(cfg, "space", "n", required=True))
+        params["n"] = _get_number(cfg, "space", "n", int, required=True)
     else:
         raise ConfigError(f"unknown space kind {kind!r}")
     mass = _get(cfg, "space", "mass", default="uniform")
     if mass not in ("uniform", "random"):
-        mass = [float(v) for v in mass.split(",")]
+        mass = [_number(float, v, "space", "mass") for v in mass.split(",")]
     params["mass"] = mass
     return generate_space(kind, seed=seed, **params)
 
@@ -123,17 +141,17 @@ def _parse_functions(cfg, n, seed_override):
         raw = _get(cfg, "functions", "values", required=True)
         out = []
         for part in raw.split(";"):
-            vals = [float(v) for v in part.split(",")]
+            vals = [_number(float, v, "functions", "values") for v in part.split(",")]
             if len(vals) != n:
                 raise ConfigError(f"function of length {len(vals)} on a {n}-point space")
             out.append(np.asarray(vals))
         return out
     if source != "random":
         raise ConfigError(f"unknown function source {source!r}")
-    count = int(_get(cfg, "functions", "count", default="20"))
+    count = _get_number(cfg, "functions", "count", int, default="20")
     if count < 0:
         raise ConfigError(f"[functions] count must be >= 0, not {count}")
-    seed = int(_get(cfg, "functions", "seed", default="0"))
+    seed = _get_number(cfg, "functions", "seed", int, default="0")
     if seed_override is not None:
         seed = seed_override
     rng = np.random.default_rng(seed)
@@ -147,15 +165,22 @@ def _get_bool(cfg, section, key, default):
         raise ConfigError(f"[{section}] {key} must be a boolean, not {cfg.get(section, key)!r}") from None
 
 
-def _parse_mc(cfg, seed_override):
-    """(grid points, paths, seed) of the Monte Carlo stage, or None when it is disabled."""
+def _parse_mc(cfg, seed_override, gauge):
+    """(grid points, paths, seed) of the Monte Carlo stage, or None when it is disabled.
+
+    gauge is the one the sampler normalizes its increments to: psi for T1, phi for T3.
+    """
     if not _get_bool(cfg, "mc", "enabled", False):
         return None
-    n_grid = int(_get(cfg, "mc", "n", default="64"))
-    paths = int(_get(cfg, "mc", "paths", default="10000"))
-    mc_seed = int(_get(cfg, "mc", "seed", default="0")) if seed_override is None else seed_override
+    n_grid = _get_number(cfg, "mc", "n", int, default="64")
+    paths = _get_number(cfg, "mc", "paths", int, default="10000")
+    mc_seed = _get_number(cfg, "mc", "seed", int, default="0") if seed_override is None else seed_override
     if n_grid < 2 or paths < 1 or mc_seed < 0:
         raise ConfigError(f"[mc] needs n >= 2, paths >= 1 and seed >= 0 (n = {n_grid}, paths = {paths}, seed = {mc_seed})")
+    try:
+        _normalizer(gauge)  # the samplers' own test, so the supported gauges are listed in one place
+    except ValueError as exc:
+        raise ConfigError(f"[mc] cannot sample this gauge: {exc}") from None
     return n_grid, paths, mc_seed
 
 
@@ -170,25 +195,39 @@ def _certify(theorem, space, phi, psi, R, n0, tail_tol):
     return metrics, cert, partial(verify_thm3, cert, metrics)
 
 
-def _write_csv(path, header, rows):
+def _field(text):
+    """text as one csv field, quoted exactly where csv.writer quotes it."""
+    buf = io.StringIO()
+    # a row of one empty field is written '""', so the field goes out with an empty one after it
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _write_lines(path, header, blocks):
+    """Write the header line, then the blocks of ready csv lines in order."""
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(header)
+        fh.writelines(blocks)
 
 
 def _tau_rows(space, metrics, cert):
-    """tau.csv rows as strings, one column at a time; the modulus is empty for T1."""
-    iu, iv = np.triu_indices(space.n, 1)
-    mods = repeat("") if cert.theorem == "T1" else map(repr, modulus_pairs(cert, metrics, iu, iv).tolist())
-    labels = [_fmt(x) for x in space.labels]
-    iu_list, iv_list = iu.tolist(), iv.tolist()
-    return zip(
-        map(str, iu_list), map(str, iv_list),
-        map(labels.__getitem__, iu_list), map(labels.__getitem__, iv_list),
-        map(repr, space.dist[iu, iv].tolist()), map(repr, metrics.tau[iu, iv].tolist()),
-        mods,
-    )
+    """tau.csv text, one string per first point i of the pairs (i, j > i); the modulus is empty for T1."""
+    n = space.n
+    mods = None if cert.theorem == "T1" else modulus_pairs(cert, metrics, *np.triu_indices(n, 1)).tolist()
+    labels = [_field(_fmt(x)) for x in space.labels]
+
+    def blocks():
+        start = 0
+        for i in range(n - 1):
+            js = range(i + 1, n)
+            row_mods = repeat("") if mods is None else map(repr, mods[start:start + len(js)])
+            start += len(js)
+            yield "".join([
+                f"{i},{j},{labels[i]},{labels[j]},{d!r},{t!r},{m}\n"
+                for j, d, t, m in zip(js, space.dist[i, i + 1:].tolist(), metrics.tau[i, i + 1:].tolist(), row_mods)
+            ])
+
+    return blocks()
 
 
 _BOOL = {True: "true", False: "false"}
@@ -198,21 +237,39 @@ CAPITALIZED_VERDICTS = frozenset({"radius_series_integral", "ball_nesting"})
 
 
 def _report_rows(report, prefix):
-    """verify.csv rows of one report as strings, each check column by column."""
+    """verify.csv text of one report, one string per check, joined column by column."""
+    pair_checks = report.pair_checks
     for c in report.checks:
         loc, lhs, rhs, margin, rel, ok = c.columns()
+        if c in pair_checks:
+            # "(i,j)" holds the delimiter, so csv.writer quotes every pair location;
+            # the prefix "f<idx>:" holds no quote, so nothing inside needs escaping
+            loc = (f'"{prefix}{x}"' for x in loc)
+        else:
+            loc = [_field(prefix + x) for x in loc]
+        name = _field(c.name)
         verdict = str if c.name in CAPITALIZED_VERDICTS else _BOOL.__getitem__
-        yield from zip(
-            repeat(c.name), [prefix + x for x in loc], map(repr, lhs), map(repr, rhs),
-            map(repr, margin), map(repr, rel), map(verdict, ok),
-        )
+        yield "".join([
+            f"{name},{x},{a!r},{b!r},{m!r},{r!r},{v}\n"
+            for x, a, b, m, r, v in zip(loc, lhs, rhs, margin, rel, map(verdict, ok))
+        ])
+
+
+def _mc_rows(mc_report):
+    """mc.csv text, one line per statistic."""
+    return [
+        ",".join([_field(s.name)] + [_fmt(v) for v in (s.mean, s.stderr, s.n_paths, s.threshold, s.passed)]) + "\n"
+        for s in mc_report.stats
+    ]
 
 
 def emit_report(results, out_dir):
     """Write the fixed file set; overwrites are idempotent.
 
-    The csv rows in results are iterables of ready strings; they may be lazy,
-    so their formatting happens here, while the files are written.
+    The csv entries of results are iterables of blocks of ready csv lines,
+    one block per check (verify.csv), per first point (tau.csv) or per
+    statistic (mc.csv). They may be lazy, so the lines are formatted here,
+    one block at a time, while the files are written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -223,23 +280,16 @@ def emit_report(results, out_dir):
     cert_path.write_text(certificate_to_json(cert) + "\n" if cert else "null\n")
     written.append(cert_path)
 
-    tau_rows = results.get("tau_rows", [])
     tau_path = out / "tau.csv"
-    _write_csv(tau_path, ["i", "j", "label_i", "label_j", "distance", "tau", "modulus"], tau_rows)
+    _write_lines(tau_path, "i,j,label_i,label_j,distance,tau,modulus\n", results.get("tau_rows", []))
     written.append(tau_path)
 
-    verify_rows = results.get("verify_rows", [])
     verify_path = out / "verify.csv"
-    _write_csv(
-        verify_path,
-        ["check", "location", "lhs", "rhs", "margin", "rel_margin", "passed"],
-        verify_rows,
-    )
+    _write_lines(verify_path, "check,location,lhs,rhs,margin,rel_margin,passed\n", results.get("verify_rows", []))
     written.append(verify_path)
 
-    mc_rows = results.get("mc_rows", [])
     mc_path = out / "mc.csv"
-    _write_csv(mc_path, ["statistic", "mean", "stderr", "paths", "threshold", "passed"], mc_rows)
+    _write_lines(mc_path, "statistic,mean,stderr,paths,threshold,passed\n", results.get("mc_rows", []))
     written.append(mc_path)
 
     summary_path = out / "summary.json"
@@ -268,9 +318,9 @@ def run(config_path, out_dir=None, seed=None, strict=False):
         theorem = _get(cfg, "certificate", "theorem", default="T1").upper()
         if theorem not in ("T1", "T3"):
             raise ConfigError(f"unknown theorem selection {theorem!r}")
-        R = float(_get(cfg, "certificate", "R", default="6"))
-        n0 = int(_get(cfg, "certificate", "n0", default="1"))
-        tail_tol = float(_get(cfg, "certificate", "tail_tol", default="1e-12"))
+        R = _get_number(cfg, "certificate", "R", float, default="6")
+        n0 = _get_number(cfg, "certificate", "n0", int, default="1")
+        tail_tol = _get_number(cfg, "certificate", "tail_tol", float, default="1e-12")
         if not 1 < R < math.inf or n0 < 1:
             raise ConfigError("need a finite R > 1 and n0 >= 1")
         if not 0.0 <= tail_tol < math.inf:
@@ -282,7 +332,8 @@ def run(config_path, out_dir=None, seed=None, strict=False):
             raise ConfigError("theorem T1 needs a [psi] section")
         functions = _parse_functions(cfg, space.n, seed)
         invariants = _get_bool(cfg, "verify", "invariants", True)
-        mc = _parse_mc(cfg, seed)
+        sampled_gauge = psi if theorem == "T1" else phi
+        mc = _parse_mc(cfg, seed, sampled_gauge)
         out = Path(out_dir) if out_dir else Path(_get(cfg, "output", "dir", default="out"))
         if not out.is_absolute():
             out = config_path.parent / out
@@ -314,21 +365,18 @@ def run(config_path, out_dir=None, seed=None, strict=False):
             reports.append((suite, ""))
         results["verify_rows"] = chain.from_iterable(_report_rows(r, prefix) for r, prefix in reports)
 
-        mc_rows = []
         if mc is not None:
             n_grid, paths, mc_seed = mc
             try:
-                sampler = brownian_grid_sampler(n_grid, psi if theorem == "T1" else phi)
+                sampler = brownian_grid_sampler(n_grid, sampled_gauge)
                 mc_metrics, mc_cert, _ = _certify(theorem, sampler.space, phi, psi, R, n0, tail_tol)
                 batch = sample(sampler, paths, mc_seed)
                 mc_report = empirical_corollary(batch, mc_cert, mc_metrics)
                 all_passed &= mc_report.passed
-                for s in mc_report.stats:
-                    mc_rows.append([_fmt(v) for v in (s.name, s.mean, s.stderr, s.n_paths, s.threshold, s.passed)])
+                results["mc_rows"] = _mc_rows(mc_report)
             except (PreconditionError, CertificateError, ValueError) as exc:
                 print(f"precondition failure in mc stage: {exc}", file=sys.stderr)
                 return EXIT_PRECONDITION
-        results["mc_rows"] = mc_rows
 
         for w in caught:
             results["warnings"].append(str(w.message))

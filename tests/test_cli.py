@@ -1,6 +1,5 @@
 import configparser
 import csv
-import io
 import json
 import subprocess
 import sys
@@ -17,6 +16,7 @@ from chaincert import (
     generate_space,
     invariant_suite,
     modulus_pairs,
+    space_from_json,
     verify_thm1,
     verify_thm3,
 )
@@ -26,10 +26,10 @@ from chaincert.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PRECONDITION,
-    _fmt,
+    _field,
     run,
 )
-from util import per_check_rows
+from util import csv_text, per_check_rows
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -125,15 +125,24 @@ def test_bad_inputs_are_config_errors(tmp_path, space, theorem, R):
     assert run(cfg, out_dir=tmp_path / "out") == EXIT_CONFIG
 
 
-def _scenario_with(tmp_path, name, section, key, value):
-    """The shipped scenario `name` with one [section] key set to value."""
+def _scenario_with(tmp_path, name, section, **values):
+    """The shipped scenario `name` with the given [section] keys set."""
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     cfg.read(SCENARIOS / f"{name}.cfg")
-    cfg[section][key] = value
+    cfg[section].update(values)
     path = tmp_path / f"{name}.cfg"
     with path.open("w") as fh:
         cfg.write(fh)
     return path
+
+
+def _assert_config_error(tmp_path, capsys, cfg):
+    """cfg ends in exit 2 with a configuration error, before any output is written; returns the message."""
+    assert run(cfg, out_dir=tmp_path / "out") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert not (tmp_path / "out").exists()
+    return err
 
 
 @pytest.mark.parametrize(
@@ -153,17 +162,53 @@ def _scenario_with(tmp_path, name, section, key, value):
     ],
 )
 def test_bad_scenario_values_are_config_errors(tmp_path, capsys, name, section, key, value):
-    cfg = _scenario_with(tmp_path, name, section, key, value)
-    assert run(cfg, out_dir=tmp_path / "out") == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("configuration error:")
-    assert not (tmp_path / "out").exists()
+    _assert_config_error(tmp_path, capsys, _scenario_with(tmp_path, name, section, **{key: value}))
+
+
+@pytest.mark.parametrize("theorem, section", [("T1", "psi"), ("T3", "phi")])
+def test_unsupported_mc_gauge_is_config_error(tmp_path, capsys, theorem, section):
+    # the sampler normalizes its increments to psi (T1) or phi (T3): powers and the q = 2 exponential only
+    cfg = _scenario_with(tmp_path, "brownian64", section, kind="exponential", q="1")
+    if theorem == "T3":
+        cfg = _write(tmp_path, "t3.cfg", cfg.read_text().replace("theorem = T1", "theorem = T3"))
+    assert "samplers support" in _assert_config_error(tmp_path, capsys, cfg)
+
+
+_BAD_NUMBERS = [
+    ("line3", "certificate", {"R": "six"}, "R"),
+    ("line3", "certificate", {"n0": "1.5"}, "n0"),
+    ("line3", "certificate", {"tail_tol": "tiny"}, "tail_tol"),
+    ("line3", "phi", {"p": "two"}, "p"),
+    ("line3", "psi", {"kind": "exponential", "q": "two"}, "q"),
+    ("line3", "phi", {"kind": "piecewise", "knots": "0,0;1,one"}, "knots"),
+    ("line3", "space", {"n": "abc"}, "n"),
+    ("line3", "space", {"gamma": "half"}, "gamma"),
+    ("line3", "space", {"scale": "x2"}, "scale"),
+    ("line3", "space", {"seed": "s"}, "seed"),
+    ("line3", "space", {"mass": "0.25,0.25,half"}, "mass"),
+    ("line3", "space", {"kind": "tree", "depth": "deep"}, "depth"),
+    ("line3", "functions", {"values": "0,1,0; 1,x,1"}, "values"),
+    ("brownian64", "functions", {"count": "ten"}, "count"),
+    ("brownian64", "functions", {"seed": "7.5"}, "seed"),
+    ("brownian64", "mc", {"n": "64.0"}, "n"),
+    ("brownian64", "mc", {"paths": "many"}, "paths"),
+    ("brownian64", "mc", {"seed": "s"}, "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, section, values, key", _BAD_NUMBERS, ids=[f"{n}-{s}-{k}" for n, s, _, k in _BAD_NUMBERS]
+)
+def test_bad_numbers_name_their_key(tmp_path, capsys, name, section, values, key):
+    err = _assert_config_error(tmp_path, capsys, _scenario_with(tmp_path, name, section, **values))
+    assert err.startswith(f"configuration error: [{section}] {key} must be")
 
 
 def test_boolean_switches_take_configparser_spellings(tmp_path):
-    cfg = _scenario_with(tmp_path, "twopoint", "verify", "invariants", "off")
+    cfg = _scenario_with(tmp_path, "twopoint", "verify", invariants="off")
     assert run(cfg, out_dir=tmp_path / "a") == EXIT_OK
     assert "radii_monotone" not in (tmp_path / "a" / "verify.csv").read_text()
-    cfg = _scenario_with(tmp_path, "brownian64", "mc", "enabled", "on")
+    cfg = _scenario_with(tmp_path, "brownian64", "mc", enabled="on")
     assert run(cfg, out_dir=tmp_path / "b") == EXIT_OK
     assert "increment_ratio_sup" in (tmp_path / "b" / "mc.csv").read_text()
 
@@ -233,15 +278,6 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
 
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
-
-
 def _oracle_tau_and_verify(space, theorem, phi, psi, functions):
     """tau.csv and verify.csv rebuilt one scalar margin per row and one _fmt per value."""
     metrics = MinorizingMetrics(space, phi)
@@ -266,13 +302,39 @@ def _oracle_tau_and_verify(space, theorem, phi, psi, functions):
     verify_rows += per_check_rows(invariant_suite(space, phi, psi, cert.R, 1))
     verify_rows = [(*r[:6], str(r[6]) if r[0] in CAPITALIZED_VERDICTS else r[6]) for r in verify_rows]
     return (
-        _csv_text(["i", "j", "label_i", "label_j", "distance", "tau", "modulus"], tau_rows),
-        _csv_text(["check", "location", "lhs", "rhs", "margin", "rel_margin", "passed"], verify_rows),
+        csv_text(["i", "j", "label_i", "label_j", "distance", "tau", "modulus"], tau_rows),
+        csv_text(["check", "location", "lhs", "rhs", "margin", "rel_margin", "passed"], verify_rows),
     )
 
 
+# labels that csv.writer must quote, or must not: the delimiter, the quote, the line breaks
+# ("\r" is quoted only when the line terminator holds it), a leading blank and a JSON integer
+_AWKWARD_LABELS = ["a,b", 'q"x', "two\nlines", "cr\rx", " lead", 7]
+
+
+@pytest.mark.parametrize("text", [str(x) for x in _AWKWARD_LABELS] + ["", "plain", 'a,"b"\n'])
+def test_field_quotes_as_csv_writer(text):
+    assert csv_text(["h"], [[text, ""]]) == f"h\n{_field(text)},\n"
+
+
 def test_csv_rows_match_per_check_oracle(tmp_path):
-    # brownian64 (T1 on three points) and a 12-point T3 grid with random functions
+    # brownian64 (T1 on three points), a 12-point T3 grid with random functions
+    # and a 6-point line read from a JSON file whose labels need csv quoting
+    pos = np.arange(6.0)
+    labelled = json.dumps({
+        "labels": _AWKWARD_LABELS,
+        "dist": np.abs(pos[:, None] - pos[None, :]).ravel().tolist(),
+        "mass": [0.125] * 4 + [0.25] * 2,
+    })
+    _write(tmp_path, "labelled.json", labelled)
+    labelled_cfg = _write(
+        tmp_path,
+        "labelled.cfg",
+        "[space]\nsource = file\nfile = labelled.json\n"
+        "[phi]\nkind = power\np = 2\n"
+        "[certificate]\ntheorem = T3\nR = 6\n"
+        "[functions]\nsource = random\ncount = 3\nseed = 5\n",
+    )
     t3 = _write(
         tmp_path,
         "t3grid.cfg",
@@ -285,6 +347,7 @@ def test_csv_rows_match_per_check_oracle(tmp_path):
         (SCENARIOS / "brownian64.cfg", generate_space("grid", n=3, scale=2.0), "T1",
          YoungFunction.power(1), YoungFunction.power(2), 7, 10),
         (t3, generate_space("grid", n=12, gamma=0.5), "T3", YoungFunction.power(2), None, 3, 4),
+        (labelled_cfg, space_from_json(labelled), "T3", YoungFunction.power(2), None, 5, 3),
     ]
     for cfg, space, theorem, phi, psi, seed, count in cases:
         out = tmp_path / cfg.stem

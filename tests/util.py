@@ -1,5 +1,7 @@
 """Shared space builders and slow reference implementations for the test suite."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from chaincert import (
     luxemburg_norm,
     radius_table,
 )
+from chaincert.cli import _fmt
 from chaincert.minorize import _GrowthProfile
 from chaincert.verify import REL_SLACK, _as_test_function, _bracket_index, _step_integral, _step_value
 
@@ -172,6 +175,16 @@ def per_check_rows(report):
             lhs, rhs = float(c.lhs[j]), float(c.rhs[j])
             m = rel_margin(lhs, rhs)
             yield (c.name, loc, lhs, rhs, rhs - lhs, m, m >= -REL_SLACK)
+
+
+def csv_text(header, rows):
+    """Reference csv file text: csv.writer, one row and one _fmt per value at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
 
 
 def _keep_worst(best, name, location, lhs, rhs):
