@@ -4,6 +4,28 @@ The growth integral int_0^u phi^{-1}(1/m(B(x, eps))) d(eps) has a piecewise
 constant integrand: closed-ball mass is a right-continuous step function of
 the radius that jumps exactly at the sorted distances from x. Integrals are
 therefore computed as finite sums over those breakpoints.
+
+All growth integrals come from one growth table over rows of the space's
+sorted distances (``_sorted_d``) and their cumulative masses
+(``_cum_mass``). For point x and sorted position j it holds
+
+- ``vals[j] = phi^{-1}(1 / _cum_mass[x, j])``; at the last position of a
+  group of tied distances this is the integrand from that distance up to
+  the next one;
+- ``cumint[j]``, the integral up to ``sorted[j]``: 0 at j = 0, then the
+  running sum of ``vals[j] * (sorted[j + 1] - sorted[j])``.
+
+Within a tie group the widths are 0, and their products are set to exact 0
+by a mask rather than multiplied (``vals`` is inf there while the ball has
+no mass yet, and inf * 0 is nan), so ``cumint`` is constant on the group and
+its partial sums are those of the distinct breakpoints. At any u the
+integral is ``cumint[j] + vals[j] * (u - sorted[j])``, with j the last
+position whose distance is at most u. At a point's own distances no search
+is needed: ``cumint`` is scattered back to the columns through the space's
+``_order``. Where some ``vals`` are not finite (zero-mass atoms) the tau
+rows take the search form instead, which keeps its inf * 0 = nan at an own
+distance whose ball has no mass. Tables are built for blocks of about
+``_BLOCK`` floats of rows, so their memory does not grow with n².
 """
 
 from __future__ import annotations
@@ -18,28 +40,42 @@ __all__ = [
     "majorizing_integral",
 ]
 
+_BLOCK = 2 ** 14  # floats in one array of a block of growth table rows (128 KB)
 
-class _GrowthProfile:
-    """Prefix integrals of eps -> phi^{-1}(1/m(B(x, eps))) for one point."""
 
-    def __init__(self, space, phi, x):
-        sorted_d, cum = space.distances_from(x)
-        # unique breakpoints with the cumulative mass attained at each
-        eps, last_idx = np.unique(sorted_d, return_index=True)
-        counts = np.diff(np.append(last_idx, sorted_d.size))
-        take = last_idx + counts - 1
-        masses = cum[take]
-        self.eps = eps
-        self.vals = phi.inverse(1.0 / masses)
-        widths = np.diff(eps)
-        self.cumint = np.concatenate([[0.0], np.cumsum(self.vals[:-1] * widths)])
+def _growth_table(space, phi, rows):
+    """(sorted distances, integrand values, prefix integrals) of the points in rows, one row each."""
+    sorted_d = space._sorted_d[rows]
+    vals = phi.inverse(1.0 / space._cum_mass[rows])
+    widths = np.diff(sorted_d, axis=1)
+    steps = np.zeros_like(widths)
+    np.multiply(vals[:, :-1], widths, out=steps, where=widths > 0)
+    cumint = np.zeros_like(vals)
+    np.cumsum(steps, axis=1, out=cumint[:, 1:])
+    return sorted_d, vals, cumint
 
-    def integral(self, u):
-        """Exact value of the growth integral on [0, u], u within [0, D]."""
-        arr = np.asarray(u, dtype=float)
-        j = np.clip(np.searchsorted(self.eps, arr, side="right") - 1, 0, self.eps.size - 1)
-        out = self.cumint[j] + self.vals[j] * (arr - self.eps[j])
-        return float(out) if np.ndim(u) == 0 else out
+
+def _row_blocks(space, phi):
+    """(rows, table) for consecutive blocks of points, rows a slice."""
+    n = space.n
+    step = max(1, _BLOCK // n)
+    for a in range(0, n, step):
+        rows = slice(a, min(a + step, n))
+        yield rows, _growth_table(space, phi, rows)
+
+
+def _growth_at(table, u):
+    """Growth integrals of each table row at its upper limits u[i] (shape (rows,) or (rows, m)), within [0, D]."""
+    sorted_d, vals, cumint = table
+    u = np.asarray(u, dtype=float)
+    lim = u if u.ndim == 2 else u[:, None]
+    # j = (count of the sorted row <= u) - 1
+    j = np.count_nonzero(sorted_d[:, None, :] <= lim[:, :, None], axis=2) - 1
+    j = np.clip(j, 0, sorted_d.shape[1] - 1)
+    out = np.take_along_axis(cumint, j, axis=1) + np.take_along_axis(vals, j, axis=1) * (
+        lim - np.take_along_axis(sorted_d, j, axis=1)
+    )
+    return out.reshape(u.shape)
 
 
 def ball_growth_integral(space, phi, x, upper):
@@ -59,7 +95,7 @@ def ball_growth_integral(space, phi, x, upper):
     u = min(upper, D)
     if u == 0.0:
         return 0.0
-    return _GrowthProfile(space, phi, x).integral(u)
+    return float(_growth_at(_growth_table(space, phi, [x]), [u])[0])
 
 
 class MinorizingMetrics:
@@ -69,25 +105,35 @@ class MinorizingMetrics:
         self.space = space
         self.phi = phi
         n = space.n
-        profiles = [_GrowthProfile(space, phi, x) for x in range(n)]
-        rows = np.vstack([profiles[x].integral(space.dist[x]) for x in range(n)])
+        D = space.diameter
+        rows = np.empty((n, n))
+        full = np.empty(n)
+        for blk, table in _row_blocks(space, phi):
+            _, vals, cumint = table
+            if np.isfinite(vals).all():
+                # at its own distances a row's integral is cumint, constant on tie groups
+                np.put_along_axis(rows[blk], space._order[blk], cumint, axis=1)
+            else:
+                # cumint + inf * 0 is nan at an own distance whose ball has no mass
+                rows[blk] = _growth_at(table, space.dist[blk])
+            full[blk] = _growth_at(table, np.full(len(vals), D))
         self.tau = np.maximum(rows, rows.T)
         np.fill_diagonal(self.tau, 0.0)
-        self.total = _mass_integral(space, profiles)
+        self.total = float(np.dot(space.mass, full))
 
     @property
     def n(self):
         return self.space.n
 
 
-def _mass_integral(space, profiles):
-    D = space.diameter
-    return float(np.dot(space.mass, [p.integral(D) for p in profiles]))
-
-
 def majorizing_integral(space, phi):
     """Mass-weighted mean of the full growth integrals up to the diameter.
 
-    The profiles are built one at a time, so memory stays O(n).
+    The table is built one block of rows at a time, so memory beyond the
+    block stays O(n).
     """
-    return _mass_integral(space, (_GrowthProfile(space, phi, x) for x in range(space.n)))
+    D = space.diameter
+    full = np.empty(space.n)
+    for rows, table in _row_blocks(space, phi):
+        full[rows] = _growth_at(table, np.full(len(table[1]), D))
+    return float(np.dot(space.mass, full))

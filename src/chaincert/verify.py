@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .chain import averaging_kernel, constant_a, modulus_pairs
-from .minorize import _GrowthProfile
+from .minorize import _growth_at, _growth_table, _row_blocks
 from .mspace import radius_table
 from .orlicz import luxemburg_norm
 from .young import ConvexGauge, pair_series, shifted_series
@@ -122,13 +122,17 @@ class Check:
         """First points of a check measured on a pair list."""
         return self.locations.iu
 
-    @property
+    @functools.cached_property
     def rel_margins(self):
-        """(rhs - lhs) / max(1, |rhs|); -inf where lhs is infinite, else inf where rhs is."""
+        """(rhs - lhs) / max(1, |rhs|); -inf where lhs is infinite, else inf where rhs is.
+
+        Computed once per check and read-only.
+        """
         with np.errstate(invalid="ignore"):
             out = (self.rhs - self.lhs) / np.maximum(1.0, np.abs(self.rhs))
         out[np.isinf(self.rhs)] = np.inf
         out[np.isinf(self.lhs)] = -np.inf
+        out.flags.writeable = False
         return out
 
     @property
@@ -597,7 +601,7 @@ def converse_witness(space, phi, psi, R, n0, t, l):
 
     ratios = np.zeros(n)
     away = (np.arange(n) != t) & (dists > 0)
-    growth = _GrowthProfile(space, phi, t).integral(dists[away])
+    growth = _growth_at(_growth_table(space, phi, [t]), dists[away][None, :])[0]
     w = _step_integral(full_radii, R, n0, dists[away], table.kstar)
     ratios[away] = np.divide(growth, w, out=np.full(w.size, math.inf), where=w > 0)
 
@@ -614,6 +618,19 @@ def converse_witness(space, phi, psi, R, n0, t, l):
 
 
 # -- structural invariant suite -------------------------------------------------
+
+
+def _radius_growth(space, phi, radii):
+    """growth[c, x]: the growth integral of x up to r_c(x), per block of points one level at a time.
+
+    A function of its own, so that the last block's table is freed on return
+    rather than held through the rest of the suite.
+    """
+    growth = np.empty_like(radii)
+    for rows, table in _row_blocks(space, phi):
+        for c in range(radii.shape[0]):
+            growth[c, rows] = _growth_at(table, radii[c, rows])
+    return growth
 
 
 def invariant_suite(space, phi, psi, R, n0, kernels=None):
@@ -660,13 +677,8 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None):
     checks.append(Check("ball_mass_lower", "all x,k", worst_lo, 0.0))
     checks.append(Check("ball_mass_upper", "all x,k", worst_hi, 0.0))
 
-    # growth[c, x]: the growth integral of x up to r_c(x), one profile per point
-    # (radii are distances, so no clamp to the diameter is needed)
-    growth = np.zeros_like(radii)
-    for x in range(n):
-        pos = radii[:, x] > 0
-        growth[pos, x] = _GrowthProfile(space, phi, x).integral(radii[pos, x])
-
+    # radii are distances, so no clamp to the diameter is needed
+    growth = _radius_growth(space, phi, radii)
     worst = _worst_series_margin([radii[k] * R ** k for k in range(kstar + 1)], (R / (R - 1.0)) * growth)
     checks.append(Check("radius_series_integral", "all x,c", worst, 0.0))
 

@@ -32,8 +32,8 @@ class YoungFunction:
     """Increasing convex function on [0, inf) with value 0 at 0 and 1 at 1.
 
     kinds:
-      power:       x**p with p >= 1
-      exponential: (e**(x**q) - 1)/(e - 1) with q >= 1
+      power:       x**p with finite p >= 1
+      exponential: (e**(x**q) - 1)/(e - 1) with finite q >= 1
       piecewise:   convex piecewise-linear interpolation of an ordered knot
                    list containing (0, 0) and (1, 1); extended linearly
                    beyond the last knot
@@ -42,12 +42,12 @@ class YoungFunction:
     def __init__(self, kind, *, p=None, q=None, knots=None):
         self.kind = kind
         if kind == "power":
-            if p is None or p < 1:
-                raise ValueError("power kind needs an exponent p >= 1")
+            if p is None or not 1 <= p < math.inf:
+                raise ValueError("power kind needs a finite exponent p >= 1")
             self.p = float(p)
         elif kind == "exponential":
-            if q is None or q < 1:
-                raise ValueError("exponential kind needs an exponent q >= 1")
+            if q is None or not 1 <= q < math.inf:
+                raise ValueError("exponential kind needs a finite exponent q >= 1")
             self.q = float(q)
         elif kind == "piecewise":
             self._init_knots(knots)

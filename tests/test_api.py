@@ -20,6 +20,8 @@ REMOVED = (
     "ball_growth_integral_riemann",
     "AveragingKernel",
     "FiniteMeasure",
+    "_GrowthProfile",
+    "_mass_integral",
 )
 
 

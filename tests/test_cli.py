@@ -1,5 +1,6 @@
 import configparser
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -204,6 +205,16 @@ def test_bad_numbers_name_their_key(tmp_path, capsys, name, section, values, key
     assert err.startswith(f"configuration error: [{section}] {key} must be")
 
 
+@pytest.mark.parametrize(
+    "section, values",
+    [("phi", {"p": "inf"}), ("phi", {"p": "nan"}), ("psi", {"p": "inf"}), ("psi", {"kind": "exponential", "q": "inf"})],
+    ids=["phi-p-inf", "phi-p-nan", "psi-p-inf", "psi-q-inf"],
+)
+def test_non_finite_exponents_are_config_errors(tmp_path, capsys, section, values):
+    err = _assert_config_error(tmp_path, capsys, _scenario_with(tmp_path, "line3", section, **values))
+    assert "finite exponent" in err
+
+
 def test_boolean_switches_take_configparser_spellings(tmp_path):
     cfg = _scenario_with(tmp_path, "twopoint", "verify", invariants="off")
     assert run(cfg, out_dir=tmp_path / "a") == EXIT_OK
@@ -237,6 +248,19 @@ def test_reruns_are_byte_identical(tmp_path):
     assert run(SCENARIOS / "line3.cfg", out_dir=out2) == EXIT_OK
     for name in ("certificate.json", "tau.csv", "verify.csv", "mc.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+_DIGESTS = json.loads((Path(__file__).resolve().parent / "cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_DIGESTS))
+def test_outputs_match_recorded_digests(tmp_path, name):
+    # SHA-256 of the byte-identical output set of each shipped scenario; a
+    # digest changes only together with a CHANGES.md entry that says why
+    out = tmp_path / "out"
+    assert run(SCENARIOS / f"{name}.cfg", out_dir=out) == EXIT_OK
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in _DIGESTS[name]}
+    assert got == _DIGESTS[name]
 
 
 def test_outputs_write_plain_floats(tmp_path):

@@ -1,16 +1,29 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from chaincert import (
+    MetricMeasureSpace,
     MinorizingMetrics,
     YoungFunction,
     ball_growth_integral,
     generate_space,
+    invariant_suite,
     majorizing_integral,
+    radius_table,
 )
-from util import ball_growth_integral_riemann, line3_space, minorizing_metric, random_battery, two_point_space
+from chaincert.verify import _radius_growth
+from util import (
+    _GrowthProfile,
+    ball_growth_integral_riemann,
+    line3_space,
+    minorizing_metric,
+    profile_metrics,
+    random_battery,
+    two_point_space,
+)
 
 PHI1 = YoungFunction.power(1)
 PHI2 = YoungFunction.power(2)
@@ -97,3 +110,104 @@ def test_riemann_cross_check_small():
             exact = ball_growth_integral(sp, phi, int(s), d)
             approx = ball_growth_integral_riemann(sp, phi, int(s), d, panels=20000)
             assert abs(exact - approx) <= 1e-6 * max(exact, 1e-12)
+
+
+GAUGES = (PHI1, PHI2, YoungFunction.exponential(2), YoungFunction.piecewise([(0, 0), (1, 1), (2, 5)]))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _table_battery():
+    # grids and trees tie distances; the last matrix breaks the triangle
+    # inequality (not validated) and ties its distances too
+    spaces = [generate_space("random", n=n, seed=n) for n in (1, 2, 5, 23, 64)]
+    spaces += [generate_space("random", n=30, mass="random", seed=2)]
+    spaces += [generate_space("grid", n=n, gamma=0.5) for n in (7, 40)]
+    spaces += [generate_space("grid", n=33, mass="random", seed=3), generate_space("grid", n=9, scale=8.0)]
+    spaces += [generate_space("tree", depth=d) for d in (2, 5)]
+    rng = np.random.default_rng(4)
+    d = np.triu(rng.choice([1.0, 2.0, 5.0], (20, 20)), 1)
+    spaces += [MetricMeasureSpace(d + d.T, rng.dirichlet(np.ones(20)), validate=False)]
+    return spaces
+
+
+def test_growth_table_matches_profile_oracle():
+    spaces = [(sp, GAUGES) for sp in _table_battery()] + [(generate_space("random", n=300, seed=9), GAUGES[:2])]
+    rng = np.random.default_rng(12)
+    for sp, gauges in spaces:
+        for phi in gauges:
+            tau, total = profile_metrics(sp, phi)
+            mets = MinorizingMetrics(sp, phi)
+            assert _bits(mets.tau) == _bits(tau)
+            assert mets.total == total
+            assert majorizing_integral(sp, phi) == total
+            # own distances, points between and beyond them, 0 and the diameter
+            for x in rng.choice(sp.n, size=min(sp.n, 3), replace=False).tolist():
+                profile = _GrowthProfile(sp, phi, x)
+                us = np.concatenate([sp.dist[x], rng.uniform(0.0, sp.diameter, 4), [0.0, sp.diameter]])
+                got = [ball_growth_integral(sp, phi, x, float(u)) for u in us]
+                assert _bits(got) == _bits([profile.integral(float(u)) if u > 0 else 0.0 for u in us])
+
+
+def test_suite_growth_matches_profile_oracle():
+    for sp in _table_battery() + [generate_space("random", n=300, seed=9)]:
+        for phi in (PHI1, PHI2):
+            radii = radius_table(sp, phi, 6.0).radii
+            expected = np.zeros_like(radii)
+            for x in range(sp.n):
+                pos = radii[:, x] > 0
+                expected[pos, x] = _GrowthProfile(sp, phi, x).integral(radii[pos, x])
+            assert _bits(_radius_growth(sp, phi, radii)) == _bits(expected)
+
+
+@pytest.mark.parametrize("layout", ["square", "line"])
+def test_zero_mass_ties_keep_the_profile_pattern(layout):
+    # two zero-mass atoms: 1/m(B) is 1/0 = inf in the balls that hold only
+    # them, and the profile adds inf * 0 = nan at an own distance whose ball
+    # has no mass (the line's pair (0, 1)); tied distances in the square
+    if layout == "square":
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        expected_row = [0.0, np.inf, np.inf, np.inf]
+    else:
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        expected_row = [0.0, np.nan, np.inf, np.inf]
+    dist = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=2))
+    sp = MetricMeasureSpace(dist, [0.0, 0.0, 0.5, 0.5])
+    results, caught = [], []
+    for build in (lambda: MinorizingMetrics(sp, PHI2), lambda: profile_metrics(sp, PHI2)):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            got = build()
+        results.append((got.tau, got.total) if isinstance(got, MinorizingMetrics) else got)
+        caught.append({str(w.message) for w in rec if issubclass(w.category, RuntimeWarning)})
+    (tau, total), (oracle_tau, oracle_total) = results
+    np.testing.assert_array_equal(tau[0], expected_row)
+    assert _bits(tau) == _bits(oracle_tau)
+    assert np.isnan(total) and np.isnan(oracle_total)  # 0 * inf in the mass-weighted mean
+    assert caught[0] == caught[1]
+    assert {"divide by zero encountered in divide", "invalid value encountered in multiply"} <= caught[0]
+
+
+# tracemalloc peaks at n = 400 (random space, seed 5) with one growth
+# profile per point, before the growth table: MinorizingMetrics 6.71 MB,
+# invariant_suite 14.87 MB (the table reads 2.89 and 14.86 MB). The bounds
+# sit just above them; a (levels, n, n) float temporary adds about 7.7 MB.
+_PEAK_BOUNDS = {"metrics": 6.8e6, "suite": 15.0e6}
+
+
+@pytest.mark.parametrize("stage", sorted(_PEAK_BOUNDS))
+def test_memory_guard(stage):
+    sp = generate_space("random", n=400, seed=5)
+    run = {
+        "metrics": lambda: MinorizingMetrics(sp, PHI2),
+        "suite": lambda: invariant_suite(sp, PHI1, PHI2, 6.0, 1),
+    }[stage]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _PEAK_BOUNDS[stage]

@@ -252,6 +252,20 @@ def test_check_worst_takes_first_minimum():
     assert Check("c", ("a", "b"), [1.0, 2.0], [inf, inf]).worst().locations == ("a",)
 
 
+def test_rel_margins_are_computed_once_and_read_only():
+    inf = math.inf
+    check = Check("c", ("a", "b", "c", "d"), [5.0, inf, 1.0, 0.5], [1.0, inf, inf, 2.0])
+    margins = check.rel_margins
+    expected = margins.tolist()
+    assert expected == [-4.0, -inf, inf, 0.75]
+    assert check.rel_margins is margins
+    with pytest.raises(ValueError):
+        margins[0] = 1.0
+    assert check.rel_margins.tolist() == expected
+    assert check.rel_margin == -inf and not check.passed
+    assert check.columns()[4] == expected and check.worst().locations == ("b",)
+
+
 def test_check_sizes_must_agree():
     with pytest.raises(ValueError):
         Check("c", ("a", "b"), [1.0, 2.0], [1.0])

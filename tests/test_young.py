@@ -210,3 +210,12 @@ def test_piecewise_knot_validation():
 def test_spec_roundtrip():
     for phi in ALL_KINDS:
         assert YoungFunction.from_spec(phi.spec()) == phi
+
+
+@pytest.mark.parametrize("kind, value", [("power", math.inf), ("power", math.nan), ("exponential", math.inf),
+                                         ("exponential", math.nan), ("power", -math.inf)])
+def test_non_finite_exponents_rejected(kind, value):
+    # nan and inf pass a bare `< 1` test
+    make = YoungFunction.power if kind == "power" else YoungFunction.exponential
+    with pytest.raises(ValueError, match="finite exponent"):
+        make(value)

@@ -18,7 +18,6 @@ from chaincert import (
     radius_table,
 )
 from chaincert.cli import _fmt
-from chaincert.minorize import _GrowthProfile
 from chaincert.verify import REL_SLACK, _as_test_function, _bracket_index, _step_integral, _step_value
 
 
@@ -239,6 +238,40 @@ def worst_witness_rows(space, phi, psi, R, n0, t, l):
         rhs = R ** (n0 + 1) * _step_value(full_radii, R, n0, float(eps), table.kstar)
         _keep_worst(best, "inverse_reconstruction", f"eps={eps:.6g}", float(lhs), float(rhs))
     return best
+
+
+# The per-point growth profile that chaincert.minorize replaced by its array
+# growth table, kept verbatim as the table's reference.
+class _GrowthProfile:
+    """Prefix integrals of eps -> phi^{-1}(1/m(B(x, eps))) for one point."""
+
+    def __init__(self, space, phi, x):
+        sorted_d, cum = space.distances_from(x)
+        # unique breakpoints with the cumulative mass attained at each
+        eps, last_idx = np.unique(sorted_d, return_index=True)
+        counts = np.diff(np.append(last_idx, sorted_d.size))
+        take = last_idx + counts - 1
+        masses = cum[take]
+        self.eps = eps
+        self.vals = phi.inverse(1.0 / masses)
+        widths = np.diff(eps)
+        self.cumint = np.concatenate([[0.0], np.cumsum(self.vals[:-1] * widths)])
+
+    def integral(self, u):
+        """Exact value of the growth integral on [0, u], u within [0, D]."""
+        arr = np.asarray(u, dtype=float)
+        j = np.clip(np.searchsorted(self.eps, arr, side="right") - 1, 0, self.eps.size - 1)
+        out = self.cumint[j] + self.vals[j] * (arr - self.eps[j])
+        return float(out) if np.ndim(u) == 0 else out
+
+
+def profile_metrics(space, phi):
+    """Reference (tau, total) of MinorizingMetrics from one _GrowthProfile per point."""
+    profiles = [_GrowthProfile(space, phi, x) for x in range(space.n)]
+    rows = np.vstack([profiles[x].integral(space.dist[x]) for x in range(space.n)])
+    tau = np.maximum(rows, rows.T)
+    np.fill_diagonal(tau, 0.0)
+    return tau, float(np.dot(space.mass, [p.integral(space.diameter) for p in profiles]))
 
 
 def ball_growth_integral_riemann(space, phi, x, upper, panels=100000):
