@@ -26,7 +26,8 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
-_TRIANGLE_BLOCK = 2 ** 16  # floats of two-hop sums in one tile of the triangle check (512 KB)
+_TRIANGLE_BLOCK = 2 ** 16  # floats of two-hop sums in one block of the triangle check (512 KB)
+_TRIANGLE_ROWS = 8  # rows i per block; the block's columns j fill the rest of the budget
 
 
 class SpaceValidationError(ValueError):
@@ -83,29 +84,31 @@ class MetricMeasureSpace:
         if abs(mass.sum() - 1.0) > _ATOL:
             raise SpaceValidationError("masses must sum to 1")
         # d(i,j) <= d(i,k) + d(j,k) for all triples, up to float tolerance.
-        # best[i,j] = min_k d(i,k) + d(j,k) is built in tiles of rows i and
-        # columns j, each walking the pivots k in blocks, so that the sums of
-        # one step (about _TRIANGLE_BLOCK floats, a cube of side `tile`) and the
-        # tile of best stay in cache; memory is O(n^2). The sum is symmetric in
-        # (i, j) exactly, so only tiles on and above the diagonal are computed
-        # and then mirrored. The minimum is exact, so tiling changes no verdict.
-        # A tile has at least 16 rows, so that a tiny budget still leaves whole
-        # rows of sums to each numpy call.
+        # A block of 8 rows i and bj columns j >= i holds the two-hop sums
+        # d(i,k) + d(j,k) over every pivot k, with k on the contiguous last
+        # axis so that the add and the min over k both stream through rows of
+        # dist; one (8, bj, n) buffer is reused, and the minima of a row block
+        # fill one (8, n) strip that is compared once, so memory stays O(n^2)
+        # with no n x n matrix of minima. The sum is symmetric in (i, j)
+        # exactly, so one limit serves d(i,j) and d(j,i), and only columns
+        # j >= a of row block a are built. The minimum is exact, so the
+        # blocking changes no verdict.
         n = mass.size
-        tile = min(n, max(16, round(_TRIANGLE_BLOCK ** (1 / 3))))
-        step = max(1, _TRIANGLE_BLOCK // (tile * tile))
-        cols = np.ascontiguousarray(dist.T)  # cols[k] = d(., k)
-        best = np.full((n, n), np.inf)
-        for a in range(0, n, tile):
-            for b in range(a, n, tile):
-                out = best[a:a + tile, b:b + tile]
-                for lo in range(0, n, step):
-                    blk = cols[lo:lo + step]
-                    sums = blk[:, a:a + tile, None] + blk[:, None, b:b + tile]
-                    np.minimum(out, sums.min(axis=0), out=out)
-        best = np.minimum(best, best.T)
-        if np.any(dist > best + _ATOL):
-            raise SpaceValidationError("triangle inequality violated")
+        bj = min(n, max(1, _TRIANGLE_BLOCK // (_TRIANGLE_ROWS * n)))
+        buf = np.empty((_TRIANGLE_ROWS, bj, n))
+        strip = np.empty((_TRIANGLE_ROWS, n))
+        for a in range(0, n, _TRIANGLE_ROWS):
+            rows = dist[a:a + _TRIANGLE_ROWS, None, :]
+            r = rows.shape[0]
+            for b in range(a, n, bj):
+                cols = dist[None, b:b + bj, :]
+                sums = buf[:r, :cols.shape[1]]
+                np.add(rows, cols, out=sums)
+                sums.min(axis=2, out=strip[:r, b:b + bj])
+            lim = strip[:r, a:]
+            lim += _ATOL
+            if (dist[a:a + r, a:] > lim).any() or (dist[a:, a:a + r].T > lim).any():
+                raise SpaceValidationError("triangle inequality violated")
 
     @property
     def n(self):

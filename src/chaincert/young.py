@@ -71,6 +71,9 @@ class YoungFunction:
             raise ValueError("piecewise kind needs at least two knots")
         xs = np.asarray([k[0] for k in knots], dtype=float)
         ys = np.asarray([k[1] for k in knots], dtype=float)
+        # nan compares False and inf makes inf/nan slopes, so both would slip past the checks below
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("knots must be finite")
         if xs[0] != 0.0 or ys[0] != 0.0:
             raise ValueError("first knot must be (0, 0)")
         if not np.any((xs == 1.0) & (ys == 1.0)):

@@ -215,6 +215,13 @@ def test_non_finite_exponents_are_config_errors(tmp_path, capsys, section, value
     assert "finite exponent" in err
 
 
+@pytest.mark.parametrize("knots", ["0,0;1,1;2,inf", "0,0;1,1;2,nan", "0,0;1,1;inf,5"])
+def test_non_finite_knots_are_config_errors(tmp_path, capsys, knots):
+    cfg = _scenario_with(tmp_path, "line3", "phi", kind="piecewise", knots=knots)
+    err = _assert_config_error(tmp_path, capsys, cfg)
+    assert "knots must be finite" in err
+
+
 def test_boolean_switches_take_configparser_spellings(tmp_path):
     cfg = _scenario_with(tmp_path, "twopoint", "verify", invariants="off")
     assert run(cfg, out_dir=tmp_path / "a") == EXIT_OK

@@ -118,8 +118,8 @@ def _triangle_cases(rng):
 
 @pytest.mark.parametrize("block", [mspace._TRIANGLE_BLOCK, 2000, 1])
 def test_triangle_check_matches_tensor_oracle(monkeypatch, block):
-    # the smaller budgets split the rows into tiles of 16 and the pivots into
-    # blocks of 7 and 1, with ragged ends
+    # at n = 70 the smaller budgets give column blocks of 3 and 1 beside the
+    # row blocks of 8, with ragged ends
     monkeypatch.setattr(mspace, "_TRIANGLE_BLOCK", block)
     verdicts = []
     for dist in _triangle_cases(np.random.default_rng(33)):
@@ -133,6 +133,92 @@ def test_triangle_check_matches_tensor_oracle(monkeypatch, block):
         assert violated == tensor_triangle_violated(dist)
         verdicts.append(violated)
     assert 200 < sum(verdicts) < len(verdicts) - 200
+
+
+def _triangle_verdict(dist):
+    """True when MetricMeasureSpace rejects dist for the triangle inequality alone."""
+    n = dist.shape[0]
+    try:
+        MetricMeasureSpace(dist, np.full(n, 1.0 / n))
+    except SpaceValidationError as exc:
+        assert str(exc) == "triangle inequality violated"
+        return True
+    return False
+
+
+def _skewed_below(rng, n, i, j):
+    """A Euclidean matrix with a skew inside the symmetry tolerance below the
+    diagonal and d(j,i), i < j, one step above its limit min_k d(i,k) + d(j,k)
+    + 1e-12, while d(i,j) sits exactly at it."""
+    pts = rng.random((n, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    dist = 0.5 * (dist + dist.T)
+    np.fill_diagonal(dist, 0.0)
+    dist += np.tril(rng.uniform(-4e-13, 4e-13, size=(n, n)), k=-1)
+    others = np.setdiff1d(np.arange(n), [i, j])
+    limit = (dist[i, others] + dist[j, others]).min() + 1e-12
+    dist[i, j] = limit
+    dist[j, i] = np.nextafter(limit, INF)
+    return dist
+
+
+@pytest.mark.parametrize("block", [mspace._TRIANGLE_BLOCK, 2000, 1])
+def test_triangle_check_finds_violation_only_below_diagonal(monkeypatch, block):
+    # j lies in a later row block than i, so d(j,i) is read only through the
+    # transposed comparison of i's row block
+    monkeypatch.setattr(mspace, "_TRIANGLE_BLOCK", block)
+    rng = np.random.default_rng(41)
+    for n, i, j in [(12, 0, 11), (40, 3, 37), (70, 7, 8), (70, 20, 69)]:
+        dist = _skewed_below(rng, n, i, j)
+        assert tensor_triangle_violated(dist)
+        assert _triangle_verdict(dist)
+        upper = dist.copy()
+        upper[j, i] = upper[i, j]
+        assert not tensor_triangle_violated(upper)
+        assert not _triangle_verdict(upper)
+
+
+@pytest.mark.parametrize("block", [mspace._TRIANGLE_BLOCK, 2000, 1])
+@pytest.mark.parametrize("n", [13, 29, 67])
+def test_triangle_check_covers_ragged_last_row_block(monkeypatch, block, n):
+    # n is not a multiple of 8, so the last row block is short; violations in
+    # it, across it and in the last column are all found
+    monkeypatch.setattr(mspace, "_TRIANGLE_BLOCK", block)
+    base = generate_space("random", n=n, seed=n).dist
+    assert not _triangle_verdict(base)
+    for i, j in [(n - 2, n - 1), (n - 9, n - 1), (0, n - 1)]:
+        others = np.setdiff1d(np.arange(n), [i, j])
+        limit = (base[i, others] + base[j, others]).min() + 1e-12
+        for v, expected in [(np.nextafter(limit, INF), True), (limit, False)]:
+            dist = base.copy()
+            dist[i, j] = dist[j, i] = v
+            assert tensor_triangle_violated(dist) == expected
+            assert _triangle_verdict(dist) == expected
+
+
+def test_triangle_verdict_is_invariant_under_relabeling():
+    rng = np.random.default_rng(34)
+    verdicts = []
+    for dist in _triangle_cases(np.random.default_rng(33)):
+        perm = rng.permutation(dist.shape[0])
+        verdict = _triangle_verdict(dist)
+        assert _triangle_verdict(dist[np.ix_(perm, perm)]) == verdict
+        verdicts.append(verdict)
+    assert 200 < sum(verdicts) < len(verdicts) - 200
+
+
+def test_triangle_check_memory_guard():
+    # the check holds one (8, bj, n) block of sums and no n x n matrix of
+    # minima; an extra n x n float temporary adds 2.1 MB at n = 512
+    dist = generate_space("random", n=512, seed=512).dist
+    mass = np.full(512, 1.0 / 512)
+    tracemalloc.start()
+    try:
+        MetricMeasureSpace._validate(dist, mass)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_triangle_check_memory_is_quadratic():

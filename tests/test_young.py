@@ -219,3 +219,11 @@ def test_non_finite_exponents_rejected(kind, value):
     make = YoungFunction.power if kind == "power" else YoungFunction.exponential
     with pytest.raises(ValueError, match="finite exponent"):
         make(value)
+
+
+@pytest.mark.parametrize("knots", [[(0, 0), (1, 1), (2, math.inf)], [(0, 0), (1, 1), (2, math.nan)],
+                                   [(0, 0), (1, 1), (math.inf, 5)]])
+def test_non_finite_knots_rejected(knots):
+    # an inf knot gives an inf or nan slope, and nan passes every comparison
+    with pytest.raises(ValueError, match="knots must be finite"):
+        YoungFunction.piecewise(knots)

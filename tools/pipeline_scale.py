@@ -1,0 +1,105 @@
+"""Wall time and tracemalloc peak of each library stage on random Euclidean spaces.
+
+    python tools/pipeline_scale.py            # n = 64, 256, 512, 1024
+    python tools/pipeline_scale.py 512 2048   # other sizes
+
+Each space has n uniform points in the unit square, uniform mass and the
+Euclidean metric; phi = x, psi = x^2, R = 6 and n0 = 1. The stages are:
+
+    space      generation and validation (the O(n^3) triangle check)
+    metrics    MinorizingMetrics for x and for x^2
+    t1         certificate_thm1 (x, x^2) and verify_thm1 (nabla_r = 1)
+    t3         certificate_thm3 (x^2) and verify_thm3
+    suite      invariant_suite (x, x^2)
+    witness    converse_witness (x^2, x) at point 0 with l = 4 and one
+               proof_trace for the pair (0, n - 1) with l = kstar + 2
+
+Each stage runs three times untraced, of which the fastest gives its wall
+time, and once more under tracemalloc for its peak, so the tracing does not
+slow the timed runs. All
+sizes run in one process with BLAS on one thread; the max RSS column is the
+process's high-water mark after that size.
+"""
+
+import math
+import os
+import resource
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+if __name__ == "__main__":
+    # before numpy loads BLAS; importing this module changes neither setting
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+import chaincert as cc  # noqa: E402
+
+SIZES = (64, 256, 512, 1024)
+REPEAT = 3  # the host's speed drifts, so one timed run per stage is too noisy
+R = 6.0
+N0 = 1
+WITNESS_LEVEL = 4
+PHI1 = cc.YoungFunction.power(1)
+PHI2 = cc.YoungFunction.power(2)
+
+
+def _measure(fn):
+    """fn() REPEAT times for its best wall time and once under tracemalloc; (result, seconds, peak bytes)."""
+    seconds = math.inf
+    for _ in range(REPEAT):
+        start = time.perf_counter()
+        out = fn()
+        seconds = min(seconds, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, seconds, peak
+
+
+def stages(n, seed=0):
+    """[(stage, seconds, peak bytes)] for one random space of n points."""
+    f = np.random.default_rng(seed).standard_normal(n)
+    rows = []
+
+    def run(name, fn):
+        out, seconds, peak = _measure(fn)
+        rows.append((name, seconds, peak))
+        return out
+
+    space = run("space", lambda: cc.generate_space("random", n=n, seed=seed))
+    m1, m2 = run("metrics", lambda: (cc.MinorizingMetrics(space, PHI1), cc.MinorizingMetrics(space, PHI2)))
+    run("t1", lambda: cc.verify_thm1(cc.certificate_thm1(space, PHI1, PHI2, R, N0), m1, f, nabla_r=1.0))
+    run("t3", lambda: cc.verify_thm3(cc.certificate_thm3(space, PHI2, R), m2, f))
+    run("suite", lambda: cc.invariant_suite(space, PHI1, PHI2, R, N0))
+
+    def witness():
+        cc.converse_witness(space, PHI2, PHI1, R, N0, 0, WITNESS_LEVEL)
+        table = cc.radius_table(space, PHI1, R)
+        cc.proof_trace(table, m1, 0, n - 1, table.kstar + 2, f=f)
+
+    run("witness", witness)
+    return rows
+
+
+def main(argv):
+    sizes = [int(a) for a in argv] or list(SIZES)
+    print(f"{'n':>6} {'stage':<8} {'wall_s':>9} {'peak_mb':>9}")
+    for n in sizes:
+        rows = stages(n)
+        for name, seconds, peak in rows:
+            print(f"{n:>6} {name:<8} {seconds:>9.4f} {peak / 1e6:>9.2f}")
+        total = sum(seconds for _, seconds, _ in rows)
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"{n:>6} {'total':<8} {total:>9.4f} {'':>9} max RSS {rss:.0f} MB")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
