@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mspace import ZeroMassAtomError, radius_table
+from .mspace import ZeroMassAtomError, _triu, radius_table
 from .young import ConvexGauge, pair_series, ratio_condition
 
 __all__ = [
@@ -32,6 +32,9 @@ __all__ = [
     "modulus_pairs",
     "certificate_to_json",
 ]
+
+
+_TAIL_TOL = 1e-12  # the T1 weight tail is summed until the rest is below this share of the sum
 
 
 class PreconditionError(ValueError):
@@ -154,17 +157,56 @@ def _check_ratio(phi, R):
         )
 
 
-def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
+def _weight_series(phi, psi, logR, n0, kstar, shift=0.0):
+    """The T1 kernel weights w_k = phi(R^(k+1))/gauge_psi(R^(k+n0+1)) of levels 1..kstar.
+
+    Returns (weights, weight_sum, tail_weight, tail_bound, scale). The series
+    is summed past kstar, into tail_weight, until a geometric bound on the
+    rest, tail_bound, is at most _TAIL_TOL of weight_sum. All four are in units
+    of scale, which is 1.0 unless every weight underflows. Then the log weights
+    are shifted by their maximum, so that the weights still define the pair
+    measure, and scale is exp(shift) as a double (0.0 below about -745).
+    """
+    weights = []
+    weight_sum = tail_weight = 0.0
+    top = -math.inf
+    prev = 0.0
+    recent: list[float] = []  # the last eight ratios of consecutive positive weights
+    k = 1
+    while True:
+        lt = phi.log_value_exp((k + 1) * logR) - _log_gauge(psi, (k + n0 + 1) * logR) - shift
+        top = max(top, lt)
+        wk = math.exp(lt) if lt > -745.0 else 0.0
+        weight_sum += wk
+        if k <= kstar:
+            weights.append(wk)
+        else:
+            tail_weight += wk
+        if prev > 0 and wk > 0:
+            recent = recent[-7:] + [wk / prev]
+        if k > kstar and (wk == 0.0 or (recent and max(recent) < 1.0)):
+            rho = max(recent) if recent else 0.0
+            bound = 0.0 if wk == 0.0 else wk * rho / (1.0 - rho)
+            if bound <= _TAIL_TOL * max(weight_sum, 1e-300):
+                break
+        prev = wk
+        k += 1
+        if k > 200000:
+            raise PreconditionError("weight tail could not be certified within the tail tolerance")
+    if weight_sum == 0.0 and top > -math.inf:  # the shifted series holds exp(0) = 1
+        return _weight_series(phi, psi, logR, n0, kstar, shift=top)[:4] + (math.exp(top),)
+    return weights, weight_sum, tail_weight, bound, 1.0
+
+
+def certificate_thm1(space, phi, psi, R, n0):
     """Certificate with kernel weights phi(R^(k+1))/gauge_psi(R^(k+n0+1)).
 
     Requires R > 5 (smaller R is escalated to the least power above 5),
     monotone growth ratios for phi at the effective R, and convergence of
     sum_k phi(R^k)/psi(R^(k+n0)). The pair measure nu is exact up to the
-    scalar weight tail, which is bounded geometrically by tail_tol relative
+    scalar weight tail, which is bounded geometrically by _TAIL_TOL relative
     to the weight sum.
     """
-    if not 0.0 <= tail_tol < math.inf:
-        raise ValueError("tail_tol must be finite and nonnegative")
     _require_positive_atoms(space)
     if int(n0) != n0 or n0 < 1:
         raise PreconditionError("n0 must be an integer >= 1")
@@ -177,56 +219,21 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
             "sum_k phi(R^k)/psi(R^(k+n0)) does not converge for the requested pair"
         )
     table = radius_table(space, phi, Reff)
-    kstar = table.kstar
-    mass = space.mass
-    logR = math.log(Reff)
+    weights, weight_sum, tail_weight, tail_bound, scale = _weight_series(phi, psi, math.log(Reff), n0, table.kstar)
 
-    def weight(k):
-        lt = phi.log_value_exp((k + 1) * logR) - _log_gauge(psi, (k + n0 + 1) * logR)
-        return math.exp(lt) if lt > -745.0 else 0.0
-
-    # level matrices come from the walk as the weight loop reaches them; the
-    # last closed one is kept for the tail term
-    levels = _ball_levels(space, table)
-    closed = None
     bracket_sum = np.zeros_like(space.dist)
-    weight_sum = 0.0
-    tail_weight = 0.0
-    prev = None
-    recent: list[float] = []
-    tail_bound = 0.0
-    k = 1
-    while True:
-        wk = weight(k)
-        weight_sum += wk
-        if k <= kstar:
-            closed, open_prev = next(levels)
-            bracket_sum += wk * (2.0 * closed + open_prev)
-        else:
-            tail_weight += wk
-        if prev is not None and prev > 0 and wk > 0:
-            recent.append(wk / prev)
-            recent = recent[-8:]
-        if k > kstar and (wk == 0.0 or (recent and max(recent) < 1.0)):
-            rho = max(recent) if recent else 0.0
-            bound = 0.0 if wk == 0.0 else wk * rho / (1.0 - rho)
-            if bound <= tail_tol * max(weight_sum, 1e-300):
-                tail_bound = bound
-                break
-        prev = wk
-        k += 1
-        if k > 200000:
-            raise PreconditionError("weight tail could not be certified within tail_tol")
-
+    closed = None
+    for wk, (closed, open_prev) in zip(weights, _ball_levels(space, table)):
+        bracket_sum += wk * (2.0 * closed + open_prev)
     if closed is None:  # kstar = 0: a single point, whose level-0 ball is the whole space
-        closed = mass[:, None] * _ball_rows(space, table.radius_vector(0))
+        closed = space.mass[:, None] * _ball_rows(space, table.radius_vector(0))
     bracket_sum += tail_weight * 2.0 * closed
     total = float(bracket_sum.sum())
     if total <= 0.0:
         raise CertificateError("degenerate space: the pair measure has no mass")
     nu = bracket_sum / total
     A = constant_a(Reff)
-    B1 = 3.0 * weight_sum
+    B1 = 3.0 * weight_sum * scale
     K = 3.0 * A * B1 * Reff ** (n0 + 1)
     return ChainCertificate(
         theorem="T1",
@@ -237,12 +244,12 @@ def certificate_thm1(space, phi, psi, R, n0, tail_tol=1e-12):
         K=K,
         C=None,
         nu=nu,
-        tail_bound=3.0 * tail_bound,
+        tail_bound=3.0 * tail_bound * scale,
         phi=phi,
         psi=psi,
         escalated_from=escalated_from,
-        normalizer=total,
-        kstar=kstar,
+        normalizer=total * scale,
+        kstar=table.kstar,
     )
 
 
@@ -294,12 +301,13 @@ def certificate_thm3(space, phi, R):
     )
 
 
-def modulus_pairs(cert, metrics, iu, iv):
-    """C * tau(s,t) * gauge_inverse(M / (K * tau(s,t))) over index pairs, with the
-    threshold inverse of the shifted gauge (value 1 at 0); zero tau is rejected."""
+def modulus_pairs(cert, metrics):
+    """C * tau(s,t) * gauge_inverse(M / (K * tau(s,t))) over the pairs s < t of
+    mspace._triu, with the threshold inverse of the shifted gauge (value 1
+    at 0); zero tau is rejected."""
     if cert.theorem != "T3":
         raise ValueError("modulus is defined for radius-weighted certificates only")
-    tau = metrics.tau[iu, iv]
+    tau = metrics.tau[_triu(metrics.space.n)]
     if np.any(tau <= 0):
         raise ValueError("distinct points with zero minorizing distance")
     gauge = ConvexGauge(cert.phi)

@@ -184,11 +184,11 @@ def _parse_mc(cfg, seed_override, gauge):
     return n_grid, paths, mc_seed
 
 
-def _certify(theorem, space, phi, psi, R, n0, tail_tol):
+def _certify(theorem, space, phi, psi, R, n0):
     """Metrics, the selected certificate and its check of one function on space."""
     metrics = MinorizingMetrics(space, phi)
     if theorem == "T1":
-        cert = certificate_thm1(space, phi, psi, R, n0, tail_tol=tail_tol)
+        cert = certificate_thm1(space, phi, psi, R, n0)
         nabla_r = 1.0 if psi.kind == "power" else None
         return metrics, cert, partial(verify_thm1, cert, metrics, nabla_r=nabla_r)
     cert = certificate_thm3(space, phi, R)
@@ -213,7 +213,7 @@ def _write_lines(path, header, blocks):
 def _tau_rows(space, metrics, cert):
     """tau.csv text, one string per first point i of the pairs (i, j > i); the modulus is empty for T1."""
     n = space.n
-    mods = None if cert.theorem == "T1" else modulus_pairs(cert, metrics, *np.triu_indices(n, 1)).tolist()
+    mods = None if cert.theorem == "T1" else modulus_pairs(cert, metrics).tolist()
     labels = [_field(_fmt(x)) for x in space.labels]
 
     def blocks():
@@ -320,11 +320,8 @@ def run(config_path, out_dir=None, seed=None, strict=False):
             raise ConfigError(f"unknown theorem selection {theorem!r}")
         R = _get_number(cfg, "certificate", "R", float, default="6")
         n0 = _get_number(cfg, "certificate", "n0", int, default="1")
-        tail_tol = _get_number(cfg, "certificate", "tail_tol", float, default="1e-12")
         if not 1 < R < math.inf or n0 < 1:
             raise ConfigError("need a finite R > 1 and n0 >= 1")
-        if not 0.0 <= tail_tol < math.inf:
-            raise ConfigError(f"tail_tol must be finite and >= 0, not {tail_tol!r}")
         space = _parse_space(cfg, config_path.parent)
         phi = _parse_young(cfg, "phi")
         psi = _parse_young(cfg, "psi") if cfg.has_section("psi") else None
@@ -344,7 +341,7 @@ def run(config_path, out_dir=None, seed=None, strict=False):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            metrics, cert, check = _certify(theorem, space, phi, psi, R, n0, tail_tol)
+            metrics, cert, check = _certify(theorem, space, phi, psi, R, n0)
         except (PreconditionError, CertificateError, ZeroMassAtomError, ArithmeticError) as exc:
             print(f"precondition failure: {exc}", file=sys.stderr)
             return EXIT_PRECONDITION
@@ -369,7 +366,7 @@ def run(config_path, out_dir=None, seed=None, strict=False):
             n_grid, paths, mc_seed = mc
             try:
                 sampler = brownian_grid_sampler(n_grid, sampled_gauge)
-                mc_metrics, mc_cert, _ = _certify(theorem, sampler.space, phi, psi, R, n0, tail_tol)
+                mc_metrics, mc_cert, _ = _certify(theorem, sampler.space, phi, psi, R, n0)
                 batch = sample(sampler, paths, mc_seed)
                 mc_report = empirical_corollary(batch, mc_cert, mc_metrics)
                 all_passed &= mc_report.passed

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import modulus_pairs
-from .mspace import MetricMeasureSpace
+from .mspace import MetricMeasureSpace, _triu
 
 __all__ = [
     "gaussian_abs_moment",
@@ -181,7 +181,7 @@ class McReport:
 def _pair_rows(values, denom):
     """Yield |x_i - x_j| / denom for j > i, one point i at a time, as (n-1-i, paths).
 
-    values is (paths, n). The pairs are the np.triu_indices(n, 1) order, so
+    values is (paths, n). The pairs are in mspace._triu(n) order, so
     the denominators of point i are one contiguous slice of denom. The paths
     are transposed once into contiguous rows, and every block is written into
     one reused buffer, valid until the next block: memory is O(n * paths).
@@ -221,9 +221,8 @@ def increment_moment_stats(batch, sampler):
     Sampler correctness: the worst empirical mean should sit within three
     standard errors of the analytic value 1.
     """
-    iu, iv = np.triu_indices(sampler.n, 1)
     means, ses = [], []
-    for block in _pair_rows(batch.values, sampler.space.dist[iu, iv]):
+    for block in _pair_rows(batch.values, sampler.space.dist[_triu(sampler.n)]):
         vals = sampler.psi.value(block)
         means.append(vals.mean(axis=1))
         ses.append(vals.std(axis=1, ddof=1))
@@ -245,12 +244,14 @@ def empirical_corollary(batch, cert, metrics):
     space = metrics.space
     if cert.n != space.n or batch.values.shape[1] != space.n:
         raise ValueError("batch, certificate and metrics must share one space")
-    iu, iv = np.triu_indices(space.n, 1)
-    tau = metrics.tau[iu, iv]
+    tau = metrics.tau[_triu(space.n)]
     if np.any(tau <= 0):
         raise ValueError("coincident points produce zero minorizing distances")
     stats = []
-    if cert.theorem == "T1":
+    if cert.theorem == "T1" and cert.K == 0.0:
+        # an underflowed weight sum gives K = 0: every path that moves has an infinite ratio
+        stats = [McStat(name, math.inf, 0.0, batch.n_paths) for name in ("increment_ratio_sup", "gauge_ratio_sup")]
+    elif cert.theorem == "T1":
         denom = 2.0 * cert.K * tau
         sups = _path_sups(batch.values, denom)
         m, se = _mean_stderr(sups)
@@ -259,7 +260,7 @@ def empirical_corollary(batch, cert, metrics):
         m2, se2 = _mean_stderr(gauge_vals)
         stats.append(McStat("gauge_ratio_sup", m2, se2, batch.n_paths))
     else:
-        denom = modulus_pairs(cert, metrics, iu, iv)
+        denom = modulus_pairs(cert, metrics)
         sups = _path_sups(batch.values, denom)
         vals = cert.phi.value(sups)
         m, se = _mean_stderr(vals)

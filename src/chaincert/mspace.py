@@ -9,6 +9,7 @@ stabilization level on when every atom carries positive mass.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -75,9 +76,12 @@ class MetricMeasureSpace:
             raise SpaceValidationError("distances must be nonnegative")
         if np.any(np.abs(np.diag(dist)) > _ATOL):
             raise SpaceValidationError("diagonal of the distance matrix must be zero")
-        if np.any(np.abs(dist - dist.T) > _ATOL):
+        asym = np.subtract(dist, dist.T)  # the one n x n float temporary, freed before the triangle check
+        if (np.abs(asym, out=asym) > _ATOL).any():
             raise SpaceValidationError("distance matrix must be symmetric")
-        if np.any(dist[~np.eye(mass.size, dtype=bool)] == 0):
+        del asym
+        # an off-diagonal zero shows as more zeros in dist than on its diagonal
+        if np.count_nonzero(dist == 0) > np.count_nonzero(np.diagonal(dist) == 0):
             raise SpaceValidationError("distinct points must have positive distance (coincident points)")
         if np.any(mass < 0):
             raise SpaceValidationError("masses must be nonnegative")
@@ -129,6 +133,15 @@ class MetricMeasureSpace:
     def distances_from(self, x):
         """Sorted distances from x and aligned cumulative masses."""
         return self._sorted_d[x], self._cum_mass[x]
+
+
+@functools.lru_cache(maxsize=4)
+def _triu(n):
+    """The pair list np.triu_indices(n, 1), made once per n and read-only."""
+    iu, iv = np.triu_indices(n, 1)
+    iu.flags.writeable = False
+    iv.flags.writeable = False
+    return iu, iv
 
 
 class RadiusTable:

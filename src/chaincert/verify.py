@@ -24,7 +24,7 @@ import numpy as np
 
 from .chain import averaging_kernel, constant_a, modulus_pairs
 from .minorize import _growth_at, _growth_table, _row_blocks
-from .mspace import radius_table
+from .mspace import _triu, radius_table
 from .orlicz import luxemburg_norm
 from .young import ConvexGauge, pair_series, shifted_series
 
@@ -83,15 +83,6 @@ class _PairLocations(Sequence):
 
     def __iter__(self):
         return (f"({i},{j})" for i, j in zip(self.iu.tolist(), self.iv.tolist()))
-
-
-@functools.lru_cache(maxsize=4)
-def _triu(n):
-    """The pair list np.triu_indices(n, 1), made once per n and read-only."""
-    iu, iv = np.triu_indices(n, 1)
-    iu.flags.writeable = False
-    iv.flags.writeable = False
-    return iu, iv
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +238,9 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
 
     if nabla_r is not None:
         rhs_int = float(np.sum(cert.nu * gauge.value(fd)))
+        denom = cert.K * nabla_r * tau  # 0 at a zero tau and everywhere when K underflowed to 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(tau > 0, lhs / (cert.K * nabla_r * tau), np.where(lhs > 0, np.inf, 0.0))
+            ratios = np.where(denom > 0, lhs / denom, np.where(lhs > 0, np.inf, 0.0))
         sup_lhs = float(gauge.value(ratios).max()) if ratios.size else 0.0
         checks.append(Check("gauge_sup_bound", "sup", sup_lhs, rhs_int))
     checks.append(holder)
@@ -275,7 +267,7 @@ def verify_thm3(cert, metrics, f):
     rhs_int = float(np.sum(cert.nu * gauge.value(fd)))
 
     iu, iv = _triu(space.n)
-    mod = modulus_pairs(cert, metrics, iu, iv)
+    mod = modulus_pairs(cert, metrics)
     diff = np.abs(f.values[iu] - f.values[iv])
     with np.errstate(over="ignore"):
         lhs = gauge.value(diff / mod)

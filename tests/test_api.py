@@ -52,6 +52,8 @@ def test_removed_keywords_stay_gone():
         chaincert.invariant_suite: {"seed"},
         chaincert.gaussian_cov_sampler: {"mass"},
         chain.certificate_thm3: {"tail_tol"},
+        chain.certificate_thm1: {"tail_tol"},
+        chain.modulus_pairs: {"iu", "iv"},
     }
     for fn, names in removed.items():
         assert not names & set(inspect.signature(fn).parameters), fn.__name__

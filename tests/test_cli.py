@@ -149,10 +149,6 @@ def _assert_config_error(tmp_path, capsys, cfg):
 @pytest.mark.parametrize(
     "name, section, key, value",
     [
-        ("twopoint", "certificate", "tail_tol", "-1"),
-        ("twopoint", "certificate", "tail_tol", "nan"),
-        ("line3", "certificate", "tail_tol", "-1"),
-        ("line3", "certificate", "tail_tol", "nan"),
         ("brownian64", "mc", "paths", "abc"),
         ("brownian64", "mc", "paths", "0"),
         ("brownian64", "mc", "n", "1"),
@@ -178,7 +174,6 @@ def test_unsupported_mc_gauge_is_config_error(tmp_path, capsys, theorem, section
 _BAD_NUMBERS = [
     ("line3", "certificate", {"R": "six"}, "R"),
     ("line3", "certificate", {"n0": "1.5"}, "n0"),
-    ("line3", "certificate", {"tail_tol": "tiny"}, "tail_tol"),
     ("line3", "phi", {"p": "two"}, "p"),
     ("line3", "psi", {"kind": "exponential", "q": "two"}, "q"),
     ("line3", "phi", {"kind": "piecewise", "knots": "0,0;1,one"}, "knots"),
@@ -246,6 +241,30 @@ def test_failed_bound_is_assertion_error(tmp_path):
     assert run(cfg, out_dir=out) == EXIT_ASSERTION
     content = (out / "verify.csv").read_text()
     assert "holder_bound" in content and "false" in content
+
+
+@pytest.mark.parametrize("name", ["line3", "brownian64"])
+def test_underflowing_weights_are_assertion_errors(tmp_path, capsys, name):
+    # for psi = exp(x^2) every T1 weight is below the smallest double: the
+    # pair measure is built from the shifted log weights and B = K = 0.0, so
+    # the strict bound fails (exit 4) instead of the space being called degenerate
+    cfg = _scenario_with(tmp_path, name, "psi", kind="exponential", q="2")
+    out = tmp_path / "out"
+    for strict in (False, True):
+        assert run(cfg, out_dir=out, strict=strict) == EXIT_ASSERTION
+        assert "verification failed" in capsys.readouterr().err
+    cert = json.loads((out / "certificate.json").read_text())
+    assert cert["B"] == cert["K"] == 0.0
+    assert sum(cert["nu"]) == pytest.approx(1.0, rel=1e-12)
+    assert json.loads((out / "summary.json").read_text())["warnings"] == []
+    rows = list(csv.DictReader((out / "verify.csv").open()))
+    holder = [r for r in rows if r["check"] == "holder_bound"]
+    assert holder and any(r["passed"] == "false" for r in holder)
+    assert all(float(r["rhs"]) == 0.0 for r in holder)
+    assert all(r["passed"] == "true" for r in rows if r["check"] == "holder_bound_relaxed")
+    mc = list(csv.DictReader((out / "mc.csv").open()))
+    if name == "brownian64":
+        assert [(r["mean"], r["stderr"], r["passed"]) for r in mc] == [("inf", "0.0", "false")] * 2
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -320,7 +339,7 @@ def _oracle_tau_and_verify(space, theorem, phi, psi, functions):
     else:
         cert = certificate_thm3(space, phi, 6.0)
         reports = [verify_thm3(cert, metrics, f) for f in functions]
-        mods = modulus_pairs(cert, metrics, iu, iv)
+        mods = modulus_pairs(cert, metrics)
     tau_rows = [
         (i, j, space.labels[i], space.labels[j], float(space.dist[i, j]), float(metrics.tau[i, j]), mod)
         for i, j, mod in zip(iu.tolist(), iv.tolist(), mods)

@@ -142,7 +142,7 @@ def _gathered_stats(batch, cert, mets):
         sups = gather_path_sups(batch.values, iu, iv, 2.0 * cert.K * mets.tau[iu, iv])
         samples = [sups, cert.psi.value(sups)]
     else:
-        sups = gather_path_sups(batch.values, iu, iv, modulus_pairs(cert, mets, iu, iv))
+        sups = gather_path_sups(batch.values, iu, iv, modulus_pairs(cert, mets))
         samples = [cert.phi.value(sups)]
     out = []
     for x in samples:

@@ -49,6 +49,16 @@ def test_coincident_points_and_label_count_rejected():
         MetricMeasureSpace([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], labels=["a"])
 
 
+def test_coincident_points_found_beside_a_nonzero_diagonal():
+    # zeros are counted against the diagonal's own zeros, so a diagonal that
+    # is within tolerance of 0 but not 0 still leaves the off-diagonal zero over
+    dist = np.array([[1e-13, 0.0, 1.0], [0.0, 1e-13, 1.0], [1.0, 1.0, 1e-13]])
+    with pytest.raises(SpaceValidationError, match="coincident"):
+        MetricMeasureSpace(dist, [0.25, 0.25, 0.5])
+    dist[0, 1] = dist[1, 0] = 1.0
+    assert MetricMeasureSpace(dist, [0.25, 0.25, 0.5]).n == 3
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -219,6 +229,21 @@ def test_triangle_check_memory_guard():
     finally:
         tracemalloc.stop()
     assert peak < 6e6
+
+
+def test_validation_memory_guard():
+    # the symmetry check holds one n x n float temporary (2.1 MB at n = 512)
+    # and the coincidence check counts zeros with no mask or copy of the
+    # off-diagonal entries; a second n x n float temporary would break 3 MB
+    dist = generate_space("random", n=512, seed=512).dist
+    mass = np.full(512, 1.0 / 512)
+    tracemalloc.start()
+    try:
+        MetricMeasureSpace._validate(dist, mass)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_triangle_check_memory_is_quadratic():

@@ -23,7 +23,8 @@ from chaincert import (
     verify_thm1,
     verify_thm3,
 )
-from chaincert.verify import _PairLocations, _triu
+from chaincert.mspace import _triu
+from chaincert.verify import _PairLocations
 from util import (
     line3_space,
     loop_growth_ratios,
@@ -66,6 +67,18 @@ def test_thm1_constant_function_degenerate():
     assert report.passed
     for p in report.pair_checks:
         assert np.all(p.lhs == 0.0) and np.all(p.rhs == 0.0)
+
+
+def test_thm1_zero_constant_gives_no_nan():
+    # every weight of (x, x^400) underflows, so K = 0: a pair that moves has
+    # an infinite sup ratio and a pair that does not a zero one, never a nan
+    line = line3_space()
+    cert = certificate_thm1(line, PHI1, YoungFunction.power(400), 6.0, 1)
+    assert cert.K == 0.0
+    report = verify_thm1(cert, MinorizingMetrics(line, PHI1), np.array([0.0, 1.0, 0.0]), nabla_r=1.0)
+    sup = report.check("gauge_sup_bound")
+    assert sup.lhs[0] == np.inf and not sup.passed
+    assert not np.isnan(report.check("holder_bound").rel_margins).any()
 
 
 def test_thm1_sign_symmetry():
