@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mspace import ZeroMassAtomError, _triu, radius_table
+from .mspace import _triu, radius_table
 from .young import ConvexGauge, pair_series, ratio_condition
 
 __all__ = [
@@ -135,11 +135,6 @@ def _effective_ratio(R):
     return Reff, float(R)
 
 
-def _require_positive_atoms(space):
-    if np.any(space.mass <= 0):
-        raise ZeroMassAtomError("certificates require every atom to carry positive mass")
-
-
 def _log_gauge(psi, log_x_exponent):
     """log(psi(x) - 1) for x = e**log_x_exponent > 1, overflow safe."""
     lv = psi.log_value_exp(log_x_exponent)
@@ -207,7 +202,6 @@ def certificate_thm1(space, phi, psi, R, n0):
     scalar weight tail, which is bounded geometrically by _TAIL_TOL relative
     to the weight sum.
     """
-    _require_positive_atoms(space)
     if int(n0) != n0 or n0 < 1:
         raise PreconditionError("n0 must be an integer >= 1")
     n0 = int(n0)
@@ -259,7 +253,6 @@ def certificate_thm3(space, phi, R):
     The radii vanish from the stabilization level on, so the kernel series
     is a finite exact sum and the recorded tail bound is exactly zero.
     """
-    _require_positive_atoms(space)
     Reff, escalated_from = _effective_ratio(R)
     _check_ratio(phi, Reff)
     table = radius_table(space, phi, Reff)

@@ -34,12 +34,15 @@ def luxemburg_norm(values, weights, gauge):
     """inf{a > 0 : sum_i w_i * gauge(|v_i| / a) <= 1}, 0 when v = 0 a.e.
 
     Exact on the atoms with w_i > 0 and v_i != 0. With u_i = |v_i| / max|v|
-    sorted once in descending order and W_k the prefix sums of w:
+    sorted in descending order and W_k the prefix sums of w:
     - x^p: a = (sum_i w_i |v_i|^p)^(1/p);
     - (x^p - 1)+: for a / max|v| in [u_(k+1), u_k] the active atoms are the
       prefix i <= k, so the integral is S_k (max|v| / a)^p - W_k with S_k the
       prefix sums of w u^p, and a = max|v| (S_k / (1 + W_k))^(1/p) on the
-      segment whose integral crosses 1;
+      segment whose integral crosses 1. Since (x^p - 1)+ >= x^p - 1,
+      (a / max|v|)^p >= sum_i w_i u_i^p / (1 + sum_i w_i); only the atoms
+      with u_i at least half this bound's p-th root are sorted, as the
+      others are inactive at a;
     - other gauges: one bracketed root-find of sum_i w_i gauge(u_i t) = 1 in
       log t, t = max|v| / a, to relative width 1e-13. The integral is at most
       gauge(t) sum_i w_i u_i and at least W_k gauge(u_k t), which brackets t
@@ -54,8 +57,15 @@ def luxemburg_norm(values, weights, gauge):
     shifted = isinstance(gauge, ConvexGauge)
     base = gauge.base if shifted else gauge
     power = base.kind == "power"
-    if power and not shifted:
-        return vmax * float(np.dot(w, (v / vmax) ** base.p)) ** (1.0 / base.p)
+    if power:
+        up = v / vmax
+        up **= base.p
+        s = float(np.dot(w, up))
+        if not shifted:
+            return vmax * s ** (1.0 / base.p)
+        # the lower bound on a of the docstring, halved to leave room for its rounding
+        keep = v >= 0.5 * vmax * (s / (1.0 + float(w.sum()))) ** (1.0 / base.p)
+        v, w = v[keep], w[keep]
     order = np.argsort(-v)
     u = v[order] / vmax
     w = w[order]
@@ -63,7 +73,7 @@ def luxemburg_norm(values, weights, gauge):
     if power:
         up = u ** base.p
         S = np.cumsum(w * up)
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             at_values = S / up - W  # the integral at a = u_k max|v|, nondecreasing in k
         k = int(np.searchsorted(at_values, 1.0, side="right"))
         return vmax * float(S[k - 1] / (1.0 + W[k - 1])) ** (1.0 / base.p)

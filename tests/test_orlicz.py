@@ -1,8 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from chaincert import ConvexGauge, YoungFunction, amemiya_norm, luxemburg_norm
-from util import bisection_luxemburg, ternary_amemiya
+from chaincert import (
+    ConvexGauge,
+    TestFunction,
+    YoungFunction,
+    amemiya_norm,
+    certificate_thm1,
+    generate_space,
+    luxemburg_norm,
+)
+from util import bisection_luxemburg, full_sort_luxemburg, ternary_amemiya
 
 PHI2 = YoungFunction.power(2)
 BASES = [YoungFunction.power(p) for p in (1, 1.5, 2, 4)] + [
@@ -168,6 +178,112 @@ def test_luxemburg_bracket_survives_inexact_inverse():
             w = [1.0 / (knot_value * (1.0 + rel))]
             got = luxemburg_norm([1.0], w, gauge)
             assert abs(got - bisection_luxemburg([1.0], w, gauge)) <= 1e-12 * got
+
+
+SHIFTED_POWERS = [ConvexGauge(YoungFunction.power(p)) for p in (1, 1.5, 2, 3, 4)]
+
+
+def _matches_full_sort(values, weights, gauge):
+    """Compare with the full-sort oracle; True when the two agree bit for bit.
+
+    Both sorts are unstable, so atoms with equal |v| at or above the norm may
+    be summed in another order: then the two agree to 1e-12 relative, and
+    bit for bit otherwise.
+    """
+    got = luxemburg_norm(values, weights, gauge)
+    ref = full_sort_luxemburg(values, weights, gauge)
+    v = np.abs(np.asarray(values, dtype=float))[np.asarray(weights) > 0]
+    top = v[v >= ref * (1.0 - 1e-9)]
+    if np.unique(top).size == top.size:
+        assert got == ref
+    else:
+        assert abs(got - ref) <= 1e-12 * ref
+    return got == ref
+
+
+def _battery_case(rng, n):
+    """Heavy-tailed signed values with, at random, tied pairs among the largest
+    values, zero values, zero weights, a weight total of 1e-3 to 10 and a scale
+    of 1e-50, 1 or 1e50."""
+    v = rng.lognormal(0.0, rng.uniform(0.1, 3.0), n) * rng.choice([-1.0, 1.0], n)
+    w = rng.random(n)
+    if rng.random() < 0.3:
+        top = np.argsort(-np.abs(v))[:40]
+        i, j = rng.choice(top, (2, rng.integers(1, 6)))
+        v[i] = -v[j]
+    if rng.random() < 0.2:
+        v[rng.random(n) < rng.uniform(0.0, 0.5)] = 0.0
+    if rng.random() < 0.2:
+        w[rng.random(n) < rng.uniform(0.0, 0.5)] = 0.0
+    if w.sum() > 0:
+        w *= 10.0 ** rng.uniform(-3.0, 1.0) / w.sum()
+    return v * 10.0 ** rng.choice([-50.0, 0.0, 50.0]), w
+
+
+def test_shifted_power_matches_full_sort_battery():
+    # 1,200 cases of 1 to 16,384 atoms (log-uniform) and six of 262,144, each
+    # under five gauges; ties make about a fifth of them fall back to 1e-12
+    rng = np.random.default_rng(13)
+    exact = []
+    for case in range(1200):
+        n = 2 ** 18 if case % 200 == 0 else int(np.exp(rng.uniform(0.0, np.log(2.0 ** 14 + 1))))
+        values, weights = _battery_case(rng, n)
+        exact += [_matches_full_sort(values, weights, gauge) for gauge in SHIFTED_POWERS]
+    assert sum(exact) > 0.7 * len(exact)
+
+
+@pytest.mark.parametrize("gauge", SHIFTED_POWERS, ids=_gauge_id)
+def test_shifted_power_cut_edge_cases(gauge):
+    rng = np.random.default_rng(31)
+    p = gauge.base.p
+    # all values equal: the lower bound is the norm itself and every atom is kept
+    w = rng.dirichlet(np.ones(50))
+    got = luxemburg_norm(np.full(50, -3.0), w, gauge)
+    assert got == pytest.approx(3.0 * (w.sum() / (1.0 + w.sum())) ** (1.0 / p), rel=1e-15)
+    assert _matches_full_sort(np.full(50, -3.0), w, gauge)
+    assert _matches_full_sort([2.5], [0.7], gauge)
+    for total in (1e-12, 1e3):
+        values = rng.lognormal(0.0, 2.0, 3000)
+        assert _matches_full_sort(values, rng.dirichlet(np.ones(3000)) * total, gauge)
+
+
+def test_shifted_power_crossing_at_last_kept_atom():
+    # values 1 and 1/2 under weights 1 and 1/4, then 1e-9 under weight 4: the
+    # integral in (x - 1)+ at a = 1/2 is exactly 1, and the lower bound
+    # (1 + 1/8 + 4e-9) / 6.25 keeps no atom below 1/2
+    gauge = SHIFTED_POWERS[0]
+    values = np.concatenate([[1.0, 0.5], np.full(40, 1e-9)])
+    weights = np.concatenate([[1.0, 0.25], np.full(40, 0.1)])
+    assert 0.5 * np.dot(weights, values) / (1.0 + weights.sum()) > 1e-9
+    assert luxemburg_norm(values, weights, gauge) == 0.5
+    assert _matches_full_sort(values, weights, gauge)
+
+
+def test_shifted_power_bound_underflow():
+    # u^400 underflows below u = 0.16, which only lowers the bound
+    gauge = ConvexGauge(YoungFunction.power(400))
+    rng = np.random.default_rng(400)
+    for scale in (1e-50, 1.0, 1e50):
+        values = scale * rng.uniform(0.0, 1.0, 5000)
+        assert _matches_full_sort(values, rng.dirichlet(np.ones(5000)), gauge)
+    assert _matches_full_sort(np.concatenate([[1.0], np.full(99, 0.1)]), np.full(100, 0.01), gauge)
+
+
+def test_shifted_power_memory_guard():
+    # the quotients of one function under the n = 512 T1 pair measure: the
+    # shifted power solve holds the atoms and their powers once, about 8 MB;
+    # sorting all 261,632 atoms takes the peak to about 16 MB
+    space = generate_space("random", n=512, seed=512)
+    cert = certificate_thm1(space, YoungFunction.power(1), PHI2, 6.0, 1)
+    fd = TestFunction(np.random.default_rng(512).standard_normal(512)).quotients(space).ravel()
+    nu = cert.nu.ravel()
+    tracemalloc.start()
+    try:
+        luxemburg_norm(fd, nu, ConvexGauge(PHI2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 @pytest.mark.parametrize("gauge", [YoungFunction.power(p) for p in (1, 1.01, 1.5, 2, 3, 4, 7.5)]

@@ -9,6 +9,8 @@ Euclidean metric; phi = x, psi = x^2, R = 6 and n0 = 1. The stages are:
     space      generation and validation (the O(n^3) triangle check)
     metrics    MinorizingMetrics for x and for x^2
     t1         certificate_thm1 (x, x^2) and verify_thm1 (nabla_r = 1)
+    luxemburg  one luxemburg_norm in (x^2 - 1)+ of the quotients of f under
+               the t1 certificate's pair measure
     t3         certificate_thm3 (x^2) and verify_thm3
     suite      invariant_suite (x, x^2)
     witness    converse_witness (x^2, x) at point 0 with l = 4 and one
@@ -76,7 +78,15 @@ def stages(n, seed=0):
 
     space = run("space", lambda: cc.generate_space("random", n=n, seed=seed))
     m1, m2 = run("metrics", lambda: (cc.MinorizingMetrics(space, PHI1), cc.MinorizingMetrics(space, PHI2)))
-    run("t1", lambda: cc.verify_thm1(cc.certificate_thm1(space, PHI1, PHI2, R, N0), m1, f, nabla_r=1.0))
+
+    def t1():
+        cert = cc.certificate_thm1(space, PHI1, PHI2, R, N0)
+        cc.verify_thm1(cert, m1, f, nabla_r=1.0)
+        return cert
+
+    nu = run("t1", t1).nu.ravel()
+    fd = cc.TestFunction(f).quotients(space).ravel()
+    run("luxemburg", lambda: cc.luxemburg_norm(fd, nu, cc.ConvexGauge(PHI2)))
     run("t3", lambda: cc.verify_thm3(cc.certificate_thm3(space, PHI2, R), m2, f))
     run("suite", lambda: cc.invariant_suite(space, PHI1, PHI2, R, N0))
 
@@ -91,14 +101,14 @@ def stages(n, seed=0):
 
 def main(argv):
     sizes = [int(a) for a in argv] or list(SIZES)
-    print(f"{'n':>6} {'stage':<8} {'wall_s':>9} {'peak_mb':>9}")
+    print(f"{'n':>6} {'stage':<9} {'wall_s':>9} {'peak_mb':>9}")
     for n in sizes:
         rows = stages(n)
         for name, seconds, peak in rows:
-            print(f"{n:>6} {name:<8} {seconds:>9.4f} {peak / 1e6:>9.2f}")
+            print(f"{n:>6} {name:<9} {seconds:>9.4f} {peak / 1e6:>9.2f}")
         total = sum(seconds for _, seconds, _ in rows)
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"{n:>6} {'total':<8} {total:>9.4f} {'':>9} max RSS {rss:.0f} MB")
+        print(f"{n:>6} {'total':<9} {total:>9.4f} {'':>9} max RSS {rss:.0f} MB")
 
 
 if __name__ == "__main__":
