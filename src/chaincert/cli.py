@@ -39,8 +39,8 @@ from .chain import (
 )
 from .mc import _normalizer, brownian_grid_sampler, empirical_corollary, sample
 from .minorize import MinorizingMetrics
-from .mspace import SpaceValidationError, ZeroMassAtomError, generate_space, space_from_json
-from .verify import invariant_suite, verify_thm1, verify_thm3
+from .mspace import SpaceValidationError, ZeroMassAtomError, _triu, generate_space, space_from_json
+from .verify import REL_SLACK, invariant_suite, verify_thm1, verify_thm3
 from .young import YoungFunction
 
 EXIT_OK = 0
@@ -135,16 +135,31 @@ def _parse_space(cfg, base_dir):
     return generate_space(kind, seed=seed, **params)
 
 
-def _parse_functions(cfg, n, seed_override):
+def _check_values(vals, space, idx):
+    """Reject function idx when its values, or its difference quotients on space, are not all finite."""
+    bad = [v for v in vals if not math.isfinite(v)]
+    if bad:
+        raise ConfigError(f"[functions] values must be finite; function {idx} holds {bad[0]!r}")
+    f = np.asarray(vals)
+    quot = np.zeros(space.dist.shape)
+    with np.errstate(over="ignore"):  # an overflowing difference or quotient is inf, and rejected below
+        np.divide(np.abs(f[:, None] - f[None, :]), space.dist, out=quot, where=space.dist > 0)
+    if not np.isfinite(quot).all():
+        raise ConfigError(f"[functions] values of function {idx} overflow in |f(s) - f(t)| / d(s, t)")
+    return f
+
+
+def _parse_functions(cfg, space, seed_override):
+    n = space.n
     source = _get(cfg, "functions", "source", default="random")
     if source == "values":
         raw = _get(cfg, "functions", "values", required=True)
         out = []
-        for part in raw.split(";"):
+        for idx, part in enumerate(raw.split(";")):
             vals = [_number(float, v, "functions", "values") for v in part.split(",")]
             if len(vals) != n:
                 raise ConfigError(f"function of length {len(vals)} on a {n}-point space")
-            out.append(np.asarray(vals))
+            out.append(_check_values(vals, space, idx))
         return out
     if source != "random":
         raise ConfigError(f"unknown function source {source!r}")
@@ -210,22 +225,42 @@ def _write_lines(path, header, blocks):
         fh.writelines(blocks)
 
 
+def _reprs(values):
+    """The repr of each float of values, formatting each distinct bit pattern once.
+
+    Keyed on the bits rather than on float equality, so -0.0 and 0.0 (and
+    NaNs of different payloads) stay apart; repr is a function of the bits,
+    so the strings are exactly those of repr on each value.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.size < 2:
+        return list(map(repr, values.tolist()))
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if bits.size == values.size:
+        return list(map(repr, values.tolist()))
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def _tau_rows(space, metrics, cert):
     """tau.csv text, one string per first point i of the pairs (i, j > i); the modulus is empty for T1."""
     n = space.n
-    mods = None if cert.theorem == "T1" else modulus_pairs(cert, metrics).tolist()
-    labels = [_field(_fmt(x)) for x in space.labels]
+    mods = None if cert.theorem == "T1" else modulus_pairs(cert, metrics)
 
     def blocks():
+        pairs = _triu(n)
+        dists = _reprs(space.dist[pairs])
+        taus = _reprs(metrics.tau[pairs])
+        row_mods = repeat("") if mods is None else iter(_reprs(mods))
+        labels = [_field(_fmt(x)) for x in space.labels]
         start = 0
         for i in range(n - 1):
-            js = range(i + 1, n)
-            row_mods = repeat("") if mods is None else map(repr, mods[start:start + len(js)])
-            start += len(js)
+            stop = start + n - 1 - i
             yield "".join([
-                f"{i},{j},{labels[i]},{labels[j]},{d!r},{t!r},{m}\n"
-                for j, d, t, m in zip(js, space.dist[i, i + 1:].tolist(), metrics.tau[i, i + 1:].tolist(), row_mods)
+                f"{i},{j},{labels[i]},{labels[j]},{d},{t},{m}\n"
+                for j, d, t, m in zip(range(i + 1, n), dists[start:stop], taus[start:stop], row_mods)
             ])
+            start = stop
 
     return blocks()
 
@@ -240,19 +275,26 @@ def _report_rows(report, prefix):
     """verify.csv text of one report, one string per check, joined column by column."""
     pair_checks = report.pair_checks
     for c in report.checks:
-        loc, lhs, rhs, margin, rel, ok = c.columns()
+        rel = c.rel_margins
+        with np.errstate(invalid="ignore"):  # inf - inf is nan
+            margin = c.rhs - c.lhs
+        columns = (_reprs(c.lhs), _reprs(c.rhs), _reprs(margin), _reprs(rel))
+        verdict = str if c.name in CAPITALIZED_VERDICTS else _BOOL.__getitem__
+        verdicts = map(verdict, (rel >= -REL_SLACK).tolist())
+        name = _field(c.name)
         if c in pair_checks:
             # "(i,j)" holds the delimiter, so csv.writer quotes every pair location;
             # the prefix "f<idx>:" holds no quote, so nothing inside needs escaping
-            loc = (f'"{prefix}{x}"' for x in loc)
+            pairs = c.locations
+            yield "".join([
+                f'{name},"{prefix}({i},{j})",{a},{b},{m},{r},{v}\n'
+                for i, j, a, b, m, r, v in zip(pairs.iu.tolist(), pairs.iv.tolist(), *columns, verdicts)
+            ])
         else:
-            loc = [_field(prefix + x) for x in loc]
-        name = _field(c.name)
-        verdict = str if c.name in CAPITALIZED_VERDICTS else _BOOL.__getitem__
-        yield "".join([
-            f"{name},{x},{a!r},{b!r},{m!r},{r!r},{v}\n"
-            for x, a, b, m, r, v in zip(loc, lhs, rhs, margin, rel, map(verdict, ok))
-        ])
+            yield "".join([
+                f"{name},{_field(prefix + x)},{a},{b},{m},{r},{v}\n"
+                for x, a, b, m, r, v in zip(c.locations, *columns, verdicts)
+            ])
 
 
 def _mc_rows(mc_report):
@@ -327,7 +369,7 @@ def run(config_path, out_dir=None, seed=None, strict=False):
         psi = _parse_young(cfg, "psi") if cfg.has_section("psi") else None
         if theorem == "T1" and psi is None:
             raise ConfigError("theorem T1 needs a [psi] section")
-        functions = _parse_functions(cfg, space.n, seed)
+        functions = _parse_functions(cfg, space, seed)
         invariants = _get_bool(cfg, "verify", "invariants", True)
         sampled_gauge = psi if theorem == "T1" else phi
         mc = _parse_mc(cfg, seed, sampled_gauge)

@@ -28,6 +28,7 @@ from chaincert.cli import (
     EXIT_OK,
     EXIT_PRECONDITION,
     _field,
+    _reprs,
     run,
 )
 from util import csv_text, per_check_rows
@@ -127,11 +128,12 @@ def test_bad_inputs_are_config_errors(tmp_path, space, theorem, R):
 
 
 def _scenario_with(tmp_path, name, section, **values):
-    """The shipped scenario `name` with the given [section] keys set."""
+    """The shipped scenario `name` (or the scenario file at a path) with the given [section] keys set."""
+    source = name if isinstance(name, Path) else SCENARIOS / f"{name}.cfg"
     cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    cfg.read(SCENARIOS / f"{name}.cfg")
+    cfg.read(source)
     cfg[section].update(values)
-    path = tmp_path / f"{name}.cfg"
+    path = tmp_path / f"{source.stem}.cfg"
     with path.open("w") as fh:
         cfg.write(fh)
     return path
@@ -215,6 +217,35 @@ def test_non_finite_knots_are_config_errors(tmp_path, capsys, knots):
     cfg = _scenario_with(tmp_path, "line3", "phi", kind="piecewise", knots=knots)
     err = _assert_config_error(tmp_path, capsys, cfg)
     assert "knots must be finite" in err
+
+
+# function values the checks cannot handle, under T1 (line3) and T3 (twopoint):
+# not finite, finite with an overflowing difference, or with a difference
+# quotient that overflows on a grid whose gaps are below 1
+_UNUSABLE_VALUES = [
+    ("line3", {}, "nan,0,1"),
+    ("line3", {}, "0,1,0; 1,inf,0"),
+    ("line3", {}, "1e308,-1e308,0"),
+    ("line3", {"scale": "1.0"}, "1e308,0,0"),
+    ("twopoint", {}, "nan,0"),
+    ("twopoint", {}, "0,-inf"),
+    ("twopoint", {}, "1e308,-1e308"),
+    ("twopoint", {"n": "3"}, "1e308,0,0"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, space, values",
+    _UNUSABLE_VALUES,
+    ids=[f"{n}-{v}" + "".join(f"-{k}={x}" for k, x in s.items()) for n, s, v in _UNUSABLE_VALUES],
+)
+def test_unusable_function_values_are_config_errors(tmp_path, capsys, name, space, values):
+    # RuntimeWarnings are errors in this suite, so the overflow tests must not warn either
+    cfg = _scenario_with(tmp_path, name, "functions", values=values)
+    if space:
+        cfg = _scenario_with(tmp_path, cfg, "space", **space)
+    err = _assert_config_error(tmp_path, capsys, cfg)
+    assert err.startswith("configuration error: [functions] values")
 
 
 def test_boolean_switches_take_configparser_spellings(tmp_path):
@@ -393,11 +424,22 @@ def test_csv_rows_match_per_check_oracle(tmp_path):
         "[certificate]\ntheorem = T3\nR = 6\n"
         "[functions]\nsource = random\ncount = 4\nseed = 3\n",
     )
+    # the benchmark's T3 size: 64 points, where the modulus_bound rows repeat
+    # their values and the writer formats each distinct float once
+    t3_64 = _write(
+        tmp_path,
+        "t3grid64.cfg",
+        "[space]\nkind = grid\nn = 64\ngamma = 0.5\n"
+        "[phi]\nkind = power\np = 2\n"
+        "[certificate]\ntheorem = T3\nR = 6\n"
+        "[functions]\nsource = random\ncount = 10\nseed = 11\n",
+    )
     cases = [
         (SCENARIOS / "brownian64.cfg", generate_space("grid", n=3, scale=2.0), "T1",
          YoungFunction.power(1), YoungFunction.power(2), 7, 10),
         (t3, generate_space("grid", n=12, gamma=0.5), "T3", YoungFunction.power(2), None, 3, 4),
         (labelled_cfg, space_from_json(labelled), "T3", YoungFunction.power(2), None, 5, 3),
+        (t3_64, generate_space("grid", n=64, gamma=0.5), "T3", YoungFunction.power(2), None, 11, 10),
     ]
     for cfg, space, theorem, phi, psi, seed, count in cases:
         out = tmp_path / cfg.stem
@@ -407,3 +449,35 @@ def test_csv_rows_match_per_check_oracle(tmp_path):
         tau_text, verify_text = _oracle_tau_and_verify(space, theorem, phi, psi, functions)
         assert (out / "tau.csv").read_bytes() == tau_text.encode()
         assert (out / "verify.csv").read_bytes() == verify_text.encode()
+    with (out / "verify.csv").open(newline="") as fh:
+        rhs = [r[3] for r in csv.reader(fh) if r[0] == "modulus_bound"]
+    assert len(rhs) == 10 * 64 * 63 // 2 and len(set(rhs)) == 10
+
+
+def _repr_battery():
+    """Float arrays for the _reprs oracle: distinct, equal, repeated and special values."""
+    rng = np.random.default_rng(2024)
+    pool = rng.standard_normal(7)
+    nans = np.array([0x7FF8000000000001, 0x7FF8000000000002, -0x0008000000000001], dtype=np.int64).view(np.float64)
+    subnormals = np.array([5e-324, -5e-324, 2.5e-310, np.nextafter(2.2250738585072014e-308, 0.0)])
+    return {
+        "distinct": rng.standard_normal(300),
+        "equal": np.full(40, 0.1),
+        "runs": np.repeat(rng.standard_normal(6), rng.integers(1, 9, 6)),
+        "pool": rng.choice(pool, 500),
+        "signed-zeros": rng.choice([0.0, -0.0, 1.0], 60),
+        "infinities": rng.choice([np.inf, -np.inf, 1.5, -0.0], 60),
+        "nan-payloads": rng.choice(np.concatenate([nans, [np.nan, 2.0]]), 60),
+        "subnormals": rng.choice(np.concatenate([subnormals, [0.0, -0.0]]), 80),
+        "strided": rng.choice(pool, 90)[::3],
+        "empty": np.empty(0),
+        "one": np.array([-0.0]),
+    }
+
+
+_REPR_BATTERY = _repr_battery()
+
+
+@pytest.mark.parametrize("values", _REPR_BATTERY.values(), ids=_REPR_BATTERY.keys())
+def test_reprs_match_repr_of_each_value(values):
+    assert _reprs(values) == list(map(repr, values.tolist()))
