@@ -294,12 +294,21 @@ def certificate_thm3(space, phi, R):
     )
 
 
+def _check_agreement(cert, metrics):
+    """Reject a certificate and metrics built on spaces of different size or for different phi."""
+    if cert.n != metrics.n:
+        raise ValueError("certificate and metric matrix live on different spaces")
+    if cert.phi != metrics.phi:
+        raise ValueError("certificate and metrics were built for different Young functions")
+
+
 def modulus_pairs(cert, metrics):
     """C * tau(s,t) * gauge_inverse(M / (K * tau(s,t))) over the pairs s < t of
     mspace._triu, with the threshold inverse of the shifted gauge (value 1
     at 0); zero tau is rejected."""
     if cert.theorem != "T3":
         raise ValueError("modulus is defined for radius-weighted certificates only")
+    _check_agreement(cert, metrics)
     tau = metrics.tau[_triu(metrics.space.n)]
     if np.any(tau <= 0):
         raise ValueError("distinct points with zero minorizing distance")

@@ -40,7 +40,7 @@ from .chain import (
 from .mc import _normalizer, brownian_grid_sampler, empirical_corollary, sample
 from .minorize import MinorizingMetrics
 from .mspace import SpaceValidationError, ZeroMassAtomError, _triu, generate_space, space_from_json
-from .verify import REL_SLACK, invariant_suite, verify_thm1, verify_thm3
+from .verify import TestFunction, invariant_suite, verify_thm1, verify_thm3
 from .young import YoungFunction
 
 EXIT_OK = 0
@@ -136,16 +136,12 @@ def _parse_space(cfg, base_dir):
 
 
 def _check_values(vals, space, idx):
-    """Reject function idx when its values, or its difference quotients on space, are not all finite."""
-    bad = [v for v in vals if not math.isfinite(v)]
-    if bad:
-        raise ConfigError(f"[functions] values must be finite; function {idx} holds {bad[0]!r}")
-    f = np.asarray(vals)
-    quot = np.zeros(space.dist.shape)
-    with np.errstate(over="ignore"):  # an overflowing difference or quotient is inf, and rejected below
-        np.divide(np.abs(f[:, None] - f[None, :]), space.dist, out=quot, where=space.dist > 0)
-    if not np.isfinite(quot).all():
-        raise ConfigError(f"[functions] values of function {idx} overflow in |f(s) - f(t)| / d(s, t)")
+    """Function idx as a TestFunction; values or difference quotients on space that are not all finite are a ConfigError."""
+    try:
+        f = TestFunction(vals)
+        f.quotients(space)
+    except ValueError as exc:
+        raise ConfigError(f"[functions] values of function {idx}: {exc}") from None
     return f
 
 
@@ -267,7 +263,7 @@ def _tau_rows(space, metrics, cert):
 
 _BOOL = {True: "true", False: "false"}
 # Verdicts that verify.csv spells True/False, as numpy booleans once wrote them;
-# the benchmark's recorded references hash that text (ROADMAP item 5 re-records them).
+# the benchmark's recorded references hash that text (ROADMAP item 6 re-records them).
 CAPITALIZED_VERDICTS = frozenset({"radius_series_integral", "ball_nesting"})
 
 
@@ -275,25 +271,22 @@ def _report_rows(report, prefix):
     """verify.csv text of one report, one string per check, joined column by column."""
     pair_checks = report.pair_checks
     for c in report.checks:
-        rel = c.rel_margins
-        with np.errstate(invalid="ignore"):  # inf - inf is nan
-            margin = c.rhs - c.lhs
-        columns = (_reprs(c.lhs), _reprs(c.rhs), _reprs(margin), _reprs(rel))
+        locations, lhs, rhs, margin, rel, passed = c.columns()
+        columns = (_reprs(lhs), _reprs(rhs), _reprs(margin), _reprs(rel))
         verdict = str if c.name in CAPITALIZED_VERDICTS else _BOOL.__getitem__
-        verdicts = map(verdict, (rel >= -REL_SLACK).tolist())
+        verdicts = map(verdict, passed.tolist())
         name = _field(c.name)
         if c in pair_checks:
             # "(i,j)" holds the delimiter, so csv.writer quotes every pair location;
             # the prefix "f<idx>:" holds no quote, so nothing inside needs escaping
-            pairs = c.locations
             yield "".join([
                 f'{name},"{prefix}({i},{j})",{a},{b},{m},{r},{v}\n'
-                for i, j, a, b, m, r, v in zip(pairs.iu.tolist(), pairs.iv.tolist(), *columns, verdicts)
+                for i, j, a, b, m, r, v in zip(locations.iu.tolist(), locations.iv.tolist(), *columns, verdicts)
             ])
         else:
             yield "".join([
                 f"{name},{_field(prefix + x)},{a},{b},{m},{r},{v}\n"
-                for x, a, b, m, r, v in zip(c.locations, *columns, verdicts)
+                for x, a, b, m, r, v in zip(locations, *columns, verdicts)
             ])
 
 

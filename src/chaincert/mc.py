@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import modulus_pairs
+from .chain import _check_agreement, modulus_pairs
 from .mspace import MetricMeasureSpace, _triu
 
 __all__ = [
@@ -241,8 +241,9 @@ def empirical_corollary(batch, cert, metrics):
     For a radius-weighted certificate: sup phi(|dX| / modulus). Pass means
     mean + 3 * stderr <= 1.
     """
+    _check_agreement(cert, metrics)
     space = metrics.space
-    if cert.n != space.n or batch.values.shape[1] != space.n:
+    if batch.values.shape[1] != space.n:
         raise ValueError("batch, certificate and metrics must share one space")
     tau = metrics.tau[_triu(space.n)]
     if np.any(tau <= 0):

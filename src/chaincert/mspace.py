@@ -43,7 +43,7 @@ class MetricMeasureSpace:
     """Finite point set with distances and probability masses.
 
     Immutable after construction. Sorted per-point distance lists and their
-    cumulative masses are precomputed so ball masses are O(log n) lookups.
+    cumulative masses are precomputed so ball masses are lookups on them.
     """
 
     def __init__(self, dist, mass, labels=None, validate=True):
@@ -123,12 +123,19 @@ class MetricMeasureSpace:
         return float(self.dist.max())
 
     def ball_mass(self, x, eps, closed=True):
-        """Mass of the closed (d <= eps) or open (d < eps) ball around point x."""
-        if eps < 0:
+        """Mass of the closed (d <= eps) or open (d < eps) ball around point x.
+
+        x and eps may be arrays that broadcast together; two scalars give a float."""
+        eps = np.asarray(eps, dtype=float)
+        if not (eps >= 0).all():
             raise ValueError("radius must be nonnegative")
-        side = "right" if closed else "left"
-        idx = int(np.searchsorted(self._sorted_d[x], eps, side=side))
-        return 0.0 if idx == 0 else float(self._cum_mass[x, idx - 1])
+        rows = self._sorted_d[x]  # the ball is the first count entries of each sorted row
+        if rows.ndim == 1:  # one row: a binary search per radius, with no (radii, n) mask
+            count = np.searchsorted(rows, eps, side="right" if closed else "left")
+        else:
+            count = np.count_nonzero(rows <= eps[..., None] if closed else rows < eps[..., None], axis=-1)
+        out = np.where(count > 0, self._cum_mass[x, count - 1], 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def distances_from(self, x):
         """Sorted distances from x and aligned cumulative masses."""

@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .chain import averaging_kernel, constant_a, modulus_pairs
+from .chain import _check_agreement, averaging_kernel, constant_a, modulus_pairs
 from .minorize import _growth_at, _growth_table, _row_blocks
 from .mspace import _triu, radius_table
 from .orlicz import luxemburg_norm
@@ -60,11 +60,14 @@ class TestFunction:
         object.__setattr__(self, "values", v)
 
     def quotients(self, space):
-        """|f(u) - f(v)| / d(u, v) with 0/0 = 0 on the diagonal."""
+        """|f(u) - f(v)| / d(u, v) with 0/0 = 0 on the diagonal; ValueError when a difference or quotient overflows."""
         f = self.values
-        num = np.abs(f[:, None] - f[None, :])
-        out = np.zeros_like(num)
-        np.divide(num, space.dist, out=out, where=space.dist > 0)
+        out = np.zeros(space.dist.shape)
+        with np.errstate(over="ignore"):  # an overflow is inf, and rejected below
+            spread = f.max() - f.min() if f.size else 0.0  # no difference overflows when this is finite
+            np.divide(np.abs(f[:, None] - f[None, :]), space.dist, out=out, where=space.dist > 0)
+        if not (math.isfinite(spread) and np.isfinite(out).all()):
+            raise ValueError("difference quotients |f(s) - f(t)| / d(s, t) overflow")
         return out
 
 
@@ -142,18 +145,11 @@ class Check:
         return Check(self.name, self.locations[j], self.lhs[[j]], self.rhs[[j]])
 
     def columns(self):
-        """The verify.csv columns: locations, then lhs, rhs, margin, rel_margin, passed as lists."""
+        """The verify.csv columns: locations, then the arrays lhs, rhs, margin, rel_margin and passed."""
         rel = self.rel_margins
         with np.errstate(invalid="ignore"):  # inf - inf is nan
             margin = self.rhs - self.lhs
-        return (
-            self.locations,
-            self.lhs.tolist(),
-            self.rhs.tolist(),
-            margin.tolist(),
-            rel.tolist(),
-            (rel >= -REL_SLACK).tolist(),
-        )
+        return self.locations, self.lhs, self.rhs, margin, rel, rel >= -REL_SLACK
 
 
 class _CheckList:
@@ -190,7 +186,8 @@ class VerificationReport(_CheckList):
     def rows(self):
         """(name, location, lhs, rhs, margin, rel_margin, passed) per location of every check."""
         for c in self.checks:
-            yield from zip(repeat(c.name), *c.columns())
+            locations, *values = c.columns()
+            yield from zip(repeat(c.name), locations, *(v.tolist() for v in values))
 
 
 def _as_test_function(f):
@@ -198,12 +195,9 @@ def _as_test_function(f):
 
 
 def _check_compatible(cert, metrics, f):
-    if cert.n != metrics.n:
-        raise ValueError("certificate and metric matrix live on different spaces")
+    _check_agreement(cert, metrics)
     if f.values.size != metrics.n:
         raise ValueError("test function has the wrong length")
-    if cert.phi != metrics.phi:
-        raise ValueError("certificate and metrics were built for different Young functions")
 
 
 def verify_thm1(cert, metrics, f, nabla_r=None):
@@ -553,11 +547,10 @@ def converse_witness(space, phi, psi, R, n0, t, l):
     psi_h = psi.value(h_at)
     moment = float(np.dot(space.mass, psi_h))
 
+    opened = [1.0] + space.ball_mass(t, radii[1:], closed=False).tolist()  # level 0: the whole space
     shells = 0.0
     for k in range(l + 1):
-        hi_mass = 1.0 if k == 0 else space.ball_mass(t, radii[k], closed=False)
-        lo_mass = space.ball_mass(t, radii[k + 1], closed=False)
-        shells += psi.value(R ** float(k - n0)) * max(hi_mass - lo_mass, 0.0)
+        shells += psi.value(R ** float(k - n0)) * max(opened[k] - opened[k + 1], 0.0)
     checks = [Check("step_moment_identity", "shells", abs(moment - shells), 0.0)]
 
     logR = math.log(R)
@@ -582,8 +575,7 @@ def converse_witness(space, phi, psi, R, n0, t, l):
     # reconstruction against the full ladder (levels beyond l add no zeros)
     full_radii = np.array([table.radius(k, t) for k in range(table.kstar + 2)])
     breakpoints = np.unique(dists)
-    sorted_d, cum = space.distances_from(t)
-    closed_mass = cum[np.searchsorted(sorted_d, breakpoints, side="right") - 1]
+    closed_mass = space.ball_mass(t, breakpoints)
     factor = R ** (n0 + 1)
     rec = Check(
         "inverse_reconstruction", [f"eps={eps:.6g}" for eps in breakpoints.tolist()],
@@ -662,8 +654,8 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None):
         if k == 0:
             closed = opened = 1.0
         else:
-            closed = _ball_masses(space, radii[k], closed=True)
-            opened = _ball_masses(space, radii[k], closed=False)
+            closed = space.ball_mass(np.arange(n), radii[k], closed=True)
+            opened = space.ball_mass(np.arange(n), radii[k], closed=False)
         worst_lo = max(worst_lo, float(np.max(1.0 - pk * closed)))
         worst_hi = max(worst_hi, float(np.max(pk * opened - 1.0)))
     checks.append(Check("ball_mass_lower", "all x,k", worst_lo, 0.0))
@@ -743,13 +735,6 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None):
 
     params = {"R": R, "n0": n0, "kstar": kstar, "phi": phi.spec(), "psi": psi.spec() if psi else None}
     return VerificationReport(checks, params)
-
-
-def _ball_masses(space, radii, closed):
-    """space.ball_mass(x, radii[x], closed) for every point x: a count on each sorted row."""
-    sorted_d = space._sorted_d
-    count = (sorted_d <= radii[:, None] if closed else sorted_d < radii[:, None]).sum(axis=1)
-    return np.where(count > 0, space._cum_mass[np.arange(space.n), count - 1], 0.0)
 
 
 def _worst_series_margin(terms, rhs):

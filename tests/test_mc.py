@@ -129,6 +129,20 @@ def test_empirical_corollary_modulus_variant():
     assert report.stat("modulus_ratio_sup").mean < 1.0
 
 
+@pytest.mark.parametrize("mismatch", ["phi", "size"])
+def test_certificate_and_metrics_must_agree(mismatch):
+    # a T3 certificate for phi = x^2 against metrics for phi = x, or for a
+    # space of another size, would give a modulus and a Monte Carlo verdict
+    s = brownian_grid_sampler(8, PHI2)
+    cert = certificate_thm3(s.space, PHI2, 6.0)
+    mets = MinorizingMetrics(s.space, PHI1) if mismatch == "phi" else \
+        MinorizingMetrics(brownian_grid_sampler(9, PHI2).space, PHI2)
+    with pytest.raises(ValueError, match="different"):
+        modulus_pairs(cert, mets)
+    with pytest.raises(ValueError, match="different"):
+        empirical_corollary(sample(s, 20, seed=1), cert, mets)
+
+
 def _ou_sampler(n, psi):
     # Ornstein-Uhlenbeck covariance, drawn through the Cholesky factor
     t = np.linspace(0.0, 1.0, n)

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from chaincert.cli import EXIT_CONFIG, run
 from util import (
     line3_space,
     random_battery,
+    searchsorted_ball_mass,
     searchsorted_radii,
     tensor_triangle_violated,
     two_point_space,
@@ -263,6 +265,70 @@ def test_ball_mass_examples():
     assert two.ball_mass(0, two.diameter, closed=True) == 1.0
     assert two.ball_mass(0, 1.0, closed=False) == 0.5
     assert two.ball_mass(0, 1.0, closed=True) == 1.0
+
+
+def _ball_mass_battery():
+    rng = np.random.default_rng(21)
+    spaces = [generate_space("random", n=n, seed=n) for n in (1, 2, 9, 30)]
+    spaces += [generate_space("grid", n=n, gamma=g) for n, g in ((7, 1.0), (16, 0.5))]
+    spaces += [generate_space("tree", depth=3, mass="random", seed=3)]
+    # pairs of points one ulp apart on a line, so some distances differ by one ulp
+    pos = np.sort(np.concatenate([np.linspace(0.0, 1.0, 5), np.nextafter(np.linspace(0.25, 1.0, 4), 2.0)]))
+    spaces += [MetricMeasureSpace(np.abs(pos[:, None] - pos[None, :]), np.full(pos.size, 1.0 / pos.size))]
+    out = []
+    for sp in spaces:
+        mass = rng.dirichlet(np.ones(sp.n))
+        mass[rng.random(sp.n) < 0.3] = 0.0
+        mass = mass / mass.sum() if mass.sum() > 0 else sp.mass
+        out += [sp, MetricMeasureSpace(sp.dist, mass)]
+    return out
+
+
+def test_ball_mass_broadcasts_like_scalar_calls():
+    # one point searches its sorted row, several count entries on theirs; the
+    # oracle searches one row per radius
+    rng = np.random.default_rng(22)
+    for sp in _ball_mass_battery():
+        own = sp.dist.copy()
+        radii = np.concatenate([own, np.nextafter(own, np.inf), np.nextafter(own, -np.inf)], axis=1)
+        radii = np.where(radii < 0, 0.0, radii)  # one step below 0 is a negative radius
+        xs = np.repeat(np.arange(sp.n)[:, None], radii.shape[1], axis=1)
+        for closed in (True, False):
+            loop = np.array([[sp.ball_mass(int(x), float(e), closed=closed) for x, e in zip(xr, er)]
+                             for xr, er in zip(xs, radii)])
+            oracle = [[searchsorted_ball_mass(sp, int(x), float(e), closed) for x, e in zip(xr, er)]
+                      for xr, er in zip(xs, radii)]
+            assert loop.tobytes() == np.array(oracle).tobytes()
+            assert sp.ball_mass(xs, radii, closed=closed).tobytes() == loop.tobytes()
+            assert sp.ball_mass(np.arange(sp.n)[:, None], radii, closed=closed).tobytes() == loop.tobytes()
+            for x in range(sp.n):
+                assert sp.ball_mass(x, radii[x], closed=closed).tobytes() == loop[x].tobytes()
+            # each radius of a row against every point: an (n, m) broadcast of (n, 1) and (m,)
+            row = radii[rng.integers(sp.n)]
+            grid = sp.ball_mass(np.arange(sp.n)[:, None], row, closed=closed)
+            assert grid.shape == (sp.n, row.size)
+            assert grid.tobytes() == np.array([[sp.ball_mass(x, float(e), closed=closed) for e in row]
+                                               for x in range(sp.n)]).tobytes()
+            # the sorted-row lookups against a direct sum over the ball
+            d = sp.dist[xs]
+            inside = d <= radii[..., None] if closed else d < radii[..., None]
+            assert np.allclose(loop, (inside * sp.mass).sum(axis=2), rtol=1e-12, atol=1e-15)
+
+
+def test_ball_mass_returns_float_for_scalars_and_rejects_negative_radii():
+    sp = generate_space("random", n=6, seed=6)
+    assert type(sp.ball_mass(2, 0.3)) is float and type(sp.ball_mass(np.int64(2), np.float64(0.3))) is float
+    assert sp.ball_mass([0, 1, 2], 0.3).shape == (3,)
+    radii = np.full(sp.n, 0.2)
+    radii[4] = -1e-300
+    for x in (np.arange(sp.n), 0):
+        for closed in (True, False):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                sp.ball_mass(x, radii, closed=closed)
+    with pytest.raises(ValueError):
+        sp.ball_mass(0, -0.5)
+    with pytest.raises(ValueError):
+        sp.ball_mass(0, math.nan)
 
 
 def test_radius_table_two_point():

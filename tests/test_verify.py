@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,32 @@ def test_thm1_mismatch_rejected():
     mets = MinorizingMetrics(line, PHI2)  # different gauge
     with pytest.raises(ValueError):
         verify_thm1(cert, mets, np.zeros(3))
+
+
+def test_overflowing_quotients_raise_one_error_without_warnings():
+    # finite values whose quotient 1e308 / 0.5 overflows: every check that
+    # reads the quotients raises the same error, and numpy warns of nothing
+    grid = generate_space("grid", n=3)
+    f = np.array([1e308, 0.0, 0.0])
+    calls = [
+        lambda: verify_thm1(certificate_thm1(grid, PHI1, PHI2, 6.0, 1), MinorizingMetrics(grid, PHI1), f),
+        lambda: verify_thm3(certificate_thm3(grid, PHI2, 6.0), MinorizingMetrics(grid, PHI2), f),
+        lambda: proof_trace(radius_table(grid, PHI1, 6.0), MinorizingMetrics(grid, PHI1), 0, 2, 3, f=f),
+        lambda: TestFunction(f).quotients(grid),
+    ]
+    messages = set()
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="overflow") as exc:
+                call()
+        assert caught == []
+        messages.add(str(exc.value))
+    assert messages == {"difference quotients |f(s) - f(t)| / d(s, t) overflow"}
+    # a difference that overflows between two coincident points, where no quotient is taken
+    coincident = MetricMeasureSpace(np.zeros((2, 2)), [0.5, 0.5], validate=False)
+    with pytest.raises(ValueError, match="overflow"):
+        TestFunction([1e308, -1e308]).quotients(coincident)
 
 
 def test_thm3_two_point_hand_traced():
@@ -276,7 +303,7 @@ def test_rel_margins_are_computed_once_and_read_only():
         margins[0] = 1.0
     assert check.rel_margins.tolist() == expected
     assert check.rel_margin == -inf and not check.passed
-    assert check.columns()[4] == expected and check.worst().locations == ("b",)
+    assert check.columns()[4].tolist() == expected and check.worst().locations == ("b",)
 
 
 def test_check_sizes_must_agree():

@@ -145,6 +145,13 @@ def searchsorted_radii(space, phi, R, kstar):
     return radii
 
 
+def searchsorted_ball_mass(space, x, eps, closed=True):
+    """Reference ball mass: one binary search on the sorted row of x."""
+    sorted_d, cum = space.distances_from(x)
+    idx = int(np.searchsorted(sorted_d, eps, side="right" if closed else "left"))
+    return 0.0 if idx == 0 else float(cum[idx - 1])
+
+
 def per_path_sample(sampler, n_paths, seed, block=1024):
     """Reference sampler: one path at a time from the normal stream of its block.
 
