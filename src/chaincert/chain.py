@@ -97,7 +97,8 @@ class ChainCertificate:
     theorem "T1" stores (A, B, K) with K = 3*A*B*R^(n0+1); theorem "T3"
     stores (A, B, C, K) with C = 2*A*R^5 and K = A*R/B. R is the effective
     ratio after any escalation; escalated_from records the caller's R when
-    it was raised to a power exceeding 5.
+    it was raised to a power exceeding 5. space is the space it was built on,
+    held by reference and not serialized.
     """
 
     theorem: str
@@ -110,14 +111,11 @@ class ChainCertificate:
     nu: np.ndarray = field(repr=False)
     tail_bound: float
     phi: object = field(repr=False)
+    space: object = field(repr=False, compare=False)
     psi: object = field(repr=False, default=None)
     escalated_from: float | None = None
     normalizer: float | None = None
     kstar: int = 0
-
-    @property
-    def n(self):
-        return self.nu.shape[0]
 
 
 def _effective_ratio(R):
@@ -240,6 +238,7 @@ def certificate_thm1(space, phi, psi, R, n0):
         nu=nu,
         tail_bound=3.0 * tail_bound * scale,
         phi=phi,
+        space=space,
         psi=psi,
         escalated_from=escalated_from,
         normalizer=total * scale,
@@ -287,6 +286,7 @@ def certificate_thm3(space, phi, R):
         nu=nu,
         tail_bound=0.0,
         phi=phi,
+        space=space,
         psi=None,
         escalated_from=escalated_from,
         normalizer=normalizer,
@@ -294,12 +294,12 @@ def certificate_thm3(space, phi, R):
     )
 
 
-def _check_agreement(cert, metrics):
-    """Reject a certificate and metrics built on spaces of different size or for different phi."""
-    if cert.n != metrics.n:
-        raise ValueError("certificate and metric matrix live on different spaces")
-    if cert.phi != metrics.phi:
-        raise ValueError("certificate and metrics were built for different Young functions")
+def _check_agreement(built, metrics):
+    """Reject a certificate or radius table and metrics built on different space objects or for different phi."""
+    if built.space is not metrics.space:
+        raise ValueError(f"{type(built).__name__} and metrics were built on different spaces")
+    if built.phi != metrics.phi:
+        raise ValueError(f"{type(built).__name__} and metrics were built for different Young functions")
 
 
 def modulus_pairs(cert, metrics):

@@ -136,7 +136,7 @@ def _parse_space(cfg, base_dir):
 
 
 def _check_values(vals, space, idx):
-    """Function idx as a TestFunction; values or difference quotients on space that are not all finite are a ConfigError."""
+    """Function idx as a TestFunction; a wrong length, or values or difference quotients that are not all finite, are a ConfigError."""
     try:
         f = TestFunction(vals)
         f.quotients(space)
@@ -146,17 +146,13 @@ def _check_values(vals, space, idx):
 
 
 def _parse_functions(cfg, space, seed_override):
-    n = space.n
     source = _get(cfg, "functions", "source", default="random")
     if source == "values":
         raw = _get(cfg, "functions", "values", required=True)
-        out = []
-        for idx, part in enumerate(raw.split(";")):
-            vals = [_number(float, v, "functions", "values") for v in part.split(",")]
-            if len(vals) != n:
-                raise ConfigError(f"function of length {len(vals)} on a {n}-point space")
-            out.append(_check_values(vals, space, idx))
-        return out
+        return [
+            _check_values([_number(float, v, "functions", "values") for v in part.split(",")], space, idx)
+            for idx, part in enumerate(raw.split(";"))
+        ]
     if source != "random":
         raise ConfigError(f"unknown function source {source!r}")
     count = _get_number(cfg, "functions", "count", int, default="20")
@@ -166,7 +162,7 @@ def _parse_functions(cfg, space, seed_override):
     if seed_override is not None:
         seed = seed_override
     rng = np.random.default_rng(seed)
-    return [rng.standard_normal(n) for _ in range(count)]
+    return [rng.standard_normal(space.n) for _ in range(count)]
 
 
 def _get_bool(cfg, section, key, default):
@@ -238,8 +234,9 @@ def _reprs(values):
     return texts[inverse].tolist()
 
 
-def _tau_rows(space, metrics, cert):
+def _tau_rows(metrics, cert):
     """tau.csv text, one string per first point i of the pairs (i, j > i); the modulus is empty for T1."""
+    space = metrics.space
     n = space.n
     mods = None if cert.theorem == "T1" else modulus_pairs(cert, metrics)
 
@@ -387,7 +384,7 @@ def run(config_path, out_dir=None, seed=None, strict=False):
         if cert.escalated_from is not None:
             results["warnings"].append(f"ratio escalated from {cert.escalated_from} to {cert.R}")
 
-        results["tau_rows"] = _tau_rows(space, metrics, cert)
+        results["tau_rows"] = _tau_rows(metrics, cert)
 
         reports = [(check(fvals), f"f{idx}:") for idx, fvals in enumerate(functions)]
         all_passed = all(report.passed for report, _ in reports)

@@ -129,6 +129,8 @@ class MetricMeasureSpace:
         eps = np.asarray(eps, dtype=float)
         if not (eps >= 0).all():
             raise ValueError("radius must be nonnegative")
+        if (np.asarray(x) < 0).any():
+            raise ValueError("point index must be nonnegative")
         rows = self._sorted_d[x]  # the ball is the first count entries of each sorted row
         if rows.ndim == 1:  # one row: a binary search per radius, with no (radii, n) mask
             count = np.searchsorted(rows, eps, side="right" if closed else "left")

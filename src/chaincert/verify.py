@@ -60,8 +60,10 @@ class TestFunction:
         object.__setattr__(self, "values", v)
 
     def quotients(self, space):
-        """|f(u) - f(v)| / d(u, v) with 0/0 = 0 on the diagonal; ValueError when a difference or quotient overflows."""
+        """|f(u) - f(v)| / d(u, v) with 0/0 = 0 on the diagonal; ValueError for a wrong length or an overflow."""
         f = self.values
+        if f.size != space.n:
+            raise ValueError(f"test function has the wrong length: {f.size} values on a {space.n}-point space")
         out = np.zeros(space.dist.shape)
         with np.errstate(over="ignore"):  # an overflow is inf, and rejected below
             spread = f.max() - f.min() if f.size else 0.0  # no difference overflows when this is finite
@@ -194,12 +196,6 @@ def _as_test_function(f):
     return f if isinstance(f, TestFunction) else TestFunction(np.asarray(f, dtype=float))
 
 
-def _check_compatible(cert, metrics, f):
-    _check_agreement(cert, metrics)
-    if f.values.size != metrics.n:
-        raise ValueError("test function has the wrong length")
-
-
 def verify_thm1(cert, metrics, f, nabla_r=None):
     """Check |f(s)-f(t)| <= K * |f^d|_gauge * tau(s,t) on every pair.
 
@@ -213,7 +209,7 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
     f = _as_test_function(f)
     if cert.theorem != "T1":
         raise ValueError("expected a ratio-pair (T1) certificate")
-    _check_compatible(cert, metrics, f)
+    _check_agreement(cert, metrics)
     space = metrics.space
     gauge = ConvexGauge(cert.psi)
     fd = f.quotients(space)
@@ -254,14 +250,13 @@ def verify_thm3(cert, metrics, f):
     f = _as_test_function(f)
     if cert.theorem != "T3":
         raise ValueError("expected a radius-weighted (T3) certificate")
-    _check_compatible(cert, metrics, f)
-    space = metrics.space
+    space = cert.space
     gauge = ConvexGauge(cert.phi)
     fd = f.quotients(space)
     rhs_int = float(np.sum(cert.nu * gauge.value(fd)))
 
     iu, iv = _triu(space.n)
-    mod = modulus_pairs(cert, metrics)
+    mod = modulus_pairs(cert, metrics)  # checks that cert and metrics agree; nothing above reads metrics
     diff = np.abs(f.values[iu] - f.values[iv])
     with np.errstate(over="ignore"):
         lhs = gauge.value(diff / mod)
@@ -361,7 +356,11 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     geometric_level_sum, trace_metric_bound, and, when f is given,
     smoothing_difference_bound for the supplied threshold shift n.
     """
+    _check_agreement(table, metrics)
     space = table.space
+    if f is not None:
+        f = _as_test_function(f)
+        fd = f.quotients(space)
     R = table.R
     if R <= 5:
         raise ValueError("proof traces require R > 5")
@@ -422,8 +421,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     checks.append(Check("trace_metric_bound", "A*tau", float(lhs_tm), float(A * metrics.tau[s, t])))
 
     if f is not None:
-        f = _as_test_function(f)
-        checks.append(_smoothing_difference_check(levels, f, s, t, tau, anchor, d_levels, n))
+        checks.append(_smoothing_difference_check(levels, f, fd, s, t, tau, anchor, d_levels, n))
 
     return ProofTrace(
         s=s, t=t, l=l, distance=d, a=a, b=b, c=c,
@@ -457,12 +455,11 @@ def _index_order_sums(terms, mask):
     return np.cumsum(np.where(mask, terms, 0.0), axis=-1)[..., -1]
 
 
-def _smoothing_difference_check(levels, f, s, t, tau, anchor, d_levels, n):
+def _smoothing_difference_check(levels, f, fd, s, t, tau, anchor, d_levels, n):
     table, l, ext = levels.table, levels.l, levels.ext
     space = table.space
     R = table.R
     phi = table.phi
-    fd = f.quotients(space)
     smoothed = levels.kernel @ f.values
     lhs = abs(float(smoothed[s] - smoothed[t]))
 

@@ -7,6 +7,8 @@ weight normalizer B is about 1.8e-6, and the composite constant
 K = 3*A*B*R^(n0+1) drops far below A*R^(n0+1)*(1+B), the bound the chaining
 argument actually yields; the strict pairwise inequality then fails on any
 space with at least two points (see the relaxed bound reported alongside).
+The (power 1, power 2) constant fails too once R is large enough; a passing
+test measures that failure on the three-point line at R = 20.
 """
 
 import time
@@ -172,6 +174,27 @@ def test_criterion5_holder_bound_quadratic_quartic():
     assert worst_pair >= -1e-9
     assert worst_sup >= -1e-9
     assert elapsed < 120.0
+
+
+def test_composite_constant_violation_is_measured_for_linear_quadratic():
+    # K = 3*A*B*R^(n0+1) falls with R for (power 1, power 2): 29.2, 4.11, 2.00
+    # and 1.10 at R = 6, 10, 14 and 20. On the three-point line the pairwise
+    # bound still holds at R = 14 and fails at R = 20 for the third function
+    # of scenarios/line3.cfg, on one pair, while the relaxed bound holds.
+    line = line3_space()
+    mets = MinorizingMetrics(line, PHI1)
+    f = [0.5, -0.25, 2.0]
+    cert = certificate_thm1(line, PHI1, PHI2, 14.0, 1)
+    assert abs(cert.K - 2.002) < 1e-3
+    assert verify_thm1(cert, mets, f, nabla_r=1.0).passed
+    cert = certificate_thm1(line, PHI1, PHI2, 20.0, 1)
+    assert abs(cert.K - 1.095) < 1e-3
+    report = verify_thm1(cert, mets, f, nabla_r=1.0)
+    assert report.failed_names() == ["holder_bound"]
+    locations, lhs, rhs, _, _, passed = report.check("holder_bound").columns()
+    assert [x for x, ok in zip(locations, passed) if not ok] == ["(1,2)"]
+    assert lhs[2] == 2.25 and abs(rhs[2] - 1.984) < 1e-3
+    assert report.check("holder_bound_relaxed").passed
 
 
 def test_criterion6_modulus_bound():

@@ -224,6 +224,7 @@ def test_non_finite_knots_are_config_errors(tmp_path, capsys, knots):
 # quotient that overflows on a grid whose gaps are below 1
 _UNUSABLE_VALUES = [
     ("line3", {}, "nan,0,1"),
+    ("line3", {}, "0,1"),
     ("line3", {}, "0,1,0; 1,inf,0"),
     ("line3", {}, "1e308,-1e308,0"),
     ("line3", {"scale": "1.0"}, "1e308,0,0"),

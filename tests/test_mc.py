@@ -14,9 +14,14 @@ from chaincert import (
     empirical_corollary,
     gaussian_abs_moment,
     gaussian_cov_sampler,
+    generate_space,
     increment_moment_stats,
     modulus_pairs,
+    proof_trace,
+    radius_table,
     sample,
+    verify_thm1,
+    verify_thm3,
 )
 from util import gather_path_sups, per_path_sample
 
@@ -129,18 +134,32 @@ def test_empirical_corollary_modulus_variant():
     assert report.stat("modulus_ratio_sup").mean < 1.0
 
 
-@pytest.mark.parametrize("mismatch", ["phi", "size"])
+@pytest.mark.parametrize("mismatch", ["phi", "size", "space"])
 def test_certificate_and_metrics_must_agree(mismatch):
-    # a T3 certificate for phi = x^2 against metrics for phi = x, or for a
-    # space of another size, would give a modulus and a Monte Carlo verdict
-    s = brownian_grid_sampler(8, PHI2)
-    cert = certificate_thm3(s.space, PHI2, 6.0)
-    mets = MinorizingMetrics(s.space, PHI1) if mismatch == "phi" else \
-        MinorizingMetrics(brownian_grid_sampler(9, PHI2).space, PHI2)
-    with pytest.raises(ValueError, match="different"):
-        modulus_pairs(cert, mets)
-    with pytest.raises(ValueError, match="different"):
-        empirical_corollary(sample(s, 20, seed=1), cert, mets)
+    # certificates and a radius table against metrics for another phi, or of
+    # another space (of another size, or of the same size but built on its
+    # own), would give verdicts, moduli, Monte Carlo statistics and traces
+    space = generate_space("random", n=8, seed=1)
+    other = {"phi": space, "size": generate_space("random", n=9, seed=1),
+             "space": generate_space("random", n=8, seed=2)}[mismatch]
+    phi1, phi3 = (PHI2, PHI1) if mismatch == "phi" else (PHI1, PHI2)  # the metrics' phi for T1 and T3
+    mets1, mets3 = MinorizingMetrics(other, phi1), MinorizingMetrics(other, phi3)
+    t1 = certificate_thm1(space, PHI1, PHI2, 6.0, 1)
+    t3 = certificate_thm3(space, PHI2, 6.0)
+    table = radius_table(space, PHI1, 6.0)
+    f = np.linspace(0.0, 1.0, 8)
+    batch = PathBatch(np.ones((20, 8)))
+    calls = [
+        lambda: verify_thm1(t1, mets1, f, nabla_r=1.0),
+        lambda: verify_thm3(t3, mets3, f),
+        lambda: modulus_pairs(t3, mets3),
+        lambda: empirical_corollary(batch, t1, mets1),
+        lambda: empirical_corollary(batch, t3, mets3),
+        lambda: proof_trace(table, mets1, 0, 1, table.kstar + 2, f=f),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="different"):
+            call()
 
 
 def _ou_sampler(n, psi):

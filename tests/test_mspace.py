@@ -329,6 +329,9 @@ def test_ball_mass_returns_float_for_scalars_and_rejects_negative_radii():
         sp.ball_mass(0, -0.5)
     with pytest.raises(ValueError):
         sp.ball_mass(0, math.nan)
+    for x in (-1, [0, -1]):  # a negative index would read a row from the end
+        with pytest.raises(ValueError, match="point index must be nonnegative"):
+            sp.ball_mass(x, 0.5)
 
 
 def test_radius_table_two_point():

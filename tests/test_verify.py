@@ -197,6 +197,10 @@ def test_proof_trace_argument_validation():
     low = radius_table(line, PHI1, 2.0)
     with pytest.raises(ValueError):
         proof_trace(low, mets, 0, 1, l=3)
+    five = generate_space("random", n=5, seed=0)
+    table = radius_table(five, PHI1, 6.0)
+    with pytest.raises(ValueError, match="wrong length: 3 values on a 5-point space"):
+        proof_trace(table, MinorizingMetrics(five, PHI1), 0, 1, l=table.kstar + 2, f=[0.0, 1.0, 2.0])
 
 
 def test_start_level_gap_violation_is_measured():
