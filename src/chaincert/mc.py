@@ -200,12 +200,15 @@ def _pair_rows(values, denom):
 
 
 def _path_sups(values, denom):
-    """Per-path max over the pairs of |x_i - x_j| / denom."""
+    """Per-path max over the pairs of |x_i - x_j| / denom, _BLOCK paths at a
+    time, so that _pair_rows' copies are O(n * _BLOCK) for any number of paths."""
     if values.shape[1] < 2:
         raise ValueError("the sup statistic needs at least two points")
     sups = np.full(values.shape[0], -np.inf)
-    for block in _pair_rows(values, denom):
-        np.maximum(sups, block.max(axis=0), out=sups)
+    for lo in range(0, values.shape[0], _BLOCK):
+        part = sups[lo:lo + _BLOCK]
+        for block in _pair_rows(values[lo:lo + _BLOCK], denom):
+            np.maximum(part, block.max(axis=0), out=part)
     return sups
 
 
