@@ -63,9 +63,7 @@ def _ball_rows(space, radii, closed=True):
     """Row x averages over the closed (d <= r(x)) or open (d < r(x)) ball around x."""
     ind = space.dist <= radii[:, None] if closed else space.dist < radii[:, None]
     rowmass = ind @ space.mass
-    with np.errstate(invalid="ignore", divide="ignore"):
-        P = np.where(rowmass[:, None] > 0, ind * space.mass[None, :] / rowmass[:, None], 0.0)
-    return P
+    return np.divide(space.mass, rowmass[:, None], out=np.zeros(ind.shape), where=ind & (rowmass > 0)[:, None])
 
 
 def averaging_kernel(table, k):
@@ -79,15 +77,18 @@ def _ball_levels(space, table):
     """Yield the mass-weighted pair (closed_k, open_(k-1)) for k = 1..kstar.
 
     The level-0 open ball is the whole space, so open_0 is the product
-    measure. Each matrix is built when the walk reaches it, so at most one
-    closed and one open level matrix are live at a time.
+    measure. Each matrix is built (and scaled in place) when the walk reaches
+    it, so at most one closed and one open level matrix are live at a time.
     """
-    mass = space.mass
-    open_prev = np.outer(mass, mass)
+    open_prev = np.outer(space.mass, space.mass)
+    mass = space.mass[:, None]
     for k in range(1, table.kstar + 1):
-        yield mass[:, None] * _ball_rows(space, table.radius_vector(k)), open_prev
+        closed = _ball_rows(space, table.radius_vector(k))
+        closed *= mass
+        yield closed, open_prev
         if k < table.kstar:
-            open_prev = mass[:, None] * _ball_rows(space, table.radius_vector(k), closed=False)
+            open_prev = _ball_rows(space, table.radius_vector(k), closed=False)
+            open_prev *= mass
 
 
 @dataclass(frozen=True)
@@ -214,9 +215,13 @@ def certificate_thm1(space, phi, psi, R, n0):
     weights, weight_sum, tail_weight, tail_bound, scale = _weight_series(phi, psi, math.log(Reff), n0, table.kstar)
 
     bracket_sum = np.zeros_like(space.dist)
+    level = np.empty_like(space.dist)  # wk * (2 closed + open_prev); closed itself is read again below
     closed = None
     for wk, (closed, open_prev) in zip(weights, _ball_levels(space, table)):
-        bracket_sum += wk * (2.0 * closed + open_prev)
+        np.multiply(closed, 2.0, out=level)
+        level += open_prev
+        level *= wk
+        bracket_sum += level
     if closed is None:  # kstar = 0: a single point, whose level-0 ball is the whole space
         closed = space.mass[:, None] * _ball_rows(space, table.radius_vector(0))
     bracket_sum += tail_weight * 2.0 * closed
@@ -224,6 +229,7 @@ def certificate_thm1(space, phi, psi, R, n0):
     if total <= 0.0:
         raise CertificateError("degenerate space: the pair measure has no mass")
     nu = bracket_sum / total
+    nu.flags.writeable = False
     A = constant_a(Reff)
     B1 = 3.0 * weight_sum * scale
     K = 3.0 * A * B1 * Reff ** (n0 + 1)
@@ -271,6 +277,7 @@ def certificate_thm3(space, phi, R):
         )
     normalizer = total / (1.0 - 1.0 / Reff)
     nu = S / total
+    nu.flags.writeable = False
     A = constant_a(Reff)
     B3 = constant_b3(Reff)
     C = 2.0 * A * Reff ** 5
@@ -305,15 +312,22 @@ def _check_agreement(built, metrics):
 def modulus_pairs(cert, metrics):
     """C * tau(s,t) * gauge_inverse(M / (K * tau(s,t))) over the pairs s < t of
     mspace._triu, with the threshold inverse of the shifted gauge (value 1
-    at 0); zero tau is rejected."""
+    at 0); zero tau is rejected. Metrics are a function of (space, phi), so the
+    moduli are computed once per certificate and kept on it, read-only and
+    outside its fields, for every metrics that agrees with it."""
     if cert.theorem != "T3":
         raise ValueError("modulus is defined for radius-weighted certificates only")
     _check_agreement(cert, metrics)
-    tau = metrics.tau[_triu(metrics.space.n)]
-    if np.any(tau <= 0):
-        raise ValueError("distinct points with zero minorizing distance")
-    gauge = ConvexGauge(cert.phi)
-    return cert.C * tau * gauge.inverse_from_one(metrics.total / (cert.K * tau))
+    mod = cert.__dict__.get("_moduli")
+    if mod is None:
+        tau = metrics.tau[_triu(metrics.space.n)]
+        if (tau <= 0).any():
+            raise ValueError("distinct points with zero minorizing distance")
+        gauge = ConvexGauge(cert.phi)
+        mod = cert.C * tau * gauge.inverse_from_one(metrics.total / (cert.K * tau))
+        mod.flags.writeable = False
+        cert.__dict__["_moduli"] = mod
+    return mod
 
 
 def certificate_to_json(cert):

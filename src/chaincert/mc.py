@@ -95,7 +95,7 @@ def gaussian_cov_sampler(cov, psi):
     sigma2 = np.maximum(sigma2, 0.0)
     np.fill_diagonal(sigma2, 0.0)
     sigma = np.sqrt(sigma2)
-    if np.any(sigma[~np.eye(n, dtype=bool)] <= 0):
+    if (sigma[~np.eye(n, dtype=bool)] <= 0).any():
         raise ValueError("covariance induces coincident points")
     c = _normalizer(psi)
     m = np.full(n, 1.0 / n)
@@ -249,7 +249,7 @@ def empirical_corollary(batch, cert, metrics):
     if batch.values.shape[1] != space.n:
         raise ValueError("batch, certificate and metrics must share one space")
     tau = metrics.tau[_triu(space.n)]
-    if np.any(tau <= 0):
+    if (tau <= 0).any():
         raise ValueError("coincident points produce zero minorizing distances")
     stats = []
     if cert.theorem == "T1" and cert.K == 0.0:

@@ -119,6 +119,7 @@ class MinorizingMetrics:
             full[blk] = _growth_at(table, np.full(len(vals), D))
         self.tau = np.maximum(rows, rows.T)
         np.fill_diagonal(self.tau, 0.0)
+        self.tau.flags.writeable = False
         self.total = float(np.dot(space.mass, full))
 
     @property

@@ -72,9 +72,9 @@ class MetricMeasureSpace:
             raise SpaceValidationError("distances must be finite")
         if not np.isfinite(mass).all():
             raise SpaceValidationError("masses must be finite")
-        if np.any(dist < 0):
+        if (dist < 0).any():
             raise SpaceValidationError("distances must be nonnegative")
-        if np.any(np.abs(np.diag(dist)) > _ATOL):
+        if (np.abs(np.diag(dist)) > _ATOL).any():
             raise SpaceValidationError("diagonal of the distance matrix must be zero")
         asym = np.subtract(dist, dist.T)  # the one n x n float temporary, freed before the triangle check
         if (np.abs(asym, out=asym) > _ATOL).any():
@@ -83,7 +83,7 @@ class MetricMeasureSpace:
         # an off-diagonal zero shows as more zeros in dist than on its diagonal
         if np.count_nonzero(dist == 0) > np.count_nonzero(np.diagonal(dist) == 0):
             raise SpaceValidationError("distinct points must have positive distance (coincident points)")
-        if np.any(mass < 0):
+        if (mass < 0).any():
             raise SpaceValidationError("masses must be nonnegative")
         if abs(mass.sum() - 1.0) > _ATOL:
             raise SpaceValidationError("masses must sum to 1")

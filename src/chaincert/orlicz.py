@@ -21,11 +21,11 @@ def _aligned(values, weights):
     v = np.abs(np.asarray(values, dtype=float).ravel())
     if v.shape != w.shape:
         raise ValueError(f"values and weights are misaligned: {v.shape} vs {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError("weights must be nonnegative")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("function values must be finite")
     return v, w
 

@@ -55,7 +55,7 @@ class TestFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("test functions must be finite")
         object.__setattr__(self, "values", v)
 
@@ -229,8 +229,7 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
     if nabla_r is not None:
         rhs_int = float(np.sum(cert.nu * gauge.value(fd)))
         denom = cert.K * nabla_r * tau  # 0 at a zero tau and everywhere when K underflowed to 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(denom > 0, lhs / denom, np.where(lhs > 0, np.inf, 0.0))
+        ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
         sup_lhs = float(gauge.value(ratios).max()) if ratios.size else 0.0
         checks.append(Check("gauge_sup_bound", "sup", sup_lhs, rhs_int))
     checks.append(holder)
@@ -390,7 +389,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
         u_ball = balls[k, x]
         union = balls[k, s] | balls[k, t]
         r_prev = table.radius_vector(k - 1)[u_ball]
-        return not np.any(space.dist[np.ix_(u_ball, union)] >= r_prev[:, None])
+        return not (space.dist[np.ix_(u_ball, union)] >= r_prev[:, None]).any()
 
     cap = max(c, 1)
     tau_by_point = {}
@@ -439,7 +438,7 @@ def _ball_averages(space, fd, balls, thresholds, rows):
     and change the last bits.
     """
     out = np.zeros(rows.shape)
-    hits = rows & np.any(balls & (fd >= np.asarray(thresholds)[:, None, None]), axis=2)
+    hits = rows & (balls & (fd >= np.asarray(thresholds)[:, None, None])).any(axis=2)
     for i, u in zip(*np.nonzero(hits)):
         member = np.flatnonzero(balls[i, u])
         w = space.mass[member]

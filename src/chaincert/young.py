@@ -76,14 +76,14 @@ class YoungFunction:
             raise ValueError("knots must be finite")
         if xs[0] != 0.0 or ys[0] != 0.0:
             raise ValueError("first knot must be (0, 0)")
-        if not np.any((xs == 1.0) & (ys == 1.0)):
+        if not ((xs == 1.0) & (ys == 1.0)).any():
             raise ValueError("knot (1, 1) is mandatory")
-        if np.any(np.diff(xs) <= 0):
+        if (np.diff(xs) <= 0).any():
             raise ValueError("knot abscissae must be strictly increasing")
-        if np.any(np.diff(ys) < 0):
+        if (np.diff(ys) < 0).any():
             raise ValueError("knot values must be nondecreasing")
         slopes = np.diff(ys) / np.diff(xs)
-        if np.any(np.diff(slopes) < -1e-12):
+        if (np.diff(slopes) < -1e-12).any():
             raise ValueError("knots must describe a convex function")
         if slopes[-1] <= 0:
             raise ValueError("final slope must be positive (unbounded growth)")
@@ -96,7 +96,7 @@ class YoungFunction:
     def value(self, x):
         """phi(x) for scalar or array x >= 0."""
         arr = np.asarray(x, dtype=float)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("Young functions are evaluated on [0, inf) only")
         if self.kind == "power":
             out = arr ** self.p
@@ -116,7 +116,7 @@ class YoungFunction:
     def inverse(self, y):
         """Smallest x >= 0 with phi(x) = y (smallest preimage on flat runs)."""
         arr = np.asarray(y, dtype=float)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("inverse is defined for y >= 0 only")
         if self.kind == "power":
             out = arr ** (1.0 / self.p)
@@ -134,13 +134,13 @@ class YoungFunction:
         inside = (j > 0) & (j < len(ys))
         beyond = j >= len(ys)
         out[j == 0] = 0.0
-        if np.any(inside):
+        if inside.any():
             ji = j[inside]
             out[inside] = xs[ji - 1] + (arr[inside] - ys[ji - 1]) / slopes[ji - 1]
-        if np.any(at_knot):
+        if at_knot.any():
             jk = np.minimum(j[at_knot], len(ys) - 1)
             out[at_knot] = xs[jk]
-        if np.any(beyond):
+        if beyond.any():
             out[beyond] = xs[-1] + (arr[beyond] - ys[-1]) / slopes[-1]
         return out
 
@@ -275,7 +275,7 @@ def product_condition(phi, r, c, grid=None):
     if grid is None:
         grid = _default_product_grid(c)
     pts = np.asarray(grid, dtype=float)
-    if np.any(pts < c):
+    if (pts < c).any():
         raise ValueError("grid points must be >= c")
     for x in pts:
         lx = phi.log_value(x)

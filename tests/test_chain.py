@@ -19,6 +19,7 @@ from chaincert import (
     generate_space,
     modulus_pairs,
     radius_table,
+    verify_thm3,
 )
 from util import line3_space, random_battery, two_point_space
 
@@ -135,6 +136,66 @@ def test_modulus_formula():
     # hand re-evaluation: C * sqrt(2) * sqrt(1 + 1/K)
     hand = 1511654.4 * np.sqrt(2.0) * np.sqrt(1.0 + 1.0 / 3.75)
     assert got == pytest.approx(hand, rel=1e-9)
+
+
+def _report_bytes(report):
+    """Everything a report says, as bytes: each check's name, locations, lhs and rhs, and the params."""
+    parts = [repr(report.params).encode()]
+    for c in report.checks:
+        parts += [c.name.encode(), repr(list(c.locations)).encode(), c.lhs.tobytes(), c.rhs.tobytes()]
+    return b"|".join(parts)
+
+
+_MODULI_SPACES = {
+    "random": lambda: generate_space("random", n=23, seed=4),
+    "random-mass": lambda: generate_space("random", n=64, seed=5, mass="random"),
+    "grid": lambda: generate_space("grid", n=40, gamma=0.5),
+    "tree": lambda: generate_space("tree", depth=4),
+    "random-300": lambda: generate_space("random", n=300, seed=6),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MODULI_SPACES))
+def test_cached_moduli_give_the_reports_of_fresh_certificates(kind):
+    # the moduli are built by the first call and reused by every later one,
+    # also with a second metrics object that agrees with the certificate
+    space = _MODULI_SPACES[kind]()
+    cert = certificate_thm3(space, PHI2, 6.0)
+    mets = MinorizingMetrics(space, PHI2)
+    other_mets = MinorizingMetrics(space, YoungFunction.power(2))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        f = rng.standard_normal(space.n)
+        fresh = verify_thm3(certificate_thm3(space, PHI2, 6.0), MinorizingMetrics(space, PHI2), f)
+        for m in (mets, other_mets, mets):
+            assert _report_bytes(verify_thm3(cert, m, f)) == _report_bytes(fresh)
+    assert modulus_pairs(cert, other_mets) is modulus_pairs(cert, mets)
+
+
+def test_cached_moduli_still_check_agreement():
+    space = generate_space("random", n=8, seed=1)
+    cert = certificate_thm3(space, PHI2, 6.0)
+    mets = MinorizingMetrics(space, PHI2)
+    mod = modulus_pairs(cert, mets)
+    assert modulus_pairs(cert, mets) is mod
+    f = np.linspace(0.0, 1.0, 8)
+    for other in (MinorizingMetrics(generate_space("random", n=8, seed=2), PHI2), MinorizingMetrics(space, PHI1)):
+        for call in (lambda: modulus_pairs(cert, other), lambda: verify_thm3(cert, other, f)):
+            with pytest.raises(ValueError, match="different"):
+                call()
+    assert modulus_pairs(cert, mets) is mod
+
+
+def test_cached_inputs_are_read_only():
+    space = generate_space("random", n=8, seed=1)
+    t1 = certificate_thm1(space, PHI1, PHI2, 6.0, 1)
+    t3 = certificate_thm3(space, PHI2, 6.0)
+    mets = MinorizingMetrics(space, PHI2)
+    for arr in (mets.tau, t1.nu, t3.nu, modulus_pairs(t3, mets)):
+        before = arr.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+        assert np.array_equal(arr, before)
 
 
 def test_kernel_average_bound_line():
