@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
 _ATOL = 1e-12
 _TRIANGLE_BLOCK = 2 ** 16  # floats of two-hop sums in one block of the triangle check (512 KB)
 _TRIANGLE_ROWS = 8  # rows i per block; the block's columns j fill the rest of the budget
+_TRIANGLE_SPLIT = 128  # from this many points on, the triangle check runs as two halves, one in a helper thread
 
 
 class SpaceValidationError(ValueError):
@@ -37,6 +39,49 @@ class SpaceValidationError(ValueError):
 
 class ZeroMassAtomError(ValueError):
     pass
+
+
+def _triangle_buffers(n, bj):
+    """One (8, bj, n) block of two-hop sums and one (8, n) strip of their minima.
+
+    The block starts on a 64-byte cache line: malloc aligns to 16 bytes only,
+    and the add into a block that straddles cache lines ran about 25% slower.
+    """
+    size = _TRIANGLE_ROWS * bj * n
+    raw = np.empty(size + 7)
+    skip = -raw.ctypes.data % 64 // raw.itemsize
+    return raw[skip:skip + size].reshape(_TRIANGLE_ROWS, bj, n), np.empty((_TRIANGLE_ROWS, n))
+
+
+def _triangle_rows(dist, starts, buf, strip, stop):
+    """Check the triangle inequality on the row blocks that begin at starts.
+
+    A block of 8 rows i and bj columns j >= a holds the two-hop sums
+    d(i,k) + d(j,k) over every pivot k, with k on the contiguous last axis so
+    that the add and the min over k both stream through rows of dist; buf is
+    reused, and the minima of a row block fill the strip, which is compared
+    once, so memory stays O(n^2) with no n x n matrix of minima. The sum is
+    symmetric in (i, j) exactly, so one limit serves d(i,j) and d(j,i), and
+    only columns j >= a of row block a are built. On a violation, sets stop
+    and returns; returns early once stop is set.
+    """
+    n = dist.shape[0]
+    bj = buf.shape[1]
+    for a in starts:
+        if stop.is_set():
+            return
+        rows = dist[a:a + _TRIANGLE_ROWS, None, :]
+        r = rows.shape[0]
+        for b in range(a, n, bj):
+            cols = dist[None, b:b + bj, :]
+            sums = buf[:r, :cols.shape[1]]
+            np.add(rows, cols, out=sums)
+            sums.min(axis=2, out=strip[:r, b:b + bj])
+        lim = strip[:r, a:]
+        lim += _ATOL
+        if (dist[a:a + r, a:] > lim).any() or (dist[a:, a:a + r].T > lim).any():
+            stop.set()
+            return
 
 
 class MetricMeasureSpace:
@@ -87,32 +132,42 @@ class MetricMeasureSpace:
             raise SpaceValidationError("masses must be nonnegative")
         if abs(mass.sum() - 1.0) > _ATOL:
             raise SpaceValidationError("masses must sum to 1")
-        # d(i,j) <= d(i,k) + d(j,k) for all triples, up to float tolerance.
-        # A block of 8 rows i and bj columns j >= i holds the two-hop sums
-        # d(i,k) + d(j,k) over every pivot k, with k on the contiguous last
-        # axis so that the add and the min over k both stream through rows of
-        # dist; one (8, bj, n) buffer is reused, and the minima of a row block
-        # fill one (8, n) strip that is compared once, so memory stays O(n^2)
-        # with no n x n matrix of minima. The sum is symmetric in (i, j)
-        # exactly, so one limit serves d(i,j) and d(j,i), and only columns
-        # j >= a of row block a are built. The minimum is exact, so the
-        # blocking changes no verdict.
+        # d(i,j) <= d(i,k) + d(j,k) for all triples, up to float tolerance;
+        # _triangle_rows checks one row block after another. From
+        # _TRIANGLE_SPLIT points on, the row blocks are dealt alternately to
+        # two halves, since a block's columns j >= a shrink with a; one half
+        # runs here and one in a helper thread that is joined before this
+        # returns or raises. numpy's add and min release the GIL, so the
+        # halves overlap on two cores. A half that finds a violation sets
+        # stop, and the other half quits at its next row block. The minimum
+        # is exact, so the split changes no verdict.
         n = mass.size
         bj = min(n, max(1, _TRIANGLE_BLOCK // (_TRIANGLE_ROWS * n)))
-        buf = np.empty((_TRIANGLE_ROWS, bj, n))
-        strip = np.empty((_TRIANGLE_ROWS, n))
-        for a in range(0, n, _TRIANGLE_ROWS):
-            rows = dist[a:a + _TRIANGLE_ROWS, None, :]
-            r = rows.shape[0]
-            for b in range(a, n, bj):
-                cols = dist[None, b:b + bj, :]
-                sums = buf[:r, :cols.shape[1]]
-                np.add(rows, cols, out=sums)
-                sums.min(axis=2, out=strip[:r, b:b + bj])
-            lim = strip[:r, a:]
-            lim += _ATOL
-            if (dist[a:a + r, a:] > lim).any() or (dist[a:, a:a + r].T > lim).any():
-                raise SpaceValidationError("triangle inequality violated")
+        starts = range(0, n, _TRIANGLE_ROWS)
+        stop = threading.Event()
+        if n < _TRIANGLE_SPLIT:
+            _triangle_rows(dist, starts, *_triangle_buffers(n, bj), stop)
+        else:
+            helper_buffers = _triangle_buffers(n, bj)  # allocated here, so a MemoryError is raised here
+            finished = threading.Event()
+
+            def helper_half():
+                _triangle_rows(dist, starts[1::2], *helper_buffers, stop)
+                finished.set()
+
+            helper = threading.Thread(target=helper_half, name="chaincert-triangle")
+            helper.start()
+            try:
+                _triangle_rows(dist, starts[::2], *_triangle_buffers(n, bj), stop)
+            except BaseException:
+                stop.set()  # the helper quits at its next row block; the exception goes on
+                raise
+            finally:
+                helper.join()
+            if not finished.is_set():
+                raise RuntimeError("the helper thread of the triangle check failed")
+        if stop.is_set():
+            raise SpaceValidationError("triangle inequality violated")
 
     @property
     def n(self):

@@ -90,6 +90,15 @@ class _PairLocations(Sequence):
         return (f"({i},{j})" for i, j in zip(self.iu.tolist(), self.iv.tolist()))
 
 
+def _rel_margins(lhs, rhs):
+    """(rhs - lhs) / max(1, |rhs|) of float arrays; -inf where lhs is infinite, else inf where rhs is."""
+    with np.errstate(invalid="ignore"):
+        out = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
+    out[np.isinf(rhs)] = np.inf
+    out[np.isinf(lhs)] = -np.inf
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Check:
     """One named inequality lhs <= rhs, measured at one or more locations.
@@ -120,14 +129,8 @@ class Check:
 
     @functools.cached_property
     def rel_margins(self):
-        """(rhs - lhs) / max(1, |rhs|); -inf where lhs is infinite, else inf where rhs is.
-
-        Computed once per check and read-only.
-        """
-        with np.errstate(invalid="ignore"):
-            out = (self.rhs - self.lhs) / np.maximum(1.0, np.abs(self.rhs))
-        out[np.isinf(self.rhs)] = np.inf
-        out[np.isinf(self.lhs)] = -np.inf
+        """The relative margin of each location (see _rel_margins); computed once per check and read-only."""
+        out = _rel_margins(self.lhs, self.rhs)
         out.flags.writeable = False
         return out
 
@@ -143,7 +146,7 @@ class Check:
 
     def worst(self):
         """The first location with the smallest relative margin, as a check of size 1."""
-        j = int(np.argmin(self.rel_margins))
+        j = int(self.rel_margins.argmin())
         return Check(self.name, self.locations[j], self.lhs[[j]], self.rhs[[j]])
 
     def columns(self):
@@ -152,6 +155,13 @@ class Check:
         with np.errstate(invalid="ignore"):  # inf - inf is nan
             margin = self.rhs - self.lhs
         return self.locations, self.lhs, self.rhs, margin, rel, rel >= -REL_SLACK
+
+
+def _worst_row(name, locations, lhs, rhs):
+    """Check(name, locations, lhs, rhs).worst() for float arrays lhs and rhs,
+    without building the check over all locations."""
+    j = int(_rel_margins(lhs, rhs).argmin())
+    return Check(name, locations[j], lhs[[j]], rhs[[j]])
 
 
 class _CheckList:
@@ -224,10 +234,10 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
     checks = []
     relaxed_K = cert.A * cert.R ** (cert.n0 + 1) * (1.0 + cert.B)
     if lhs.size:
-        checks.append(Check("holder_bound_relaxed", pairs, lhs, relaxed_K * lux * tau).worst())
+        checks.append(_worst_row("holder_bound_relaxed", pairs, lhs, relaxed_K * lux * tau))
 
     if nabla_r is not None:
-        rhs_int = float(np.sum(cert.nu * gauge.value(fd)))
+        rhs_int = float((cert.nu * gauge.value(fd)).sum())
         denom = cert.K * nabla_r * tau  # 0 at a zero tau and everywhere when K underflowed to 0
         ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
         sup_lhs = float(gauge.value(ratios).max()) if ratios.size else 0.0
@@ -252,7 +262,7 @@ def verify_thm3(cert, metrics, f):
     space = cert.space
     gauge = ConvexGauge(cert.phi)
     fd = f.quotients(space)
-    rhs_int = float(np.sum(cert.nu * gauge.value(fd)))
+    rhs_int = float((cert.nu * gauge.value(fd)).sum())
 
     iu, iv = _triu(space.n)
     mod = modulus_pairs(cert, metrics)  # checks that cert and metrics agree; nothing above reads metrics
@@ -405,9 +415,8 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
 
     # start_level_gap: d_tau <= r_(tau-1)(u) on the balls that define tau
     us = np.concatenate([np.flatnonzero(balls[tau, x]) for x in (s, t) if tau_by_point[x] == tau])
-    gap = Check("start_level_gap", [f"u={u}" for u in us.tolist()], np.full(us.size, d_levels[tau]),
-                table.radius_vector(tau - 1)[us])
-    checks.append(gap.worst())
+    checks.append(_worst_row("start_level_gap", [f"u={u}" for u in us.tolist()],
+                             np.full(us.size, d_levels[tau]), table.radius_vector(tau - 1)[us]))
 
     lhs_sum = d_levels[tau] * R ** tau
     lhs_sum += sum((ext[k][s] + ext[k][t]) * R ** k for k in range(tau, c + 1))
@@ -565,19 +574,18 @@ def converse_witness(space, phi, psi, R, n0, t, l):
         gap = np.abs(dists[iu] - dists[iv])
         avg = np.zeros(iu.size)
         np.divide(np.abs(psi_integral[iu] - psi_integral[iv]), gap, out=avg, where=gap > 0)
-        checks.append(Check("difference_jensen", pairs, psi.value(quot), avg).worst())
-        checks.append(Check("step_average_bound", pairs, avg, psi_h[iu] + psi_h[iv]).worst())
+        checks.append(_worst_row("difference_jensen", pairs, psi.value(quot), avg))
+        checks.append(_worst_row("step_average_bound", pairs, avg, psi_h[iu] + psi_h[iv]))
 
     # reconstruction against the full ladder (levels beyond l add no zeros)
     full_radii = np.array([table.radius(k, t) for k in range(table.kstar + 2)])
     breakpoints = np.unique(dists)
     closed_mass = space.ball_mass(t, breakpoints)
     factor = R ** (n0 + 1)
-    rec = Check(
+    checks.append(_worst_row(
         "inverse_reconstruction", [f"eps={eps:.6g}" for eps in breakpoints.tolist()],
         phi.inverse(1.0 / closed_mass), factor * _step_value(full_radii, R, n0, breakpoints, table.kstar),
-    )
-    checks.append(rec.worst())
+    ))
 
     ratios = np.zeros(n)
     away = (np.arange(n) != t) & (dists > 0)

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -128,11 +130,22 @@ def _triangle_cases(rng):
                 yield pushed + skew
 
 
-@pytest.mark.parametrize("block", [mspace._TRIANGLE_BLOCK, 2000, 1])
-def test_triangle_check_matches_tensor_oracle(monkeypatch, block):
+# every block budget at the size cutoff of the two-half triangle check, where
+# these spaces of n <= 70 run serially, and at cutoff 0, where every space
+# runs as two halves
+BLOCK_SPLITS = [
+    pytest.param(block, split, id=str(block) if split else f"{block}-halves")
+    for split in (mspace._TRIANGLE_SPLIT, 0)
+    for block in (mspace._TRIANGLE_BLOCK, 2000, 1)
+]
+
+
+@pytest.mark.parametrize("block, split", BLOCK_SPLITS)
+def test_triangle_check_matches_tensor_oracle(monkeypatch, block, split):
     # at n = 70 the smaller budgets give column blocks of 3 and 1 beside the
     # row blocks of 8, with ragged ends
     monkeypatch.setattr(mspace, "_TRIANGLE_BLOCK", block)
+    monkeypatch.setattr(mspace, "_TRIANGLE_SPLIT", split)
     verdicts = []
     for dist in _triangle_cases(np.random.default_rng(33)):
         n = dist.shape[0]
@@ -174,11 +187,12 @@ def _skewed_below(rng, n, i, j):
     return dist
 
 
-@pytest.mark.parametrize("block", [mspace._TRIANGLE_BLOCK, 2000, 1])
-def test_triangle_check_finds_violation_only_below_diagonal(monkeypatch, block):
+@pytest.mark.parametrize("block, split", BLOCK_SPLITS)
+def test_triangle_check_finds_violation_only_below_diagonal(monkeypatch, block, split):
     # j lies in a later row block than i, so d(j,i) is read only through the
     # transposed comparison of i's row block
     monkeypatch.setattr(mspace, "_TRIANGLE_BLOCK", block)
+    monkeypatch.setattr(mspace, "_TRIANGLE_SPLIT", split)
     rng = np.random.default_rng(41)
     for n, i, j in [(12, 0, 11), (40, 3, 37), (70, 7, 8), (70, 20, 69)]:
         dist = _skewed_below(rng, n, i, j)
@@ -190,12 +204,13 @@ def test_triangle_check_finds_violation_only_below_diagonal(monkeypatch, block):
         assert not _triangle_verdict(upper)
 
 
-@pytest.mark.parametrize("block", [mspace._TRIANGLE_BLOCK, 2000, 1])
+@pytest.mark.parametrize("block, split", BLOCK_SPLITS)
 @pytest.mark.parametrize("n", [13, 29, 67])
-def test_triangle_check_covers_ragged_last_row_block(monkeypatch, block, n):
+def test_triangle_check_covers_ragged_last_row_block(monkeypatch, block, split, n):
     # n is not a multiple of 8, so the last row block is short; violations in
     # it, across it and in the last column are all found
     monkeypatch.setattr(mspace, "_TRIANGLE_BLOCK", block)
+    monkeypatch.setattr(mspace, "_TRIANGLE_SPLIT", split)
     base = generate_space("random", n=n, seed=n).dist
     assert not _triangle_verdict(base)
     for i, j in [(n - 2, n - 1), (n - 9, n - 1), (0, n - 1)]:
@@ -206,6 +221,106 @@ def test_triangle_check_covers_ragged_last_row_block(monkeypatch, block, n):
             dist[i, j] = dist[j, i] = v
             assert tensor_triangle_violated(dist) == expected
             assert _triangle_verdict(dist) == expected
+
+
+@pytest.mark.parametrize("i, j", [(35, 120), (90, 150), (201, 202)], ids=["even", "odd", "ragged"])
+def test_triangle_halves_find_a_violation_in_either_half(i, j):
+    # n = 203 runs as two halves: row blocks 0, 2, 4, ... (rows 0, 16, 32, ...)
+    # in the calling thread and blocks 1, 3, 5, ... in the helper. i = 35 lies
+    # in block 4, i = 90 in block 11 and i = 201 in the short last block 25 of
+    # rows 200..202; j lies in a block of the other half or in the same one,
+    # so only i's row block sees the pair
+    n = 203
+    assert n >= mspace._TRIANGLE_SPLIT
+    base = generate_space("random", n=n, seed=n).dist
+    others = np.setdiff1d(np.arange(n), [i, j])
+    limit = (base[i, others] + base[j, others]).min() + 1e-12
+    for v, expected in [(np.nextafter(limit, INF), True), (limit, False)]:
+        dist = base.copy()
+        dist[i, j] = dist[j, i] = v
+        assert tensor_triangle_violated(dist) == expected
+        assert _triangle_verdict(dist) == expected
+    below = _skewed_below(np.random.default_rng(i), n, i, j)
+    assert tensor_triangle_violated(below)
+    assert _triangle_verdict(below)
+
+
+def test_triangle_halves_leave_no_thread_behind(monkeypatch):
+    n = mspace._TRIANGLE_SPLIT
+    small = generate_space("random", n=n - 1, seed=n - 1).dist
+    dist = generate_space("random", n=n, seed=n).dist
+    bad = dist.copy()
+    bad[0, n - 1] = bad[n - 1, 0] = 10.0 * dist.max()
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    before = threading.active_count()
+    MetricMeasureSpace(dist, np.full(n, 1.0 / n))
+    with pytest.raises(SpaceValidationError) as err:
+        MetricMeasureSpace(bad, np.full(n, 1.0 / n))
+    assert str(err.value) == "triangle inequality violated"
+    assert threading.active_count() == before
+    assert len(started) == 2
+    # below the cutoff the check starts no thread
+    MetricMeasureSpace(small, np.full(n - 1, 1.0 / (n - 1)))
+    assert len(started) == 2
+
+
+def test_triangle_halves_of_concurrent_callers_keep_their_own_verdicts():
+    # four callers validate at once, each with its own helper, with the
+    # interpreter switching threads every microsecond; a stop event or buffer
+    # shared between calls would mix their verdicts
+    n = mspace._TRIANGLE_SPLIT
+    base = generate_space("random", n=n, seed=n).dist
+    cases = [base]
+    for i, j in [(3, 60), (50, 51), (121, 127)]:
+        bad = base.copy()
+        bad[i, j] = bad[j, i] = 10.0 * base.max()
+        cases.append(bad)
+    verdicts = [[] for _ in cases]
+
+    def caller(k):
+        for _ in range(4):
+            verdicts[k].append(_triangle_verdict(cases[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(len(cases))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert verdicts == [[False] * 4] + [[True] * 4] * 3
+
+
+def test_triangle_helper_failure_is_no_pass(monkeypatch):
+    # a helper half that dies leaves its row blocks unchecked, so the check
+    # raises instead of passing the space
+    n = mspace._TRIANGLE_SPLIT
+    dist = generate_space("random", n=n, seed=n).dist
+    rows = mspace._triangle_rows
+    main = threading.current_thread()
+
+    def helper_fails(*args):
+        if threading.current_thread() is not main:
+            raise MemoryError("helper half")
+        return rows(*args)
+
+    lost = []
+    monkeypatch.setattr(mspace, "_triangle_rows", helper_fails)
+    monkeypatch.setattr(threading, "excepthook", lost.append)
+    with pytest.raises(RuntimeError, match="helper thread of the triangle check failed"):
+        MetricMeasureSpace(dist, np.full(n, 1.0 / n))
+    assert [type(args.exc_value) for args in lost] == [MemoryError]
 
 
 def test_triangle_verdict_is_invariant_under_relabeling():
@@ -220,8 +335,9 @@ def test_triangle_verdict_is_invariant_under_relabeling():
 
 
 def test_triangle_check_memory_guard():
-    # the check holds one (8, bj, n) block of sums and no n x n matrix of
-    # minima; an extra n x n float temporary adds 2.1 MB at n = 512
+    # each of the two halves holds one (8, bj, n) block of sums (512 KB) and
+    # no n x n matrix of minima; an extra n x n float temporary adds 2.1 MB
+    # at n = 512
     dist = generate_space("random", n=512, seed=512).dist
     mass = np.full(512, 1.0 / 512)
     tracemalloc.start()

@@ -296,6 +296,25 @@ def test_check_worst_takes_first_minimum():
     assert Check("c", ("a", "b"), [1.0, 2.0], [inf, inf]).worst().locations == ("a",)
 
 
+def test_relaxed_holder_row_is_the_worst_row_of_the_full_check():
+    # verify_thm1 keeps only the worst pair of the relaxed bound; it must be
+    # the row, bit for bit, that Check.worst picks from the check over all
+    # pairs, ties (a constant f) included
+    rng = np.random.default_rng(17)
+    for space in random_battery(17, 6, 3, 24):
+        cert = certificate_thm1(space, PHI1, PHI2, 6.0, 1)
+        mets = MinorizingMetrics(space, PHI1)
+        iu, iv = _triu(space.n)
+        for f in (rng.standard_normal(space.n), np.full(space.n, 1.5), np.arange(space.n) ** 2.0):
+            report = verify_thm1(cert, mets, f)
+            relaxed_K, lux = report.params["relaxed_K"], report.params["quotient_norm"]
+            lhs = report.check("holder_bound").lhs
+            full = Check("holder_bound_relaxed", _PairLocations(iu, iv), lhs, relaxed_K * lux * mets.tau[iu, iv])
+            want, got = full.worst(), report.check("holder_bound_relaxed")
+            assert got.locations == want.locations
+            assert got.lhs.tobytes() == want.lhs.tobytes() and got.rhs.tobytes() == want.rhs.tobytes()
+
+
 def test_rel_margins_are_computed_once_and_read_only():
     inf = math.inf
     check = Check("c", ("a", "b", "c", "d"), [5.0, inf, 1.0, 0.5], [1.0, inf, inf, 2.0])
