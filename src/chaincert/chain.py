@@ -143,7 +143,7 @@ def _log_gauge(psi, log_x_exponent):
 
 
 def _check_ratio(phi, R):
-    chk = ratio_condition(phi, R, kmax=60)
+    chk = ratio_condition(phi, R)
     if not chk.ok:
         raise PreconditionError(
             f"growth ratios of phi are not monotone along the grid R={R} "
@@ -309,6 +309,14 @@ def _check_agreement(built, metrics):
         raise ValueError(f"{type(built).__name__} and metrics were built for different Young functions")
 
 
+def _pair_tau(metrics):
+    """tau(s,t) over the pairs s < t of mspace._triu; a zero tau is rejected."""
+    tau = metrics.tau[_triu(metrics.space.n)]
+    if (tau <= 0).any():
+        raise ValueError("distinct points with zero minorizing distance")
+    return tau
+
+
 def modulus_pairs(cert, metrics):
     """C * tau(s,t) * gauge_inverse(M / (K * tau(s,t))) over the pairs s < t of
     mspace._triu, with the threshold inverse of the shifted gauge (value 1
@@ -320,9 +328,7 @@ def modulus_pairs(cert, metrics):
     _check_agreement(cert, metrics)
     mod = cert.__dict__.get("_moduli")
     if mod is None:
-        tau = metrics.tau[_triu(metrics.space.n)]
-        if (tau <= 0).any():
-            raise ValueError("distinct points with zero minorizing distance")
+        tau = _pair_tau(metrics)
         gauge = ConvexGauge(cert.phi)
         mod = cert.C * tau * gauge.inverse_from_one(metrics.total / (cert.K * tau))
         mod.flags.writeable = False

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import _check_agreement, modulus_pairs
+from .chain import _check_agreement, _pair_tau, modulus_pairs
 from .mspace import MetricMeasureSpace, _triu
 
 __all__ = [
@@ -248,9 +248,7 @@ def empirical_corollary(batch, cert, metrics):
     space = metrics.space
     if batch.values.shape[1] != space.n:
         raise ValueError("batch, certificate and metrics must share one space")
-    tau = metrics.tau[_triu(space.n)]
-    if (tau <= 0).any():
-        raise ValueError("coincident points produce zero minorizing distances")
+    tau = _pair_tau(metrics)
     stats = []
     if cert.theorem == "T1" and cert.K == 0.0:
         # an underflowed weight sum gives K = 0: every path that moves has an infinite ratio

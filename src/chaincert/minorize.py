@@ -20,12 +20,11 @@ by a mask rather than multiplied (``vals`` is inf there while the ball has
 no mass yet, and inf * 0 is nan), so ``cumint`` is constant on the group and
 its partial sums are those of the distinct breakpoints. At any u the
 integral is ``cumint[j] + vals[j] * (u - sorted[j])``, with j the last
-position whose distance is at most u. At a point's own distances no search
-is needed: ``cumint`` is scattered back to the columns through the space's
-``_order``. Where some ``vals`` are not finite (zero-mass atoms) the tau
-rows take the search form instead, which keeps its inf * 0 = nan at an own
-distance whose ball has no mass. Tables are built for blocks of about
-``_BLOCK`` floats of rows, so their memory does not grow with n².
+position whose distance is at most u, and the same mask makes a zero-width
+last step an exact 0. At a point's own distances no search is needed:
+``cumint`` is scattered back to the columns through the space's ``_order``.
+A ball with no mass makes the integral +inf. Tables are built for blocks of
+about ``_BLOCK`` floats of rows, so their memory does not grow with n².
 """
 
 from __future__ import annotations
@@ -65,17 +64,26 @@ def _row_blocks(space, phi):
 
 
 def _growth_at(table, u):
-    """Growth integrals of each table row at its upper limits u[i] (shape (rows,) or (rows, m)), within [0, D]."""
+    """Growth integral of each table row i up to its limit u[i], within [0, D]."""
     sorted_d, vals, cumint = table
-    u = np.asarray(u, dtype=float)
-    lim = u if u.ndim == 2 else u[:, None]
+    rows = np.arange(u.size)
     # j = (count of the sorted row <= u) - 1
-    j = np.count_nonzero(sorted_d[:, None, :] <= lim[:, :, None], axis=2) - 1
+    j = np.count_nonzero(sorted_d <= u[:, None], axis=1) - 1
     j = np.clip(j, 0, sorted_d.shape[1] - 1)
-    out = np.take_along_axis(cumint, j, axis=1) + np.take_along_axis(vals, j, axis=1) * (
-        lim - np.take_along_axis(sorted_d, j, axis=1)
-    )
-    return out.reshape(u.shape)
+    width = u - sorted_d[rows, j]
+    step = np.zeros_like(width)
+    np.multiply(vals[rows, j], width, out=step, where=width > 0)
+    return cumint[rows, j] + step
+
+
+def _own_growth(space, rows, cumint, out):
+    """Fill out[i, y] with the growth integral of point rows[i] up to d(rows[i], y).
+
+    At its own distances a row's integral is cumint, constant on tie groups,
+    so it is scattered back to the columns with no search.
+    """
+    np.put_along_axis(out, space._order[rows], cumint, axis=1)
+    return out
 
 
 def ball_growth_integral(space, phi, x, upper):
@@ -95,7 +103,7 @@ def ball_growth_integral(space, phi, x, upper):
     u = min(upper, D)
     if u == 0.0:
         return 0.0
-    return float(_growth_at(_growth_table(space, phi, [x]), [u])[0])
+    return float(_growth_at(_growth_table(space, phi, [x]), np.array([u]))[0])
 
 
 class MinorizingMetrics:
@@ -110,12 +118,7 @@ class MinorizingMetrics:
         full = np.empty(n)
         for blk, table in _row_blocks(space, phi):
             _, vals, cumint = table
-            if np.isfinite(vals).all():
-                # at its own distances a row's integral is cumint, constant on tie groups
-                np.put_along_axis(rows[blk], space._order[blk], cumint, axis=1)
-            else:
-                # cumint + inf * 0 is nan at an own distance whose ball has no mass
-                rows[blk] = _growth_at(table, space.dist[blk])
+            _own_growth(space, blk, cumint, rows[blk])
             full[blk] = _growth_at(table, np.full(len(vals), D))
         self.tau = np.maximum(rows, rows.T)
         np.fill_diagonal(self.tau, 0.0)

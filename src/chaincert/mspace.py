@@ -3,8 +3,8 @@
 A space is a point set with a symmetric distance matrix satisfying the
 triangle inequality and a probability mass vector. The radius table holds,
 for each level k, the smallest closed-ball radius at which the ball mass
-reaches 1/phi(R^k); level 0 is pinned to the diameter. Radii vanish from the
-stabilization level on when every atom carries positive mass.
+reaches 1/phi(R^k); level 0 is pinned to the diameter. Every atom must carry
+positive mass, so radii vanish from the stabilization level on.
 """
 
 from __future__ import annotations
@@ -187,10 +187,7 @@ class MetricMeasureSpace:
         if (np.asarray(x) < 0).any():
             raise ValueError("point index must be nonnegative")
         rows = self._sorted_d[x]  # the ball is the first count entries of each sorted row
-        if rows.ndim == 1:  # one row: a binary search per radius, with no (radii, n) mask
-            count = np.searchsorted(rows, eps, side="right" if closed else "left")
-        else:
-            count = np.count_nonzero(rows <= eps[..., None] if closed else rows < eps[..., None], axis=-1)
+        count = np.count_nonzero(rows <= eps[..., None] if closed else rows < eps[..., None], axis=-1)
         out = np.where(count > 0, self._cum_mass[x, count - 1], 0.0)
         return float(out) if out.ndim == 0 else out
 
@@ -237,20 +234,13 @@ class RadiusTable:
         return out
 
 
-def radius_table(space, phi, R, allow_zero_mass=False):
-    """Build the radius table; rejects zero-mass atoms unless told otherwise.
-
-    With allow_zero_mass the radii stabilize at the distance to the nearest
-    positive-mass point instead of at zero; this diagnostic mode is not
-    accepted by the certificate constructions.
-    """
+def radius_table(space, phi, R):
+    """Build the radius table; zero-mass atoms are rejected."""
     if not 1 < R < math.inf:
         raise ValueError("R must be finite and exceed 1")
-    mass = space.mass
-    positive = mass > 0
-    if not positive.all() and not allow_zero_mass:
+    min_pos = float(space.mass.min())
+    if not min_pos > 0:
         raise ZeroMassAtomError("zero-mass atoms are rejected (finite-support policy)")
-    min_pos = float(mass[positive].min())
     logR = math.log(R)
     target = -math.log(min_pos)  # need log(phi(R^k)) >= log(1/min_pos)
     kstar = 0

@@ -23,7 +23,7 @@ from itertools import repeat
 import numpy as np
 
 from .chain import _check_agreement, averaging_kernel, constant_a, modulus_pairs
-from .minorize import _growth_at, _growth_table, _row_blocks
+from .minorize import _growth_at, _growth_table, _own_growth, _row_blocks
 from .mspace import _triu, radius_table
 from .orlicz import luxemburg_norm
 from .young import ConvexGauge, pair_series, shifted_series
@@ -91,11 +91,11 @@ class _PairLocations(Sequence):
 
 
 def _rel_margins(lhs, rhs):
-    """(rhs - lhs) / max(1, |rhs|) of float arrays; -inf where lhs is infinite, else inf where rhs is."""
+    """(rhs - lhs) / max(1, |rhs|) of float arrays; -inf where lhs is +inf, else inf where lhs is -inf or rhs infinite."""
     with np.errstate(invalid="ignore"):
         out = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
-    out[np.isinf(rhs)] = np.inf
-    out[np.isinf(lhs)] = -np.inf
+    out[np.isinf(rhs) | (lhs == -np.inf)] = np.inf
+    out[lhs == np.inf] = -np.inf
     return out
 
 
@@ -146,8 +146,7 @@ class Check:
 
     def worst(self):
         """The first location with the smallest relative margin, as a check of size 1."""
-        j = int(self.rel_margins.argmin())
-        return Check(self.name, self.locations[j], self.lhs[[j]], self.rhs[[j]])
+        return _worst_row(self.name, self.locations, self.lhs, self.rhs)
 
     def columns(self):
         """The verify.csv columns: locations, then the arrays lhs, rhs, margin, rel_margin and passed."""
@@ -589,7 +588,8 @@ def converse_witness(space, phi, psi, R, n0, t, l):
 
     ratios = np.zeros(n)
     away = (np.arange(n) != t) & (dists > 0)
-    growth = _growth_at(_growth_table(space, phi, [t]), dists[away][None, :])[0]
+    cumint = _growth_table(space, phi, [t])[2]
+    growth = _own_growth(space, [t], cumint, np.empty((1, n)))[0, away]
     w = _step_integral(full_radii, R, n0, dists[away], table.kstar)
     ratios[away] = np.divide(growth, w, out=np.full(w.size, math.inf), where=w > 0)
 
@@ -691,12 +691,12 @@ def invariant_suite(space, phi, psi, R, n0, kernels=None):
         outer = mid - ext[k] - REL_SLACK * np.maximum(1.0, np.abs(ext[k]))
         worst = max(worst, float(inner[pairs].max()), float(outer.max()))
         # #{w : ext_k(x) < d(u, w) <= r_k(u)} is the count of u's ball less the
-        # count of d(u, .) <= ext_k(x) on u's sorted row, clipped at 0
+        # count of d(u, .) <= ext_k(x), clipped at 0; it is largest at the
+        # least ext_k(x) over the x paired with u
         edge = ext[k] + 1e-12 * np.maximum(1.0, ext[k])
-        in_ball = levels.ball[k].sum(axis=1)
-        for u, xs in enumerate(pairs.T):
-            below = np.searchsorted(space._sorted_d[u], edge[xs], side="right")
-            support_bad = max(support_bad, int(in_ball[u] - below.min()))
+        near = np.where(pairs, edge[:, None], np.inf).min(axis=0)
+        below = np.count_nonzero(dist <= near[:, None], axis=1)
+        support_bad = max(support_bad, int((levels.ball[k].sum(axis=1) - below).max()))
     checks.append(Check("ball_nesting", "all x,u,k", worst, 0.0))
     checks.append(Check("ball_nesting_support", "all x,u,k", float(support_bad), 0.0))
 

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _LOG_EM1 = math.log(math.expm1(1.0))  # log(e - 1)
+_RATIO_LEVELS = 60  # ratio_condition checks the levels k = 1..60 of the grid R^k
 
 
 class YoungFunction:
@@ -239,8 +240,8 @@ class RatioCheck:
     first_violation: int | None
 
 
-def ratio_condition(phi, R, kmax=60):
-    """Check phi(R^k)/phi(R^(k+1)) <= phi(R^(k-1))/phi(R^k) for 1 <= k <= kmax.
+def ratio_condition(phi, R):
+    """Check phi(R^k)/phi(R^(k+1)) <= phi(R^(k-1))/phi(R^k) for 1 <= k <= 60.
 
     Evaluated in log space with relative slack 1e-12; reports the first
     violating k. Along the grid this says the growth factors of phi are
@@ -248,11 +249,9 @@ def ratio_condition(phi, R, kmax=60):
     """
     if R <= 1:
         raise ValueError("R must exceed 1")
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
     logR = math.log(R)
-    lv = [phi.log_value_exp(k * logR) for k in range(kmax + 2)]
-    for k in range(1, kmax + 1):
+    lv = [phi.log_value_exp(k * logR) for k in range(_RATIO_LEVELS + 2)]
+    for k in range(1, _RATIO_LEVELS + 1):
         slack = 1e-12 * max(1.0, abs(lv[k - 1]), abs(lv[k + 1]))
         if 2.0 * lv[k] > lv[k - 1] + lv[k + 1] + slack:
             return RatioCheck(False, k)
@@ -266,17 +265,14 @@ def _default_product_grid(c):
     return pts[pts >= c]
 
 
-def product_condition(phi, r, c, grid=None):
+def product_condition(phi, r, c):
     """Check phi(x)*phi(y) <= phi(r*x*y) for sampled x, y >= c.
 
+    The samples are c and 12 geometric points up to 1e5 (those >= c).
     Returns (ok, witness) where witness is the first violating (x, y), if any.
     Comparisons run in log space with 1e-12 relative slack.
     """
-    if grid is None:
-        grid = _default_product_grid(c)
-    pts = np.asarray(grid, dtype=float)
-    if (pts < c).any():
-        raise ValueError("grid points must be >= c")
+    pts = _default_product_grid(c)
     for x in pts:
         lx = phi.log_value(x)
         for y in pts:

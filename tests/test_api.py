@@ -40,7 +40,7 @@ def test_removed_names_are_not_exported():
 
 
 def test_removed_keywords_stay_gone():
-    from chaincert import chain, minorize, orlicz, young
+    from chaincert import chain, minorize, mspace, orlicz, young
 
     removed = {
         orlicz.luxemburg_norm: {"rel_tol"},
@@ -54,6 +54,9 @@ def test_removed_keywords_stay_gone():
         chain.certificate_thm3: {"tail_tol"},
         chain.certificate_thm1: {"tail_tol"},
         chain.modulus_pairs: {"iu", "iv"},
+        mspace.radius_table: {"allow_zero_mass"},
+        young.ratio_condition: {"kmax"},
+        young.product_condition: {"grid"},
     }
     for fn, names in removed.items():
         assert not names & set(inspect.signature(fn).parameters), fn.__name__

@@ -275,6 +275,34 @@ def test_failed_bound_is_assertion_error(tmp_path):
     assert "holder_bound" in content and "false" in content
 
 
+def test_one_point_scenario_passes(tmp_path):
+    # kstar = 0, so radii_monotone is a max over no levels: lhs -inf holds
+    cfg = _write(
+        tmp_path,
+        "one.cfg",
+        "[space]\nkind = grid\nn = 1\n"
+        "[phi]\nkind = power\np = 1\n[psi]\nkind = power\np = 2\n"
+        "[certificate]\ntheorem = T1\nR = 6\nn0 = 1\n",
+    )
+    out = tmp_path / "out"
+    assert run(cfg, out_dir=out) == EXIT_OK
+    rows = {r["check"]: r for r in csv.DictReader((out / "verify.csv").open())}
+    assert (rows["radii_monotone"]["lhs"], rows["radii_monotone"]["rel_margin"]) == ("-inf", "inf")
+    assert json.loads((out / "summary.json").read_text())["passed"] is True
+
+
+def test_escalated_ratio_warns_and_fails_under_strict(tmp_path, capsys):
+    cfg = _scenario_with(tmp_path, "twopoint", "certificate", R="3")
+    assert run(cfg, out_dir=tmp_path / "a") == EXIT_OK
+    summary = json.loads((tmp_path / "a" / "summary.json").read_text())
+    assert "ratio escalated from 3.0 to 9.0" in summary["warnings"]
+    assert summary["passed"] is True
+    assert run(cfg, out_dir=tmp_path / "b", strict=True) == EXIT_PRECONDITION
+    assert "warnings treated as errors" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert summary["passed"] is False and summary["exit_code"] == EXIT_PRECONDITION
+
+
 @pytest.mark.parametrize("name", ["line3", "brownian64"])
 def test_underflowing_weights_are_assertion_errors(tmp_path, capsys, name):
     # for psi = exp(x^2) every T1 weight is below the smallest double: the

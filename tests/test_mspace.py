@@ -323,6 +323,29 @@ def test_triangle_helper_failure_is_no_pass(monkeypatch):
     assert [type(args.exc_value) for args in lost] == [MemoryError]
 
 
+def test_triangle_calling_half_failure_propagates(monkeypatch):
+    # the calling thread's half raises: the helper is stopped and joined
+    # before the exception leaves the constructor
+    n = mspace._TRIANGLE_SPLIT
+    dist = generate_space("random", n=n, seed=n).dist
+    rows = mspace._triangle_rows
+    main = threading.current_thread()
+
+    def calling_half_fails(*args):
+        if threading.current_thread() is main:
+            raise MemoryError("calling half")
+        return rows(*args)
+
+    lost = []
+    monkeypatch.setattr(mspace, "_triangle_rows", calling_half_fails)
+    monkeypatch.setattr(threading, "excepthook", lost.append)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="calling half"):
+        MetricMeasureSpace(dist, np.full(n, 1.0 / n))
+    assert threading.active_count() == before
+    assert lost == []
+
+
 def test_triangle_verdict_is_invariant_under_relabeling():
     rng = np.random.default_rng(34)
     verdicts = []
@@ -468,13 +491,11 @@ def test_radius_table_line():
 def test_radius_table_matches_per_point_loop():
     rng = np.random.default_rng(8)
     for sp in random_battery(6, 8, 2, 40):
-        zeroed = sp.mass.copy()
-        zeroed[::3] = 0.0
         dirichlet = rng.dirichlet(np.ones(sp.n))
-        for mass in (sp.mass, zeroed / zeroed.sum(), dirichlet):
+        for mass in (sp.mass, dirichlet):
             space = MetricMeasureSpace(sp.dist, mass)
             for phi, R in ((PHI1, 2.0), (PHI2, 6.0)):
-                table = radius_table(space, phi, R, allow_zero_mass=True)
+                table = radius_table(space, phi, R)
                 assert np.array_equal(table.radii, searchsorted_radii(space, phi, R, table.kstar))
 
 
@@ -585,11 +606,6 @@ def test_zero_mass_policy_and_limit_radii():
     sp = MetricMeasureSpace(dist, [0.5, 0.5, 0.0])
     with pytest.raises(ZeroMassAtomError):
         radius_table(sp, PHI2, 6.0)
-    table = radius_table(sp, PHI2, 6.0, allow_zero_mass=True)
-    # radii stabilize at the distance to the nearest positive-mass point:
-    # zero exactly for points in the support, positive outside it
-    limit = table.radius_vector(table.kstar + 5)
-    assert limit.tolist() == [0.0, 0.0, 0.5]
 
 
 def test_json_roundtrip():

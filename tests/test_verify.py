@@ -33,6 +33,7 @@ from util import (
     loop_proof_trace,
     per_check_rows,
     random_battery,
+    rel_margin,
     two_point_space,
     worst_start_level_gap,
     worst_witness_rows,
@@ -327,6 +328,10 @@ def test_rel_margins_are_computed_once_and_read_only():
     assert check.rel_margins.tolist() == expected
     assert check.rel_margin == -inf and not check.passed
     assert check.columns()[4].tolist() == expected and check.worst().locations == ("b",)
+    # an lhs of -inf holds against any rhs; an lhs of +inf fails against any
+    signed = Check("c", ("a", "b", "c", "d"), [-inf, -inf, inf, inf], [0.0, -inf, inf, -inf])
+    assert signed.rel_margins.tolist() == [inf, inf, -inf, -inf]
+    assert [rel_margin(a, b) for a, b in zip(signed.lhs, signed.rhs)] == [inf, inf, -inf, -inf]
 
 
 def test_check_sizes_must_agree():

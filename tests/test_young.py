@@ -94,7 +94,7 @@ def test_value_ratio_dominates_argument_ratio(phi):
 
 
 def test_ratio_condition_power_equality():
-    chk = ratio_condition(YoungFunction.power(2), 2.0, kmax=50)
+    chk = ratio_condition(YoungFunction.power(2), 2.0)
     assert chk.ok and chk.first_violation is None
 
 
@@ -105,14 +105,14 @@ def test_ratio_condition_piecewise_violation():
     ratios = [vals[k] / vals[k + 1] for k in range(3)]
     first_bad = next(k for k in range(1, 3) if ratios[k] > ratios[k - 1] * (1 + 1e-12))
     assert first_bad == 2
-    chk = ratio_condition(pwl, 2.0, kmax=2)
+    chk = ratio_condition(pwl, 2.0)
     assert not chk.ok
     assert chk.first_violation == first_bad
 
 
 def test_ratio_condition_exponential():
     phi = YoungFunction.exponential(2)
-    assert ratio_condition(phi, 2.0, kmax=30).ok
+    assert ratio_condition(phi, 2.0).ok
     # direct float oracle on the first levels, before overflow kicks in
     em1 = math.expm1(1.0)
     vals = [math.expm1((2.0 ** k) ** 2) / em1 for k in range(5)]
@@ -124,7 +124,7 @@ def test_ratio_condition_power_compatibility():
     # holding at R implies holding at R^2 and R^3
     phi = YoungFunction.exponential(2)
     for base in (2.0, 4.0, 8.0):
-        assert ratio_condition(phi, base, kmax=20).ok
+        assert ratio_condition(phi, base).ok
 
 
 def test_product_condition_power_equality():
@@ -134,7 +134,7 @@ def test_product_condition_power_equality():
 
 @pytest.mark.parametrize("phi,R", [(YoungFunction.exponential(2), 2.0), (YoungFunction.power(2), 6.0)])
 def test_ratio_implies_product_at_square(phi, R):
-    assert ratio_condition(phi, R, kmax=30).ok
+    assert ratio_condition(phi, R).ok
     ok, _ = product_condition(phi, R * R, 1.0)
     assert ok
 
@@ -143,7 +143,7 @@ def test_product_condition_piecewise_violation():
     pwl = YoungFunction.piecewise([(0, 0), (1, 1), (2, 2), (4, 100)])
     # direct oracle at (4, 4): phi(4)^2 = 10000 > phi(16) = 100 + 49*12 = 688
     assert pwl.value(4.0) ** 2 > pwl.value(16.0)
-    ok, witness = product_condition(pwl, 1.0, 1.0, grid=[1.0, 2.0, 3.0, 4.0, 8.0])
+    ok, witness = product_condition(pwl, 1.0, 1.0)
     assert not ok and witness is not None
 
 

@@ -190,9 +190,9 @@ def gather_path_sups(values, iu, iv, denom, chunk=512):
 
 def rel_margin(lhs, rhs):
     """Reference relative margin of one inequality lhs <= rhs."""
-    if math.isinf(lhs):
+    if lhs == math.inf:
         return -math.inf
-    if math.isinf(rhs):
+    if lhs == -math.inf or math.isinf(rhs):
         return math.inf
     return (rhs - lhs) / max(1.0, abs(rhs))
 
