@@ -309,18 +309,10 @@ def _check_agreement(built, metrics):
         raise ValueError(f"{type(built).__name__} and metrics were built for different Young functions")
 
 
-def _pair_tau(metrics):
-    """tau(s,t) over the pairs s < t of mspace._triu; a zero tau is rejected."""
-    tau = metrics.tau[_triu(metrics.space.n)]
-    if (tau <= 0).any():
-        raise ValueError("distinct points with zero minorizing distance")
-    return tau
-
-
 def modulus_pairs(cert, metrics):
     """C * tau(s,t) * gauge_inverse(M / (K * tau(s,t))) over the pairs s < t of
     mspace._triu, with the threshold inverse of the shifted gauge (value 1
-    at 0); zero tau is rejected. Metrics are a function of (space, phi), so the
+    at 0). Metrics are a function of (space, phi), so the
     moduli are computed once per certificate and kept on it, read-only and
     outside its fields, for every metrics that agrees with it."""
     if cert.theorem != "T3":
@@ -328,7 +320,7 @@ def modulus_pairs(cert, metrics):
     _check_agreement(cert, metrics)
     mod = cert.__dict__.get("_moduli")
     if mod is None:
-        tau = _pair_tau(metrics)
+        tau = metrics.tau[_triu(metrics.space.n)]
         gauge = ConvexGauge(cert.phi)
         mod = cert.C * tau * gauge.inverse_from_one(metrics.total / (cert.K * tau))
         mod.flags.writeable = False

@@ -162,7 +162,7 @@ def _parse_functions(cfg, space, seed_override):
     if seed_override is not None:
         seed = seed_override
     rng = np.random.default_rng(seed)
-    return [rng.standard_normal(space.n) for _ in range(count)]
+    return [_check_values(rng.standard_normal(space.n), space, idx) for idx in range(count)]
 
 
 def _get_bool(cfg, section, key, default):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import _check_agreement, _pair_tau, modulus_pairs
+from .chain import _check_agreement, modulus_pairs
 from .mspace import MetricMeasureSpace, _triu
 
 __all__ = [
@@ -85,8 +85,8 @@ def gaussian_cov_sampler(cov, psi):
     """Centered Gaussian vector with the given covariance.
 
     The metric is c * sigma(s,t) with sigma the L2 increment distance and the
-    masses are uniform; rows with identical covariance profiles are rejected
-    (zero distance).
+    masses are uniform; rows with identical covariance profiles give
+    coincident points, which the space's validation rejects.
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
@@ -95,8 +95,6 @@ def gaussian_cov_sampler(cov, psi):
     sigma2 = np.maximum(sigma2, 0.0)
     np.fill_diagonal(sigma2, 0.0)
     sigma = np.sqrt(sigma2)
-    if (sigma[~np.eye(n, dtype=bool)] <= 0).any():
-        raise ValueError("covariance induces coincident points")
     c = _normalizer(psi)
     m = np.full(n, 1.0 / n)
     space = MetricMeasureSpace(c * sigma, m / m.sum())  # n copies of 1/n need not sum to 1
@@ -248,7 +246,7 @@ def empirical_corollary(batch, cert, metrics):
     space = metrics.space
     if batch.values.shape[1] != space.n:
         raise ValueError("batch, certificate and metrics must share one space")
-    tau = _pair_tau(metrics)
+    tau = metrics.tau[_triu(space.n)]
     stats = []
     if cert.theorem == "T1" and cert.K == 0.0:
         # an underflowed weight sum gives K = 0: every path that moves has an infinite ratio

@@ -86,6 +86,13 @@ def _own_growth(space, rows, cumint, out):
     return out
 
 
+def _mass_weighted(space, full):
+    """sum of m(x) * full[x]; full is set to 0 in place at zero-mass atoms, whose
+    weight is 0 even where their integral is +inf (0 * inf would be nan)."""
+    full[space.mass == 0] = 0.0
+    return float(np.dot(space.mass, full))
+
+
 def ball_growth_integral(space, phi, x, upper):
     """int_0^upper phi^{-1}(1/m(B(x, eps))) d(eps), exact breakpoint sum.
 
@@ -120,10 +127,9 @@ class MinorizingMetrics:
             _, vals, cumint = table
             _own_growth(space, blk, cumint, rows[blk])
             full[blk] = _growth_at(table, np.full(len(vals), D))
-        self.tau = np.maximum(rows, rows.T)
-        np.fill_diagonal(self.tau, 0.0)
+        self.tau = np.maximum(rows, rows.T)  # the diagonal is cumint[:, 0] = 0
         self.tau.flags.writeable = False
-        self.total = float(np.dot(space.mass, full))
+        self.total = _mass_weighted(space, full)
 
     @property
     def n(self):
@@ -140,4 +146,4 @@ def majorizing_integral(space, phi):
     full = np.empty(space.n)
     for rows, table in _row_blocks(space, phi):
         full[rows] = _growth_at(table, np.full(len(table[1]), D))
-    return float(np.dot(space.mass, full))
+    return _mass_weighted(space, full)

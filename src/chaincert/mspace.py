@@ -87,11 +87,13 @@ def _triangle_rows(dist, starts, buf, strip, stop):
 class MetricMeasureSpace:
     """Finite point set with distances and probability masses.
 
-    Immutable after construction. Sorted per-point distance lists and their
-    cumulative masses are precomputed so ball masses are lookups on them.
+    Validated, with its diagonal stored as exact 0, and immutable after
+    construction: its arrays are read-only. Sorted per-point distance lists
+    and their cumulative masses are precomputed so ball masses are lookups on
+    them; a point is the unique first entry of its own sorted row.
     """
 
-    def __init__(self, dist, mass, labels=None, validate=True):
+    def __init__(self, dist, mass, labels=None):
         dist = np.array(dist, dtype=float)
         mass = np.array(mass, dtype=float).ravel()
         if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
@@ -101,14 +103,16 @@ class MetricMeasureSpace:
         labels = list(labels) if labels is not None else [str(i) for i in range(mass.size)]
         if len(labels) != mass.size:
             raise SpaceValidationError(f"{len(labels)} labels for {mass.size} points")
-        if validate:
-            self._validate(dist, mass)
+        self._validate(dist, mass)
+        np.fill_diagonal(dist, 0.0)  # validation admits diagonal entries within _ATOL of 0
         self.dist = dist
         self.mass = mass
         self.labels = labels
         self._order = np.argsort(dist, axis=1, kind="stable")
         self._sorted_d = np.take_along_axis(dist, self._order, axis=1)
         self._cum_mass = np.cumsum(mass[self._order], axis=1)
+        for arr in (self.dist, self.mass, self._order, self._sorted_d, self._cum_mass):
+            arr.flags.writeable = False
 
     @staticmethod
     def _validate(dist, mass):
@@ -344,7 +348,6 @@ def _random_space(n, mass=None, seed=None):
     pts = rng.random((n, 2))
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=2))
-    np.fill_diagonal(dist, 0.0)
     dist = 0.5 * (dist + dist.T)
     return MetricMeasureSpace(dist, _resolve_mass(mass, n, rng))
 

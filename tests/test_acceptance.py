@@ -19,7 +19,6 @@ import pytest
 from chaincert import (
     MinorizingMetrics,
     YoungFunction,
-    averaging_kernel,
     ball_growth_integral,
     brownian_grid_sampler,
     certificate_thm1,
@@ -37,7 +36,14 @@ from chaincert import (
     verify_thm1,
     verify_thm3,
 )
-from util import ball_growth_integral_riemann, line3_space, minorizing_metric, random_battery, two_point_space
+from util import (
+    ball_growth_integral_riemann,
+    corrupted_kernels,
+    line3_space,
+    minorizing_metric,
+    random_battery,
+    two_point_space,
+)
 
 PHI1 = YoungFunction.power(1)
 PHI2 = YoungFunction.power(2)
@@ -235,11 +241,8 @@ def test_criterion7_proof_trace_suite():
             worst = min(worst, suite.worst_rel_margin)
 
     # injected corruption must be detected
-    line = line3_space()
-    table = radius_table(line, PHI1, 6.0)
-    kernels = [averaging_kernel(table, k) for k in range(table.kstar + 2)]
-    kernels[1][0] *= 1.1
-    corrupted = invariant_suite(line, PHI1, PHI2, 6.0, 1, kernels=kernels)
+    with corrupted_kernels():
+        corrupted = invariant_suite(line3_space(), PHI1, PHI2, 6.0, 1)
     elapsed = time.monotonic() - start
     ok = worst >= -1e-9 and not corrupted.passed
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 7: {pairs} traced pairs, worst margin "

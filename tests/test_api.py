@@ -22,6 +22,7 @@ REMOVED = (
     "FiniteMeasure",
     "_GrowthProfile",
     "_mass_integral",
+    "_pair_tau",
 )
 
 
@@ -49,12 +50,13 @@ def test_removed_keywords_stay_gone():
         young.pair_series: {"tol", "max_terms"},
         chain._check_ratio: {"kmax"},
         minorize.ball_growth_integral: {"warn_clamp"},
-        chaincert.invariant_suite: {"seed"},
+        chaincert.invariant_suite: {"seed", "kernels"},
         chaincert.gaussian_cov_sampler: {"mass"},
         chain.certificate_thm3: {"tail_tol"},
         chain.certificate_thm1: {"tail_tol"},
         chain.modulus_pairs: {"iu", "iv"},
         mspace.radius_table: {"allow_zero_mass"},
+        mspace.MetricMeasureSpace.__init__: {"validate"},
         young.ratio_condition: {"kmax"},
         young.product_condition: {"grid"},
     }

@@ -249,6 +249,33 @@ def test_unusable_function_values_are_config_errors(tmp_path, capsys, name, spac
     assert err.startswith("configuration error: [functions] values")
 
 
+def test_random_functions_with_overflowing_quotients_are_config_errors(tmp_path, capsys):
+    # gaps of 5e-311 turn standard normal differences into infinite quotients
+    cfg = _scenario_with(tmp_path, "line3", "functions", source="random", count="2")
+    cfg = _scenario_with(tmp_path, cfg, "space", scale="1e-310")
+    err = _assert_config_error(tmp_path, capsys, cfg)
+    assert err.startswith("configuration error: [functions] values of function 0: difference quotients")
+
+
+def test_space_file_with_a_tolerated_diagonal_runs_t3(tmp_path):
+    # the diagonal of 1e-12 lies above d(a, b) = 1e-13 and within the
+    # tolerance of 0, so it is stored as 0 and tau(a, b) stays positive
+    _write(tmp_path, "space.json", '{"labels": ["a","b"], "dist": [1e-12,1e-13,1e-13,1e-12], "mass": [0.5,0.5]}')
+    cfg = _write(
+        tmp_path,
+        "tiny.cfg",
+        "[space]\nsource = file\nfile = space.json\n"
+        "[phi]\nkind = power\np = 2\n"
+        "[certificate]\ntheorem = T3\nR = 6\n"
+        "[functions]\nsource = values\nvalues = 0,1\n",
+    )
+    out = tmp_path / "out"
+    assert run(cfg, out_dir=out) == EXIT_OK
+    with (out / "tau.csv").open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["tau"]) == np.sqrt(2.0) * 1e-13
+
+
 def test_boolean_switches_take_configparser_spellings(tmp_path):
     cfg = _scenario_with(tmp_path, "twopoint", "verify", invariants="off")
     assert run(cfg, out_dir=tmp_path / "a") == EXIT_OK

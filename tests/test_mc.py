@@ -6,6 +6,7 @@ import pytest
 from chaincert import (
     MinorizingMetrics,
     PathBatch,
+    SpaceValidationError,
     YoungFunction,
     analytic_increment_moment,
     brownian_grid_sampler,
@@ -65,8 +66,8 @@ def test_gaussian_cov_sampler():
     mom = analytic_increment_moment(s)
     off = ~np.eye(3, dtype=bool)
     assert np.allclose(mom[off], 1.0, atol=1e-9)
-    with pytest.raises(ValueError):
-        gaussian_cov_sampler(np.ones((2, 2)), PHI2)  # coincident points
+    with pytest.raises(SpaceValidationError, match="coincident points"):
+        gaussian_cov_sampler(np.ones((2, 2)), PHI2)
 
 
 def test_sampling_determinism():

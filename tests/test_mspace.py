@@ -63,6 +63,20 @@ def test_coincident_points_found_beside_a_nonzero_diagonal():
     assert MetricMeasureSpace(dist, [0.25, 0.25, 0.5]).n == 3
 
 
+def test_space_stores_a_zero_diagonal_in_read_only_arrays():
+    # a diagonal within tolerance of 0 is stored as 0, so each point is the
+    # unique first entry of its own sorted row
+    dist = np.array([[1e-12, 1e-13], [1e-13, 1e-12]])
+    spaces = [MetricMeasureSpace(dist, [0.5, 0.5])] + random_battery(3, 4, 2, 20)
+    assert dist[0, 0] == 1e-12  # the caller's matrix is copied
+    for sp in spaces:
+        assert not np.diagonal(sp.dist).any()
+        assert (sp._order[:, 0] == np.arange(sp.n)).all()
+        for arr in (sp.dist, sp.mass, *sp.distances_from(0)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -8,12 +8,10 @@ import pytest
 
 from chaincert import (
     Check,
-    MetricMeasureSpace,
     MinorizingMetrics,
     TestFunction,
     VerificationReport,
     YoungFunction,
-    averaging_kernel,
     certificate_thm1,
     certificate_thm3,
     converse_witness,
@@ -27,6 +25,7 @@ from chaincert import (
 from chaincert.mspace import _triu
 from chaincert.verify import _PairLocations
 from util import (
+    corrupted_kernels,
     line3_space,
     loop_growth_ratios,
     loop_invariant_suite,
@@ -35,6 +34,7 @@ from util import (
     random_battery,
     rel_margin,
     two_point_space,
+    unvalidated_space,
     worst_start_level_gap,
     worst_witness_rows,
 )
@@ -124,6 +124,8 @@ def test_overflowing_quotients_raise_one_error_without_warnings():
         lambda: verify_thm3(certificate_thm3(grid, PHI2, 6.0), MinorizingMetrics(grid, PHI2), f),
         lambda: proof_trace(radius_table(grid, PHI1, 6.0), MinorizingMetrics(grid, PHI1), 0, 2, 3, f=f),
         lambda: TestFunction(f).quotients(grid),
+        # a difference that overflows shows as an infinite quotient too
+        lambda: TestFunction([1e308, -1e308]).quotients(two_point_space()),
     ]
     messages = set()
     for call in calls:
@@ -134,10 +136,6 @@ def test_overflowing_quotients_raise_one_error_without_warnings():
         assert caught == []
         messages.add(str(exc.value))
     assert messages == {"difference quotients |f(s) - f(t)| / d(s, t) overflow"}
-    # a difference that overflows between two coincident points, where no quotient is taken
-    coincident = MetricMeasureSpace(np.zeros((2, 2)), [0.5, 0.5], validate=False)
-    with pytest.raises(ValueError, match="overflow"):
-        TestFunction([1e308, -1e308]).quotients(coincident)
 
 
 def test_thm3_two_point_hand_traced():
@@ -250,12 +248,8 @@ def test_invariant_suite_passes():
 
 
 def test_invariant_suite_detects_corrupted_kernel():
-    line = line3_space()
-    table = radius_table(line, PHI1, 6.0)
-    l = table.kstar + 1
-    kernels = [averaging_kernel(table, k) for k in range(l + 1)]
-    kernels[1][0] *= 1.1
-    report = invariant_suite(line, PHI1, PHI2, 6.0, 1, kernels=kernels)
+    with corrupted_kernels():
+        report = invariant_suite(line3_space(), PHI1, PHI2, 6.0, 1)
     assert not report.passed
     assert "kernel_stochastic" in report.failed_names()
 
@@ -266,15 +260,19 @@ def test_check_columns_with_infinities():
     lhs = np.array([inf, 1.0, inf, 0.5, 3.0, 0.0])
     rhs = np.array([1.0, inf, inf, 2.0, 1.0, 0.0])
     pc = Check("c", _PairLocations(iu, iv), lhs, rhs)
-    report = VerificationReport([Check("s", "sup", inf, inf), pc], {})
+    # an rhs of -inf fails under a finite lhs and holds under lhs = -inf
+    neg = Check("n", ("finite", "both"), np.array([1.0, -inf]), np.array([-inf, -inf]))
+    report = VerificationReport([Check("s", "sup", inf, inf), pc, neg], {})
     assert report.pair_checks == [pc]
     rows = list(report.rows())
     # repr compares nan (inf - inf) as equal and tells np.float64 from float
     assert [tuple(map(repr, r)) for r in rows] == [tuple(map(repr, r)) for r in per_check_rows(report)]
     assert [r[5] for r in rows[1:4]] == [-inf, inf, -inf]
-    assert [r[6] for r in rows] == [False, False, True, False, True, False, True]
-    assert math.isnan(rows[0][4]) and math.isnan(rows[3][4])
+    assert [r[5] for r in rows[7:]] == [-inf, inf]
+    assert [r[6] for r in rows] == [False, False, True, False, True, False, True, False, True]
+    assert math.isnan(rows[0][4]) and math.isnan(rows[3][4]) and math.isnan(rows[8][4])
     assert not pc.passed and pc.rel_margin == -inf
+    assert not neg.passed and not Check("c", "x", 1.0, -inf).passed
     # a pair list other than np.triu_indices keeps its own locations
     odd = Check("c", _PairLocations(np.array([0, 2]), np.array([3, 1])), np.zeros(2), np.ones(2))
     assert tuple(odd.columns()[0]) == ("(0,3)", "(2,1)")
@@ -445,7 +443,7 @@ def test_invariant_suite_matches_loop_oracle():
     # triangle inequality (not validated) makes it positive
     rng = np.random.default_rng(0)
     d = np.triu(rng.uniform(0.05, 1.0, (16, 16)), 1)
-    broken = MetricMeasureSpace(d + d.T, np.full(16, 1 / 16), validate=False)
+    broken = unvalidated_space(d + d.T, np.full(16, 1 / 16))
     report = invariant_suite(broken, PHI1, PHI2, 3.0, 1)
     _assert_same_checks(report.checks, loop_invariant_suite(broken, PHI1, PHI2, 3.0, 1).checks)
     assert report.check("ball_nesting_support").lhs[0] > 0

@@ -3,11 +3,13 @@
 import csv
 import io
 import math
+from unittest import mock
 
 import numpy as np
 
 from chaincert import (
     Check,
+    MetricMeasureSpace,
     ProofTrace,
     VerificationReport,
     averaging_kernel,
@@ -17,6 +19,7 @@ from chaincert import (
     luxemburg_norm,
     radius_table,
 )
+from chaincert import verify
 from chaincert.cli import _fmt
 from chaincert.verify import REL_SLACK, _as_test_function, _bracket_index, _step_integral, _step_value
 
@@ -29,6 +32,25 @@ def two_point_space():
 def line3_space():
     """Points {0, 1, 2} on the line with d = |i - j|, uniform mass."""
     return generate_space("grid", n=3, scale=2.0)
+
+
+def unvalidated_space(dist, mass):
+    """A space on a matrix that validation would reject, such as one breaking the triangle inequality."""
+    with mock.patch.object(MetricMeasureSpace, "_validate", lambda *args: None):
+        return MetricMeasureSpace(dist, mass)
+
+
+def _corrupted_kernel(table, k):
+    """averaging_kernel with row 0 of the level-1 kernel scaled by 1.1."""
+    kernel = averaging_kernel(table, k)
+    if k == 1:
+        kernel[0] *= 1.1
+    return kernel
+
+
+def corrupted_kernels():
+    """A context in which invariant_suite builds its level-1 kernel with row 0 scaled by 1.1."""
+    return mock.patch.object(verify, "averaging_kernel", _corrupted_kernel)
 
 
 def random_battery(seed, count, n_lo, n_hi):
@@ -190,7 +212,7 @@ def gather_path_sups(values, iu, iv, denom, chunk=512):
 
 def rel_margin(lhs, rhs):
     """Reference relative margin of one inequality lhs <= rhs."""
-    if lhs == math.inf:
+    if lhs == math.inf or (rhs == -math.inf and lhs > -math.inf):
         return -math.inf
     if lhs == -math.inf or math.isinf(rhs):
         return math.inf
@@ -307,7 +329,9 @@ def profile_metrics(space, phi):
     rows = np.vstack([profiles[x].integral(space.dist[x]) for x in range(space.n)])
     tau = np.maximum(rows, rows.T)
     np.fill_diagonal(tau, 0.0)
-    return tau, float(np.dot(space.mass, [p.integral(space.diameter) for p in profiles]))
+    full = np.array([p.integral(space.diameter) for p in profiles])
+    full[space.mass == 0] = 0.0  # a massless atom has weight 0, also where its integral is +inf
+    return tau, float(np.dot(space.mass, full))
 
 
 def ball_growth_integral_riemann(space, phi, x, upper, panels=100000):
@@ -501,7 +525,7 @@ def _loop_smoothing_check(table, space, f, s, t, l, tau, anchor, ext, d_levels, 
     return Check("smoothing_difference_bound", f"n={n}", lhs, float(total))
 
 
-def loop_invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
+def loop_invariant_suite(space, phi, psi, R, n0, seed=0):
     """Reference invariant suite: every aggregate check as a loop over points, levels and balls.
 
     Ball masses come from one searchsorted per point, the growth integral
@@ -514,8 +538,7 @@ def loop_invariant_suite(space, phi, psi, R, n0, kernels=None, seed=0):
     n = space.n
     dist = space.dist
     mass = space.mass
-    if kernels is None:
-        kernels = [averaging_kernel(table, k) for k in range(l + 1)]
+    kernels = [averaging_kernel(table, k) for k in range(l + 1)]
     checks = []
 
     radii = np.vstack([table.radius_vector(k) for k in range(kstar + 1)])
