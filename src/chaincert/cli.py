@@ -8,9 +8,12 @@ byte-identical across reruns of the same scenario and seed.
 
 Exit codes: 0 success, 2 configuration error (unreadable or malformed
 config, non-numeric values, invalid parameter ranges, non-boolean switches,
-invalid spaces, a Monte Carlo gauge the samplers cannot normalize),
-3 precondition failure (growth-ratio or series divergence, degenerate
-certificates), 4 failed verification assertion.
+invalid spaces or a non-finite grid scale, a Monte Carlo gauge the samplers
+cannot normalize or whose moment E|Z|^p overflows), 3 precondition failure
+(growth-ratio or series divergence, degenerate certificates, a minorizing
+metric or a phi(R^k) that overflows), 4 failed verification assertion.
+Warnings from every stage, parsing included, are listed in summary.json; a
+run that stops on an error prints them to stderr after its message.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import warnings
 from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .chain import (
 )
 from .mc import _normalizer, brownian_grid_sampler, empirical_corollary, sample
 from .minorize import MinorizingMetrics
-from .mspace import SpaceValidationError, ZeroMassAtomError, _triu, generate_space, space_from_json
+from .mspace import ZeroMassAtomError, _triu, generate_space, space_from_json
 from .verify import TestFunction, invariant_suite, verify_thm1, verify_thm3
 from .young import YoungFunction
 
@@ -135,13 +139,13 @@ def _parse_space(cfg, base_dir):
     return generate_space(kind, seed=seed, **params)
 
 
-def _check_values(vals, space, idx):
-    """Function idx as a TestFunction; a wrong length, or values or difference quotients that are not all finite, are a ConfigError."""
+def _check_values(vals, space, name):
+    """The function called name as a TestFunction; a wrong length, or values or quotients not all finite, are a ConfigError."""
     try:
         f = TestFunction(vals)
         f.quotients(space)
     except ValueError as exc:
-        raise ConfigError(f"[functions] values of function {idx}: {exc}") from None
+        raise ConfigError(f"[functions] {name}: {exc}") from None
     return f
 
 
@@ -149,10 +153,8 @@ def _parse_functions(cfg, space, seed_override):
     source = _get(cfg, "functions", "source", default="random")
     if source == "values":
         raw = _get(cfg, "functions", "values", required=True)
-        return [
-            _check_values([_number(float, v, "functions", "values") for v in part.split(",")], space, idx)
-            for idx, part in enumerate(raw.split(";"))
-        ]
+        rows = [[_number(float, v, "functions", "values") for v in part.split(",")] for part in raw.split(";")]
+        return [_check_values(vals, space, f"values of function {idx}") for idx, vals in enumerate(rows)]
     if source != "random":
         raise ConfigError(f"unknown function source {source!r}")
     count = _get_number(cfg, "functions", "count", int, default="20")
@@ -162,7 +164,7 @@ def _parse_functions(cfg, space, seed_override):
     if seed_override is not None:
         seed = seed_override
     rng = np.random.default_rng(seed)
-    return [_check_values(rng.standard_normal(space.n), space, idx) for idx in range(count)]
+    return [_check_values(rng.standard_normal(space.n), space, f"random function {idx}") for idx in range(count)]
 
 
 def _get_bool(cfg, section, key, default):
@@ -295,6 +297,13 @@ def _mc_rows(mc_report):
     ]
 
 
+_CSV_HEADERS = {
+    "tau": "i,j,label_i,label_j,distance,tau,modulus\n",
+    "verify": "check,location,lhs,rhs,margin,rel_margin,passed\n",
+    "mc": "statistic,mean,stderr,paths,threshold,passed\n",
+}
+
+
 def emit_report(results, out_dir):
     """Write the fixed file set; overwrites are idempotent.
 
@@ -305,47 +314,34 @@ def emit_report(results, out_dir):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    cert = results.get("certificate")
     cert_path = out / "certificate.json"
-    cert_path.write_text(certificate_to_json(cert) + "\n" if cert else "null\n")
-    written.append(cert_path)
-
-    tau_path = out / "tau.csv"
-    _write_lines(tau_path, "i,j,label_i,label_j,distance,tau,modulus\n", results.get("tau_rows", []))
-    written.append(tau_path)
-
-    verify_path = out / "verify.csv"
-    _write_lines(verify_path, "check,location,lhs,rhs,margin,rel_margin,passed\n", results.get("verify_rows", []))
-    written.append(verify_path)
-
-    mc_path = out / "mc.csv"
-    _write_lines(mc_path, "statistic,mean,stderr,paths,threshold,passed\n", results.get("mc_rows", []))
-    written.append(mc_path)
+    cert_path.write_text(certificate_to_json(results["certificate"]) + "\n")
+    written = [cert_path]
+    for name, header in _CSV_HEADERS.items():
+        path = out / f"{name}.csv"
+        _write_lines(path, header, results[f"{name}_rows"])
+        written.append(path)
 
     summary_path = out / "summary.json"
-    summary = {
-        "passed": results.get("passed", False),
-        "exit_code": results.get("exit_code", EXIT_OK),
-        "theorem": results.get("theorem"),
-        "mass_integral": results.get("mass_integral"),
-        "warnings": results.get("warnings", []),
-        "outputs": [p.name for p in written],
-    }
+    summary = {key: results[key] for key in ("passed", "exit_code", "theorem", "mass_integral", "warnings")}
+    summary["outputs"] = [p.name for p in written]
     summary_path.write_text(json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
     written.append(summary_path)
     return written
 
 
-def run(config_path, out_dir=None, seed=None, strict=False):
-    """Execute one scenario; returns the process exit code."""
-    config_path = Path(config_path)
-    results = {"warnings": []}
+# the exceptions a run ends in, each with its exit code and stderr prefix; the parse stage
+# turns any configparser error, ValueError, KeyError or ArithmeticError into a ConfigError
+_FAILURES = {ConfigError: (EXIT_CONFIG, "configuration error")} | dict.fromkeys(
+    (PreconditionError, CertificateError, ZeroMassAtomError, ArithmeticError), (EXIT_PRECONDITION, "precondition failure")
+)
+
+
+def _parse(config_path, out_dir, seed):
+    """The scenario at config_path, read and checked, with the directory its outputs go to."""
     try:
         cfg = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        read = cfg.read(config_path)
-        if not read:
+        if not cfg.read(config_path):
             raise ConfigError(f"cannot read config {config_path}")
         theorem = _get(cfg, "certificate", "theorem", default="T1").upper()
         if theorem not in ("T1", "T3"):
@@ -361,69 +357,66 @@ def run(config_path, out_dir=None, seed=None, strict=False):
             raise ConfigError("theorem T1 needs a [psi] section")
         functions = _parse_functions(cfg, space, seed)
         invariants = _get_bool(cfg, "verify", "invariants", True)
-        sampled_gauge = psi if theorem == "T1" else phi
-        mc = _parse_mc(cfg, seed, sampled_gauge)
+        gauge = psi if theorem == "T1" else phi  # the one the sampler normalizes its increments to
+        mc = _parse_mc(cfg, seed, gauge)
         out = Path(out_dir) if out_dir else Path(_get(cfg, "output", "dir", default="out"))
-        if not out.is_absolute():
-            out = config_path.parent / out
-    except (ConfigError, SpaceValidationError, ValueError, KeyError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ConfigError:
+        raise
+    except (configparser.Error, ValueError, KeyError, ArithmeticError) as exc:
+        raise ConfigError(exc) from None
+    return SimpleNamespace(theorem=theorem, R=R, n0=n0, space=space, phi=phi, psi=psi, functions=functions,
+                           invariants=invariants, gauge=gauge, mc=mc, out=config_path.parent / out)
 
+
+def _compute(sc):
+    """The certify, functions, suite and mc stages of scenario sc: the results for emit_report but its warnings and exit code."""
+    metrics, cert, check = _certify(sc.theorem, sc.space, sc.phi, sc.psi, sc.R, sc.n0)
+    if not math.isfinite(metrics.total):
+        raise PreconditionError(f"minorizing metric overflows: its mass integral is {metrics.total}")
+    if cert.escalated_from is not None:
+        warnings.warn(f"ratio escalated from {cert.escalated_from} to {cert.R}")
+    tau_rows = _tau_rows(metrics, cert)
+    reports = [(check(fvals), f"f{idx}:") for idx, fvals in enumerate(sc.functions)]
+    if sc.invariants:
+        reports.append((invariant_suite(sc.space, sc.phi, sc.psi, cert.R, sc.n0), ""))
+    passed = all(report.passed for report, _ in reports)
+    mc_rows = []
+    if sc.mc is not None:
+        n_grid, paths, mc_seed = sc.mc
+        sampler = brownian_grid_sampler(n_grid, sc.gauge)
+        mc_metrics, mc_cert, _ = _certify(sc.theorem, sampler.space, sc.phi, sc.psi, sc.R, sc.n0)
+        mc_report = empirical_corollary(sample(sampler, paths, mc_seed), mc_cert, mc_metrics)
+        passed &= mc_report.passed
+        mc_rows = _mc_rows(mc_report)
+    verify_rows = chain.from_iterable(_report_rows(r, prefix) for r, prefix in reports)
+    return dict(certificate=cert, theorem=cert.theorem, mass_integral=metrics.total, passed=passed,
+                tau_rows=tau_rows, verify_rows=verify_rows, mc_rows=mc_rows)
+
+
+def run(config_path, out_dir=None, seed=None, strict=False):
+    """Execute one scenario; returns the process exit code."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            metrics, cert, check = _certify(theorem, space, phi, psi, R, n0)
-        except (PreconditionError, CertificateError, ZeroMassAtomError, ArithmeticError) as exc:
-            print(f"precondition failure: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
-
-        results["certificate"] = cert
-        results["theorem"] = cert.theorem
-        results["mass_integral"] = metrics.total
-        if cert.escalated_from is not None:
-            results["warnings"].append(f"ratio escalated from {cert.escalated_from} to {cert.R}")
-
-        results["tau_rows"] = _tau_rows(metrics, cert)
-
-        reports = [(check(fvals), f"f{idx}:") for idx, fvals in enumerate(functions)]
-        all_passed = all(report.passed for report, _ in reports)
-        if invariants:
-            suite = invariant_suite(space, phi, psi, cert.R, n0)
-            all_passed &= suite.passed
-            reports.append((suite, ""))
-        results["verify_rows"] = chain.from_iterable(_report_rows(r, prefix) for r, prefix in reports)
-
-        if mc is not None:
-            n_grid, paths, mc_seed = mc
-            try:
-                sampler = brownian_grid_sampler(n_grid, sampled_gauge)
-                mc_metrics, mc_cert, _ = _certify(theorem, sampler.space, phi, psi, R, n0)
-                batch = sample(sampler, paths, mc_seed)
-                mc_report = empirical_corollary(batch, mc_cert, mc_metrics)
-                all_passed &= mc_report.passed
-                results["mc_rows"] = _mc_rows(mc_report)
-            except (PreconditionError, CertificateError, ValueError) as exc:
-                print(f"precondition failure in mc stage: {exc}", file=sys.stderr)
-                return EXIT_PRECONDITION
-
-        for w in caught:
-            results["warnings"].append(str(w.message))
-
+            scenario = _parse(Path(config_path), out_dir, seed)
+            results = _compute(scenario)
+        except tuple(_FAILURES) as exc:
+            code, prefix = next(_FAILURES[c] for c in type(exc).__mro__ if c in _FAILURES)
+            print(f"{prefix}: {exc}", file=sys.stderr)
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+            return code
+    results["warnings"] = [str(w.message) for w in caught]
     if strict and results["warnings"]:
         print("warnings treated as errors:\n  " + "\n  ".join(results["warnings"]), file=sys.stderr)
-        results["passed"] = False
-        results["exit_code"] = EXIT_PRECONDITION
-        emit_report(results, out)
-        return EXIT_PRECONDITION
-
-    results["passed"] = all_passed
-    results["exit_code"] = EXIT_OK if all_passed else EXIT_ASSERTION
-    emit_report(results, out)
-    if not all_passed:
+        results["passed"], code = False, EXIT_PRECONDITION
+    else:
+        code = EXIT_OK if results["passed"] else EXIT_ASSERTION
+    results["exit_code"] = code
+    emit_report(results, scenario.out)
+    if code == EXIT_ASSERTION:
         print("verification failed; see verify.csv / mc.csv", file=sys.stderr)
-        return EXIT_ASSERTION
-    return EXIT_OK
+    return code
 
 
 def main(argv=None):

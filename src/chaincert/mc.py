@@ -43,7 +43,13 @@ def gaussian_abs_moment(p):
 def _normalizer(psi):
     """Scale c with E psi(|N(0,1)| / c) = 1, for the supported gauge kinds."""
     if psi.kind == "power":
-        return gaussian_abs_moment(psi.p) ** (1.0 / psi.p)
+        try:
+            moment = gaussian_abs_moment(psi.p)
+        except OverflowError:
+            moment = math.inf
+        if moment == math.inf:
+            raise ValueError(f"E|Z|^p overflows a float for p = {psi.p}")
+        return moment ** (1.0 / psi.p)
     if psi.kind == "exponential" and psi.q == 2.0:
         # E exp(lam Z^2) = 1/sqrt(1-2 lam); solve (1/sqrt(1-2/c^2)-1)/(e-1) = 1
         return math.sqrt(2.0 / (1.0 - math.exp(-2.0)))

@@ -273,7 +273,7 @@ def generate_space(kind, seed=None, **params):
     """Deterministic space generators.
 
     grid:   n points evenly spread on [0, 1] with d = scale * |s - t|**gamma,
-            gamma in (0, 1], scale > 0
+            gamma in (0, 1], scale > 0 and finite
     tree:   balanced binary tree of the given depth with the hop metric
     random: n uniform points in the unit square with the Euclidean metric
 
@@ -305,8 +305,8 @@ def _grid_space(n, gamma=1.0, scale=1.0, mass=None, seed=None):
         raise ValueError("need at least one point")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]; larger exponents break the triangle inequality")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     pos = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
     dist = scale * np.abs(pos[:, None] - pos[None, :]) ** gamma
     rng = np.random.default_rng(seed)

@@ -621,6 +621,17 @@ def _radius_growth(space, phi, radii):
     return growth
 
 
+def _phi_at_level(phi, k, logR):
+    """phi(R^k); an OverflowError names it when it exceeds the largest float."""
+    try:
+        value = math.exp(phi.log_value_exp(k * logR))
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise OverflowError(f"phi(R^k) overflows a float at level k = {k}")
+    return value
+
+
 def invariant_suite(space, phi, psi, R, n0):
     """Measure the structural invariants of one configuration.
 
@@ -651,7 +662,7 @@ def invariant_suite(space, phi, psi, R, n0):
     worst_hi = -math.inf
     logR = math.log(R)
     for k in range(kstar + 1):
-        pk = math.exp(phi.log_value_exp(k * logR))
+        pk = _phi_at_level(phi, k, logR)
         if k == 0:
             closed = opened = 1.0
         else:
@@ -712,7 +723,7 @@ def invariant_suite(space, phi, psi, R, n0):
         inball = levels.ext_ball[k]
         worst_support = max(worst_support, float(np.abs(comp[~inball]).max(initial=0.0)))
         worst_rowsum = max(worst_rowsum, float(np.max(np.abs(comp.sum(axis=1) - 1.0))))
-        pk = math.exp(phi.log_value_exp(k * logR))
+        pk = _phi_at_level(phi, k, logR)
         for fvals in fs:
             lhs_vec = comp @ np.abs(fvals)
             rhs_vec = pk * (inball * (mass * np.abs(fvals))[None, :]).sum(axis=1)

@@ -254,7 +254,54 @@ def test_random_functions_with_overflowing_quotients_are_config_errors(tmp_path,
     cfg = _scenario_with(tmp_path, "line3", "functions", source="random", count="2")
     cfg = _scenario_with(tmp_path, cfg, "space", scale="1e-310")
     err = _assert_config_error(tmp_path, capsys, cfg)
-    assert err.startswith("configuration error: [functions] values of function 0: difference quotients")
+    assert err.startswith("configuration error: [functions] random function 0: difference quotients")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["kind = grid\n", "[space]\nn = 5%\n", "[space]\nn = 3\n[space]\nn = 4\n"],
+    ids=["no-section-header", "bare-percent", "duplicate-section"],
+)
+def test_malformed_ini_is_config_error(tmp_path, capsys, text):
+    _assert_config_error(tmp_path, capsys, _write(tmp_path, "bad.cfg", text))
+
+
+def _assert_precondition_failure(tmp_path, capsys, cfg):
+    """cfg ends in exit 3 with a precondition failure and writes no output; returns the message."""
+    assert run(cfg, out_dir=tmp_path / "out") == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("precondition failure:")
+    assert not (tmp_path / "out").exists()
+    return err
+
+
+def test_overflowing_phi_of_a_level_radius_is_precondition_failure(tmp_path, capsys):
+    # phi = x^200 at R = 6: phi(R^2) = 6^400 exceeds the largest float in the invariant suite
+    err = _assert_precondition_failure(tmp_path, capsys, _scenario_with(tmp_path, "twopoint", "phi", p="200"))
+    assert err.startswith("precondition failure: phi(R^k) overflows a float at level k = 2")
+
+
+def test_mc_gauge_with_an_overflowing_moment_is_config_error(tmp_path, capsys):
+    # E|Z|^400 = 2^200 Gamma(200.5) / sqrt(pi) is beyond the largest float
+    err = _assert_config_error(tmp_path, capsys, _scenario_with(tmp_path, "brownian64", "psi", p="400"))
+    assert err.startswith("configuration error: [mc] cannot sample this gauge: E|Z|^p overflows a float")
+
+
+@pytest.mark.parametrize("name", ["line3", "brownian64"])
+def test_overflowing_minorizing_metric_is_precondition_failure(tmp_path, capsys, name):
+    # d(0, 2) = 1e308 makes tau(0, 2) and the mass integral infinite, which would pass every bound;
+    # the overflow warnings of space validation and of the metric follow the message
+    err = _assert_precondition_failure(tmp_path, capsys, _scenario_with(tmp_path, name, "space", scale="1e308"))
+    message, *rest = err.splitlines()
+    assert message == "precondition failure: minorizing metric overflows: its mass integral is inf"
+    assert rest and all(line.startswith("warning: overflow encountered") for line in rest)
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-inf"])
+def test_non_finite_scale_is_config_error(tmp_path, capsys, scale):
+    # rejected before the multiply, so numpy has nothing to warn about
+    err = _assert_config_error(tmp_path, capsys, _scenario_with(tmp_path, "line3", "space", scale=scale))
+    assert err == "configuration error: scale must be positive and finite\n"
 
 
 def test_space_file_with_a_tolerated_diagonal_runs_t3(tmp_path):
