@@ -33,6 +33,8 @@ import warnings
 
 import numpy as np
 
+from .mspace import _check_points
+
 __all__ = [
     "ball_growth_integral",
     "MinorizingMetrics",
@@ -98,8 +100,9 @@ def ball_growth_integral(space, phi, x, upper):
 
     An upper limit beyond the diameter is clamped to it, with a warning.
     """
-    if upper < 0:
-        raise ValueError("upper limit must be nonnegative")
+    _check_points(space, x)
+    if not upper >= 0:
+        raise ValueError(f"upper limit must be nonnegative, not {upper}")
     D = space.diameter
     if upper > D + 1e-12:
         warnings.warn(

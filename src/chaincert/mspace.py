@@ -188,8 +188,7 @@ class MetricMeasureSpace:
         eps = np.asarray(eps, dtype=float)
         if not (eps >= 0).all():
             raise ValueError("radius must be nonnegative")
-        if (np.asarray(x) < 0).any():
-            raise ValueError("point index must be nonnegative")
+        _check_points(self, x)
         rows = self._sorted_d[x]  # the ball is the first count entries of each sorted row
         count = np.count_nonzero(rows <= eps[..., None] if closed else rows < eps[..., None], axis=-1)
         out = np.where(count > 0, self._cum_mass[x, count - 1], 0.0)
@@ -198,6 +197,13 @@ class MetricMeasureSpace:
     def distances_from(self, x):
         """Sorted distances from x and aligned cumulative masses."""
         return self._sorted_d[x], self._cum_mass[x]
+
+
+def _check_points(space, x):
+    """ValueError unless every index in x names a point of space; a negative one would read a row from the end."""
+    x = np.asarray(x)
+    if ((x < 0) | (x >= space.n)).any():
+        raise ValueError(f"point index must be nonnegative and below n = {space.n}")
 
 
 @functools.lru_cache(maxsize=4)
@@ -218,8 +224,8 @@ class RadiusTable:
         self.R = float(R)
         self.radii = radii  # (kstar + 1, n)
         self.kstar = int(kstar)
-        # l -> the per-level extended radii, ball masks and kernel that the
-        # diagnostics in verify read, each built on first use (verify._levels)
+        # l -> the per-level extended radii, ball masks and kernel that
+        # proof traces read, each built on first use (verify._levels)
         self._levels = {}
 
     def radius_vector(self, k):
@@ -297,7 +303,13 @@ def _resolve_mass(mass, n, rng):
     arr = np.asarray(mass, dtype=float)
     if arr.size != n:
         raise ValueError("mass list has the wrong length")
-    return arr / arr.sum()
+    if not np.isfinite(arr).all():
+        raise ValueError("masses must be finite")
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+        total = arr.sum()
+    if not 0 < total < math.inf:
+        raise ValueError(f"mass list must have a positive finite sum, not {total}")
+    return arr / total
 
 
 def _grid_space(n, gamma=1.0, scale=1.0, mass=None, seed=None):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .chain import _check_agreement, averaging_kernel, constant_a, modulus_pairs
 from .minorize import _growth_at, _growth_table, _own_growth, _row_blocks
-from .mspace import _triu, radius_table
+from .mspace import _check_points, _triu, radius_table
 from .orlicz import luxemburg_norm
 from .young import ConvexGauge, pair_series, shifted_series
 
@@ -294,7 +294,7 @@ class ProofTrace(_CheckList):
 
 
 class _Levels:
-    """Per-level data of one radius table up to level l, each part built on first use.
+    """Per-level data of one radius table up to level l for proof traces, each part built on first use.
 
     ext[k] is extended_vector(k, l); ext_ball[k], ball[k] and open_ball[k]
     are (n, n) masks whose row x is the closed ball of radius ext_k(x), the
@@ -343,9 +343,9 @@ def _levels(table, l):
 
 
 def _closed_balls(dist, radii):
-    """Stacked masks d(x, .) <= r(x) + 1e-12 max(1, r(x)), one per row r of radii."""
+    """Masks d(x, .) <= r(x) + 1e-12 max(1, r(x)): one (n, n) mask for a vector r, stacked for rows of radii."""
     edge = radii + 1e-12 * np.maximum(1.0, radii)
-    return dist[None, :, :] <= edge[:, :, None]
+    return dist <= edge[..., None]
 
 
 def _bracket_index(table, x, d):
@@ -366,6 +366,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     """
     _check_agreement(table, metrics)
     space = table.space
+    _check_points(space, [s, t])
     if f is not None:
         f = _as_test_function(f)
         fd = f.quotients(space)
@@ -632,6 +633,22 @@ def _phi_at_level(phi, k, logR):
     return value
 
 
+def _nesting_margins(dist, table, ext, k, pairs):
+    """The ball_nesting margin and ball_nesting_support count at level k < l; pairs is the level-(k+1) ball mask."""
+    r_k = table.radius_vector(k)
+    mid = r_k + ext[k + 1]
+    inner = r_k[None, :] - mid[:, None] - (REL_SLACK * np.maximum(1.0, np.abs(mid)))[:, None]
+    outer = mid - ext[k] - REL_SLACK * np.maximum(1.0, np.abs(ext[k]))
+    worst = max(float(inner[pairs].max()), float(outer.max()))
+    # #{w : ext_k(x) < d(u, w) <= r_k(u)} is the count of u's ball less the
+    # count of d(u, .) <= ext_k(x), clipped at 0; it is largest at the
+    # least ext_k(x) over the x paired with u
+    edge = ext[k] + 1e-12 * np.maximum(1.0, ext[k])
+    near = np.where(pairs, edge[:, None], np.inf).min(axis=0)
+    below = np.count_nonzero(dist <= near[:, None], axis=1)
+    return worst, int((np.count_nonzero(_closed_balls(dist, r_k), axis=1) - below).max())
+
+
 def invariant_suite(space, phi, psi, R, n0):
     """Measure the structural invariants of one configuration.
 
@@ -640,6 +657,9 @@ def invariant_suite(space, phi, psi, R, n0):
     bounds, ball nesting, composed-kernel support and stochasticity, the
     kernel averaging bound, and the averaging-operator identities. The
     random test functions come from default_rng(0).
+
+    The level checks are one walk from l = kstar + 1 down to 0 that builds
+    each kernel once and carries only the composed kernel and one ball mask.
     """
     table = radius_table(space, phi, R)
     kstar = table.kstar
@@ -647,7 +667,6 @@ def invariant_suite(space, phi, psi, R, n0):
     n = space.n
     dist = space.dist
     mass = space.mass
-    kernels = [averaging_kernel(table, k) for k in range(l + 1)]
     checks = []
 
     radii = table.radii
@@ -661,15 +680,15 @@ def invariant_suite(space, phi, psi, R, n0):
     worst_lo = -math.inf
     worst_hi = -math.inf
     logR = math.log(R)
+    pk = [_phi_at_level(phi, k, logR) for k in range(l + 1)]
     for k in range(kstar + 1):
-        pk = _phi_at_level(phi, k, logR)
         if k == 0:
             closed = opened = 1.0
         else:
             closed = space.ball_mass(np.arange(n), radii[k], closed=True)
             opened = space.ball_mass(np.arange(n), radii[k], closed=False)
-        worst_lo = max(worst_lo, float(np.max(1.0 - pk * closed)))
-        worst_hi = max(worst_hi, float(np.max(pk * opened - 1.0)))
+        worst_lo = max(worst_lo, float(np.max(1.0 - pk[k] * closed)))
+        worst_hi = max(worst_hi, float(np.max(pk[k] * opened - 1.0)))
     checks.append(Check("ball_mass_lower", "all x,k", worst_lo, 0.0))
     checks.append(Check("ball_mass_upper", "all x,k", worst_hi, 0.0))
 
@@ -680,67 +699,47 @@ def invariant_suite(space, phi, psi, R, n0):
 
     if R > 2:
         ll = kstar + 2
-        ext = _levels(table, ll).ext
         scale = R ** 2 / ((R - 1.0) * (R - 2.0))
-        worst = _worst_series_margin([ext[k] * R ** k for k in range(ll)],
+        worst = _worst_series_margin([table.extended_vector(k, ll) * R ** k for k in range(ll)],
                                      [scale * growth[min(c, kstar)] for c in range(ll)])
         checks.append(Check("extended_series_integral", "all x,c", worst, 0.0))
 
-    levels = _levels(table, l)
-    ext = levels.ext
-    worst = -math.inf
-    support_bad = 0
-    for k in range(l):
-        # the pairs (x, u) with u in the closed ball of radius ext_(k+1)(x)
-        pairs = levels.ext_ball[k + 1]
-        r_k = table.radius_vector(k)
-        mid = r_k + ext[k + 1]
-        inner = r_k[None, :] - mid[:, None] - (REL_SLACK * np.maximum(1.0, np.abs(mid)))[:, None]
-        outer = mid - ext[k] - REL_SLACK * np.maximum(1.0, np.abs(ext[k]))
-        worst = max(worst, float(inner[pairs].max()), float(outer.max()))
-        # #{w : ext_k(x) < d(u, w) <= r_k(u)} is the count of u's ball less the
-        # count of d(u, .) <= ext_k(x), clipped at 0; it is largest at the
-        # least ext_k(x) over the x paired with u
-        edge = ext[k] + 1e-12 * np.maximum(1.0, ext[k])
-        near = np.where(pairs, edge[:, None], np.inf).min(axis=0)
-        below = np.count_nonzero(dist <= near[:, None], axis=1)
-        support_bad = max(support_bad, int((levels.ball[k].sum(axis=1) - below).max()))
-    checks.append(Check("ball_nesting", "all x,u,k", worst, 0.0))
-    checks.append(Check("ball_nesting_support", "all x,u,k", float(support_bad), 0.0))
-
-    dev = max(float(np.max(np.abs(kernels[k].sum(axis=1) - 1.0))) for k in range(l + 1))
-    checks.append(Check("kernel_stochastic", "all k", dev, 0.0))
-
-    worst_support = -math.inf
-    worst_rowsum = -math.inf
+    ext = np.vstack([table.extended_vector(k, l) for k in range(l + 1)])
     rng = np.random.default_rng(0)
     fs = [rng.standard_normal(n) for _ in range(3)]
-    worst_avg = -math.inf
+    g = fs[0] + np.abs(rng.standard_normal(n))
+    nesting = stochastic = worst_support = worst_rowsum = worst_avg = unit_dev = mono = -math.inf
+    support_bad = 0
     comp = None
     for k in range(l, -1, -1):
+        inball = _closed_balls(dist, ext[k])
+        kernel = averaging_kernel(table, k)
+        stochastic = max(stochastic, float(np.max(np.abs(kernel.sum(axis=1) - 1.0))))
+        unit_dev = max(unit_dev, float(np.max(np.abs(kernel @ np.ones(n) - 1.0))))
+        mono = max(mono, float(np.max(kernel @ fs[0] - kernel @ g)))
+        if k == kstar:
+            settle = float(np.max(np.abs(kernel @ fs[0] - fs[0])))
         # the composed kernel P_l ... P_k, one factor more per level
-        comp = kernels[k] if comp is None else comp @ kernels[k]
-        inball = levels.ext_ball[k]
+        comp = kernel if comp is None else comp @ kernel
+        del kernel  # one n x n float less during the support and average checks below
         worst_support = max(worst_support, float(np.abs(comp[~inball]).max(initial=0.0)))
         worst_rowsum = max(worst_rowsum, float(np.max(np.abs(comp.sum(axis=1) - 1.0))))
-        pk = _phi_at_level(phi, k, logR)
         for fvals in fs:
             lhs_vec = comp @ np.abs(fvals)
-            rhs_vec = pk * (inball * (mass * np.abs(fvals))[None, :]).sum(axis=1)
+            rhs_vec = pk[k] * (inball * (mass * np.abs(fvals))[None, :]).sum(axis=1)
             worst_avg = max(worst_avg, float(np.max(lhs_vec - rhs_vec - REL_SLACK * np.maximum(1.0, rhs_vec))))
+        if k < l:
+            worst, bad = _nesting_margins(dist, table, ext, k, pairs)
+            nesting = max(nesting, worst)
+            support_bad = max(support_bad, bad)
+        pairs = inball
+    checks.append(Check("ball_nesting", "all x,u,k", nesting, 0.0))
+    checks.append(Check("ball_nesting_support", "all x,u,k", float(support_bad), 0.0))
+    checks.append(Check("kernel_stochastic", "all k", stochastic, 0.0))
     checks.append(Check("kernel_support", "composed", max(worst_support, worst_rowsum), 0.0))
     checks.append(Check("kernel_average_bound", "composed", worst_avg, 0.0))
-
-    unit_dev = max(
-        float(np.max(np.abs(kernels[k] @ np.ones(n) - 1.0))) for k in range(l + 1)
-    )
     checks.append(Check("operator_unit", "all k", unit_dev, 0.0))
-    g = fs[0] + np.abs(rng.standard_normal(n))
-    mono = max(
-        float(np.max(kernels[k] @ fs[0] - kernels[k] @ g)) for k in range(l + 1)
-    )
     checks.append(Check("operator_monotone", "f<=g", mono, 0.0))
-    settle = float(np.max(np.abs(kernels[min(kstar, l)] @ fs[0] - fs[0])))
     checks.append(Check("operator_settles", "k=kstar", settle, 0.0))
 
     params = {"R": R, "n0": n0, "kstar": kstar, "phi": phi.spec(), "psi": psi.spec() if psi else None}

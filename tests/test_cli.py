@@ -212,6 +212,15 @@ def test_non_finite_exponents_are_config_errors(tmp_path, capsys, section, value
     assert "finite exponent" in err
 
 
+@pytest.mark.parametrize(
+    "mass, total", [("-1,-1,2", "0.0"), ("0,0,0", "0.0"), ("1e308,1e308,0", "inf")],
+    ids=["sum-zero-negative", "sum-zero", "sum-overflows"],
+)
+def test_mass_lists_with_a_bad_sum_are_config_errors_naming_the_sum(tmp_path, capsys, mass, total):
+    err = _assert_config_error(tmp_path, capsys, _scenario_with(tmp_path, "line3", "space", mass=mass))
+    assert err == f"configuration error: mass list must have a positive finite sum, not {total}\n"  # no warning: line
+
+
 @pytest.mark.parametrize("knots", ["0,0;1,1;2,inf", "0,0;1,1;2,nan", "0,0;1,1;inf,5"])
 def test_non_finite_knots_are_config_errors(tmp_path, capsys, knots):
     cfg = _scenario_with(tmp_path, "line3", "phi", kind="piecewise", knots=knots)

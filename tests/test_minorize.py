@@ -52,6 +52,15 @@ def test_growth_integral_clamps_with_warning():
     assert val == ball_growth_integral(line, PHI1, 0, line.diameter)
 
 
+def test_growth_integral_rejects_foreign_points_and_nan_limits():
+    line = line3_space()
+    for x in (-1, 3):  # -1 would read point 2's integral
+        with pytest.raises(ValueError, match="point index must be nonnegative and below n = 3"):
+            ball_growth_integral(line, PHI1, x, 1.0)
+    with pytest.raises(ValueError, match="upper limit must be nonnegative, not nan"):
+        ball_growth_integral(line, PHI1, 0, float("nan"))
+
+
 def test_metric_oracles():
     two = two_point_space()
     line = line3_space()
@@ -210,11 +219,12 @@ def test_zero_mass_ties_keep_the_profile_pattern(layout):
     assert not [m for m in caught[0] if m.startswith("invalid value")]
 
 
-# tracemalloc peaks at n = 400 (random space, seed 5) with one growth
-# profile per point, before the growth table: MinorizingMetrics 6.71 MB,
-# invariant_suite 14.87 MB (the table reads 2.89 and 14.86 MB). The bounds
-# sit just above them; a (levels, n, n) float temporary adds about 7.7 MB.
-_PEAK_BOUNDS = {"metrics": 6.8e6, "suite": 15.0e6}
+# tracemalloc peaks at n = 400 (random space, seed 5): MinorizingMetrics
+# 6.71 MB with one growth profile per point, before the growth table (2.89 MB
+# with it); invariant_suite 4.32 MB, at the product of the composed kernel
+# and one level's kernel. The bounds sit just above 6.71 and 4.32 MB; one
+# more n x n float array adds 1.28 MB.
+_PEAK_BOUNDS = {"metrics": 6.8e6, "suite": 4.5e6}
 
 
 @pytest.mark.parametrize("stage", sorted(_PEAK_BOUNDS))

@@ -116,6 +116,13 @@ def test_non_finite_inputs_are_config_errors(tmp_path, dist, mass, space_cfg):
     assert run(cfg, out_dir=tmp_path / "out") == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("mass, total", [([-1, -1, 2], "0.0"), ([0, 0, 0], "0.0"), ([1e308, 1e308, 0], "inf")])
+def test_mass_list_with_a_bad_sum_is_rejected_by_its_sum(mass, total):
+    # numpy's divide and overflow warnings are errors under the pytest configuration
+    with pytest.raises(ValueError, match=f"mass list must have a positive finite sum, not {total}"):
+        generate_space("grid", n=3, mass=mass)
+
+
 def _triangle_cases(rng):
     """Distance matrices with n = 2..70 around the edge of the triangle check.
 
@@ -482,8 +489,8 @@ def test_ball_mass_returns_float_for_scalars_and_rejects_negative_radii():
         sp.ball_mass(0, -0.5)
     with pytest.raises(ValueError):
         sp.ball_mass(0, math.nan)
-    for x in (-1, [0, -1]):  # a negative index would read a row from the end
-        with pytest.raises(ValueError, match="point index must be nonnegative"):
+    for x in (-1, [0, -1], 6, [0, 6]):  # a negative index would read a row from the end
+        with pytest.raises(ValueError, match="point index must be nonnegative and below n = 6"):
             sp.ball_mass(x, 0.5)
 
 

@@ -2,6 +2,7 @@ import gc
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chaincert import (
     TestFunction,
     VerificationReport,
     YoungFunction,
+    averaging_kernel,
     certificate_thm1,
     certificate_thm3,
     converse_witness,
@@ -22,6 +24,7 @@ from chaincert import (
     verify_thm1,
     verify_thm3,
 )
+from chaincert import verify
 from chaincert.mspace import _triu
 from chaincert.verify import _PairLocations
 from util import (
@@ -200,6 +203,9 @@ def test_proof_trace_argument_validation():
     table = radius_table(five, PHI1, 6.0)
     with pytest.raises(ValueError, match="wrong length: 3 values on a 5-point space"):
         proof_trace(table, MinorizingMetrics(five, PHI1), 0, 1, l=table.kstar + 2, f=[0.0, 1.0, 2.0])
+    for s, t in ((-1, 0), (0, -1), (5, 0), (0, 5)):  # -1 would trace point 4 under the label -1
+        with pytest.raises(ValueError, match="point index must be nonnegative and below n = 5"):
+            proof_trace(table, MinorizingMetrics(five, PHI1), s, t, l=table.kstar + 2)
 
 
 def test_start_level_gap_violation_is_measured():
@@ -252,6 +258,18 @@ def test_invariant_suite_detects_corrupted_kernel():
         report = invariant_suite(line3_space(), PHI1, PHI2, 6.0, 1)
     assert not report.passed
     assert "kernel_stochastic" in report.failed_names()
+
+
+def test_invariant_suite_builds_each_kernel_once_without_the_trace_memo():
+    built = []
+
+    def kernel(table, k):
+        built.append(k)
+        return averaging_kernel(table, k)
+
+    with mock.patch.object(verify, "averaging_kernel", kernel), mock.patch.object(verify, "_levels", None):
+        report = invariant_suite(line3_space(), PHI1, PHI2, 6.0, 1)
+    assert built == list(range(report.params["kstar"] + 1, -1, -1))
 
 
 def test_check_columns_with_infinities():
