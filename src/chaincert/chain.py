@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mspace import _triu, radius_table
+from .mspace import _pair_mask, radius_table
 from .young import ConvexGauge, pair_series, ratio_condition
 
 __all__ = [
@@ -320,7 +320,7 @@ def modulus_pairs(cert, metrics):
     _check_agreement(cert, metrics)
     mod = cert.__dict__.get("_moduli")
     if mod is None:
-        tau = metrics.tau[_triu(metrics.space.n)]
+        tau = metrics.tau[_pair_mask(metrics.space.n)]
         gauge = ConvexGauge(cert.phi)
         mod = cert.C * tau * gauge.inverse_from_one(metrics.total / (cert.K * tau))
         mod.flags.writeable = False

@@ -11,7 +11,8 @@ config, non-numeric values, invalid parameter ranges, non-boolean switches,
 invalid spaces or a non-finite grid scale, a Monte Carlo gauge the samplers
 cannot normalize or whose moment E|Z|^p overflows), 3 precondition failure
 (growth-ratio or series divergence, degenerate certificates, a minorizing
-metric or a phi(R^k) that overflows), 4 failed verification assertion.
+metric or a phi(R^k) that overflows, a gauge check whose two sides both
+overflow), 4 failed verification assertion.
 Warnings from every stage, parsing included, are listed in summary.json; a
 run that stops on an error prints them to stderr after its message.
 """
@@ -43,7 +44,7 @@ from .chain import (
 )
 from .mc import _normalizer, brownian_grid_sampler, empirical_corollary, sample
 from .minorize import MinorizingMetrics
-from .mspace import ZeroMassAtomError, _triu, generate_space, space_from_json
+from .mspace import ZeroMassAtomError, _pair_mask, generate_space, space_from_json
 from .verify import TestFunction, invariant_suite, verify_thm1, verify_thm3
 from .young import YoungFunction
 
@@ -243,7 +244,7 @@ def _tau_rows(metrics, cert):
     mods = None if cert.theorem == "T1" else modulus_pairs(cert, metrics)
 
     def blocks():
-        pairs = _triu(n)
+        pairs = _pair_mask(n)
         dists = _reprs(space.dist[pairs])
         taus = _reprs(metrics.tau[pairs])
         row_mods = repeat("") if mods is None else iter(_reprs(mods))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import _check_agreement, modulus_pairs
-from .mspace import MetricMeasureSpace, _triu
+from .mspace import MetricMeasureSpace, _pair_mask
 
 __all__ = [
     "gaussian_abs_moment",
@@ -229,7 +229,7 @@ def increment_moment_stats(batch, sampler):
     standard errors of the analytic value 1.
     """
     means, ses = [], []
-    for block in _pair_rows(batch.values, sampler.space.dist[_triu(sampler.n)]):
+    for block in _pair_rows(batch.values, sampler.space.dist[_pair_mask(sampler.n)]):
         vals = sampler.psi.value(block)
         means.append(vals.mean(axis=1))
         ses.append(vals.std(axis=1, ddof=1))
@@ -252,7 +252,7 @@ def empirical_corollary(batch, cert, metrics):
     space = metrics.space
     if batch.values.shape[1] != space.n:
         raise ValueError("batch, certificate and metrics must share one space")
-    tau = metrics.tau[_triu(space.n)]
+    tau = metrics.tau[_pair_mask(space.n)]
     stats = []
     if cert.theorem == "T1" and cert.K == 0.0:
         # an underflowed weight sum gives K = 0: every path that moves has an infinite ratio

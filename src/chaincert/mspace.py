@@ -215,6 +215,15 @@ def _triu(n):
     return iu, iv
 
 
+@functools.lru_cache(maxsize=4)
+def _pair_mask(n):
+    """The (n, n) mask of i < j, made once per n and read-only: a[_pair_mask(n)] lists the
+    entries of the pairs of _triu(n) in its order, faster than a[_triu(n)], at n^2 bytes."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
 class RadiusTable:
     """Critical radii r_k(x) for levels k = 0..kstar of a (space, phi, R) triple."""
 

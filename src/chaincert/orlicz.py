@@ -21,11 +21,15 @@ def _aligned(values, weights):
     v = np.abs(np.asarray(values, dtype=float).ravel())
     if v.shape != w.shape:
         raise ValueError(f"values and weights are misaligned: {v.shape} vs {w.shape}")
-    if not np.isfinite(w).all():
+    if not w.size:
+        return v, w
+    # a nan or an infinity carries through min and max, and |v| >= 0
+    lo, hi = float(w.min()), float(w.max())
+    if not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("weights must be finite")
-    if (w < 0).any():
+    if lo < 0:
         raise ValueError("weights must be nonnegative")
-    if not np.isfinite(v).all():
+    if not math.isfinite(v.max()):
         raise ValueError("function values must be finite")
     return v, w
 
@@ -50,33 +54,35 @@ def luxemburg_norm(values, weights, gauge):
     """
     v, w = _aligned(values, weights)
     atoms = (w > 0) & (v > 0)
-    if not atoms.any():
-        return 0.0
     v, w = v[atoms], w[atoms]
+    if not v.size:
+        return 0.0
     vmax = float(v.max())
     shifted = isinstance(gauge, ConvexGauge)
     base = gauge.base if shifted else gauge
-    power = base.kind == "power"
-    if power:
+    if base.kind == "power":
         up = v / vmax
         up **= base.p
         s = float(np.dot(w, up))
         if not shifted:
             return vmax * s ** (1.0 / base.p)
         # the lower bound on a of the docstring, halved to leave room for its rounding
-        keep = v >= 0.5 * vmax * (s / (1.0 + float(w.sum()))) ** (1.0 / base.p)
-        v, w = v[keep], w[keep]
+        keep = (v >= 0.5 * vmax * (s / (1.0 + float(w.sum()))) ** (1.0 / base.p)).nonzero()[0]
+        # sorted as the kept values alone, since the order of ties decides the bits of
+        # the prefix sums; u^p is carried through, not computed again
+        order = keep[(-v[keep]).argsort()]
+        w, up = w[order], up[order]
+        W = w.cumsum()
+        S = (w * up).cumsum()
+        with np.errstate(divide="ignore", over="ignore"):
+            at_values = S / up - W  # the integral at a = u_k max|v|, nondecreasing in k
+        k = int(at_values.searchsorted(1.0, side="right"))
+        return vmax * float(S[k - 1] / (1.0 + W[k - 1])) ** (1.0 / base.p)
+
     order = np.argsort(-v)
     u = v[order] / vmax
     w = w[order]
     W = np.cumsum(w)
-    if power:
-        up = u ** base.p
-        S = np.cumsum(w * up)
-        with np.errstate(divide="ignore", over="ignore"):
-            at_values = S / up - W  # the integral at a = u_k max|v|, nondecreasing in k
-        k = int(np.searchsorted(at_values, 1.0, side="right"))
-        return vmax * float(S[k - 1] / (1.0 + W[k - 1])) ** (1.0 / base.p)
 
     def log_integral(s):
         with np.errstate(over="ignore", invalid="ignore"):

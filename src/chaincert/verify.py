@@ -24,7 +24,7 @@ import numpy as np
 
 from .chain import _check_agreement, averaging_kernel, constant_a, modulus_pairs
 from .minorize import _growth_at, _growth_table, _own_growth, _row_blocks
-from .mspace import _check_points, _triu, radius_table
+from .mspace import _check_points, _pair_mask, _triu, radius_table
 from .orlicz import luxemburg_norm
 from .young import ConvexGauge, pair_series, shifted_series
 
@@ -61,15 +61,27 @@ class TestFunction:
 
     def quotients(self, space):
         """|f(u) - f(v)| / d(u, v) with 0/0 = 0 on the diagonal; ValueError for a wrong length or an overflow."""
+        return self._pair_differences(space)[1]
+
+    def _pair_differences(self, space):
+        """(|f(s) - f(t)| over the pairs of mspace._triu, the quotient matrix) from one |f(u) - f(v)| matrix.
+
+        The pairs are gathered before the matrix is divided in place, so no
+        second n x n array is kept.
+        """
         f = self.values
         if f.size != space.n:
             raise ValueError(f"test function has the wrong length: {f.size} values on a {space.n}-point space")
-        out = np.zeros(space.dist.shape)
-        with np.errstate(over="ignore"):  # d > 0 off the diagonal, so any overflow is an inf quotient, rejected below
-            np.divide(np.abs(f[:, None] - f[None, :]), space.dist, out=out, where=space.dist > 0)
+        # d > 0 off the diagonal, so any overflow is an inf quotient, rejected below; 0/0 on the diagonal is set to 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = f[:, None] - f[None, :]
+            np.abs(out, out=out)
+            gaps = out[_pair_mask(f.size)]
+            out /= space.dist
+        np.fill_diagonal(out, 0.0)
         if not np.isfinite(out).all():
             raise ValueError("difference quotients |f(s) - f(t)| / d(s, t) overflow")
-        return out
+        return gaps, out
 
 
 class _PairLocations(Sequence):
@@ -89,14 +101,37 @@ class _PairLocations(Sequence):
         return (f"({i},{j})" for i, j in zip(self.iu.tolist(), self.iv.tolist()))
 
 
+class _PointLocations(Sequence):
+    """The "u=i" location of each point of an index array, formatted on demand."""
+
+    def __init__(self, points):
+        self.points = points
+
+    def __len__(self):
+        return self.points.size
+
+    def __getitem__(self, j):
+        return f"u={self.points[j]}"
+
+
 def _rel_margins(lhs, rhs):
     """(rhs - lhs) / max(1, |rhs|) of float arrays; -inf where lhs is +inf or rhs is -inf
     below lhs, else inf where lhs is -inf or rhs infinite."""
     with np.errstate(invalid="ignore"):
-        out = (rhs - lhs) / np.maximum(1.0, np.abs(rhs))
+        scale = np.abs(rhs)
+        out = rhs - lhs
+        out /= np.maximum(scale, 1.0, out=scale)  # in place: one temporary less at the size of lhs
+    if np.isfinite(out).all():  # a nan or an infinity in lhs or rhs leaves a non-finite entry
+        return out
     out[np.isinf(rhs) | (lhs == -np.inf)] = np.inf
     out[(lhs == np.inf) | (rhs == -np.inf) & (lhs > -np.inf)] = -np.inf
     return out
+
+
+def _as_vector(x):
+    """x as a float array of at least one dimension; a float64 array is taken as it is."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(1) if x.ndim == 0 else x
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +150,8 @@ class Check:
     def __post_init__(self):
         if isinstance(self.locations, str):
             object.__setattr__(self, "locations", (self.locations,))
-        lhs = np.atleast_1d(np.asarray(self.lhs, dtype=float))
-        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
+        lhs = _as_vector(self.lhs)
+        rhs = _as_vector(self.rhs)
         if not len(self.locations) == lhs.size == rhs.size:
             raise ValueError("a check needs one lhs and one rhs value per location")
         object.__setattr__(self, "lhs", lhs)
@@ -221,13 +256,11 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
     _check_agreement(cert, metrics)
     space = metrics.space
     gauge = ConvexGauge(cert.psi)
-    fd = f.quotients(space)
+    lhs, fd = f._pair_differences(space)
     lux = luxemburg_norm(fd.ravel(), cert.nu.ravel(), gauge)
 
-    iu, iv = _triu(space.n)
-    pairs = _PairLocations(iu, iv)
-    lhs = np.abs(f.values[iu] - f.values[iv])
-    tau = metrics.tau[iu, iv]
+    pairs = _PairLocations(*_triu(space.n))
+    tau = metrics.tau[_pair_mask(space.n)]
     holder = Check("holder_bound", pairs, lhs, cert.K * lux * tau)
 
     checks = []
@@ -236,10 +269,13 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
         checks.append(_worst_row("holder_bound_relaxed", pairs, lhs, relaxed_K * lux * tau))
 
     if nabla_r is not None:
-        rhs_int = float((cert.nu * gauge.value(fd)).sum())
-        denom = cert.K * nabla_r * tau  # tau > 0 off the diagonal, so this is 0 only where the product underflowed
-        ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
-        sup_lhs = float(gauge.value(ratios).max()) if ratios.size else 0.0
+        with np.errstate(over="ignore"):  # an overflow is an infinite side; see _both_sides_overflow
+            rhs_int = float((cert.nu * gauge.value(fd)).sum())
+            denom = cert.K * nabla_r * tau  # tau > 0 off the diagonal, so this is 0 only where the product underflowed
+            ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
+            sup_lhs = float(gauge.value(ratios).max()) if ratios.size else 0.0
+        if sup_lhs == rhs_int == math.inf:
+            raise _both_sides_overflow("gauge_sup_bound")
         checks.append(Check("gauge_sup_bound", "sup", sup_lhs, rhs_int))
     checks.append(holder)
 
@@ -260,17 +296,23 @@ def verify_thm3(cert, metrics, f):
         raise ValueError("expected a radius-weighted (T3) certificate")
     space = cert.space
     gauge = ConvexGauge(cert.phi)
-    fd = f.quotients(space)
-    rhs_int = float((cert.nu * gauge.value(fd)).sum())
-
-    iu, iv = _triu(space.n)
+    diff, fd = f._pair_differences(space)
     mod = modulus_pairs(cert, metrics)  # checks that cert and metrics agree; nothing above reads metrics
-    diff = np.abs(f.values[iu] - f.values[iv])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow is an infinite side; see _both_sides_overflow
+        rhs_int = float((cert.nu * gauge.value(fd)).sum())
         lhs = gauge.value(diff / mod)
-    rhs = np.full(iu.size, rhs_int)
+    if rhs_int == math.inf and (lhs == math.inf).any():
+        raise _both_sides_overflow("modulus_bound")
+    rhs = np.full(lhs.size, rhs_int)
     params = {"theorem": "T3", "K": cert.K, "C": cert.C, "mass_integral": metrics.total}
-    return VerificationReport([Check("modulus_bound", _PairLocations(iu, iv), lhs, rhs)], params)
+    return VerificationReport([Check("modulus_bound", _PairLocations(*_triu(space.n)), lhs, rhs)], params)
+
+
+def _both_sides_overflow(name):
+    """The error for a gauge check whose integral side and some lhs value both overflowed to +inf,
+    so that it cannot tell; a finite lhs under an infinite integral holds and raises nothing."""
+    return OverflowError(f"{name}: both sides overflow a float (the gauge integral of the difference "
+                         f"quotients and the gauge of a normalized difference)")
 
 
 # -- proof traces -------------------------------------------------------------
@@ -399,7 +441,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
         u_ball = balls[k, x]
         union = balls[k, s] | balls[k, t]
         r_prev = table.radius_vector(k - 1)[u_ball]
-        return not (space.dist[np.ix_(u_ball, union)] >= r_prev[:, None]).any()
+        return not (space.dist[u_ball][:, union] >= r_prev[:, None]).any()
 
     cap = max(c, 1)
     tau_by_point = {}
@@ -415,7 +457,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
 
     # start_level_gap: d_tau <= r_(tau-1)(u) on the balls that define tau
     us = np.concatenate([np.flatnonzero(balls[tau, x]) for x in (s, t) if tau_by_point[x] == tau])
-    checks.append(_worst_row("start_level_gap", [f"u={u}" for u in us.tolist()],
+    checks.append(_worst_row("start_level_gap", _PointLocations(us),
                              np.full(us.size, d_levels[tau]), table.radius_vector(tau - 1)[us]))
 
     lhs_sum = d_levels[tau] * R ** tau
@@ -438,17 +480,20 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     )
 
 
-def _ball_averages(space, fd, balls, thresholds, rows):
+def _ball_averages(space, fd, fd_max, balls, thresholds, rows):
     """out[i, u]: the mass average of fd[u] over the ball balls[i, u] where rows[i, u], else 0.
 
     Quotients below thresholds[i] count as 0, so a ball without one at or
-    above it averages to 0. Each other ball is summed with np.dot over its
-    own members: a masked matrix product would group the terms differently
-    and change the last bits.
+    above it averages to 0, and no ball is searched when the largest
+    quotient fd_max is below every threshold. Each other ball is summed with
+    np.dot over its own members: a masked matrix product would group the
+    terms differently and change the last bits.
     """
     out = np.zeros(rows.shape)
+    if fd_max < min(thresholds, default=math.inf):
+        return out
     hits = rows & (balls & (fd >= np.asarray(thresholds)[:, None, None])).any(axis=2)
-    for i, u in zip(*np.nonzero(hits)):
+    for i, u in zip(*hits.nonzero()):
         member = np.flatnonzero(balls[i, u])
         w = space.mass[member]
         tot = float(w.sum())
@@ -460,7 +505,7 @@ def _ball_averages(space, fd, balls, thresholds, rows):
 
 def _index_order_sums(terms, mask):
     """Per row, terms[mask] added one at a time in index order (masked-out terms add an exact 0)."""
-    return np.cumsum(np.where(mask, terms, 0.0), axis=-1)[..., -1]
+    return np.where(mask, terms, 0.0).cumsum(axis=-1)[..., -1]
 
 
 def _smoothing_difference_check(levels, f, fd, s, t, tau, anchor, d_levels, n):
@@ -475,17 +520,17 @@ def _smoothing_difference_check(levels, f, fd, s, t, tau, anchor, d_levels, n):
     total += sum(ext[k][x] * R ** (k + n) for x in (s, t) for k in range(tau, l))
     # levels k = tau..l-1: each point u of the level-(k+1) extended balls of s
     # and t adds mass(u) r_k(u) times its ball average, once for s and once for t
-    outer = levels.ext_ball[tau + 1:l + 1]
-    avg = _ball_averages(space, fd, levels.ball[tau:l], [R ** (k + n) for k in range(tau, l)],
-                         outer[:, s] | outer[:, t])
+    outer = levels.ext_ball[tau + 1:l + 1, [s, t]].swapaxes(0, 1)  # [0] for s, [1] for t
+    fd_max = float(fd.max())
+    avg = _ball_averages(space, fd, fd_max, levels.ball[tau:l], [R ** (k + n) for k in range(tau, l)],
+                         outer[0] | outer[1])
     terms = space.mass * levels.radii[tau:l] * avg
-    acc = {x: _index_order_sums(terms, outer[:, x]) for x in (s, t)}
-    weight = [phi.value(R ** (k + 1)) for k in range(tau, l)]
-    for x in (s, t):
-        for i in range(l - tau):
-            total += weight[i] * acc[x][i]
+    weight = phi.value(np.array([R ** (k + 1) for k in range(tau, l)]))
+    for acc in _index_order_sums(terms, outer):
+        for w, a in zip(weight, acc):
+            total += w * a
     start = levels.ext_ball[tau, anchor][None, :]
-    avg = _ball_averages(space, fd, levels.open_ball[tau - 1:tau], [R ** (tau + n)], start)
+    avg = _ball_averages(space, fd, fd_max, levels.open_ball[tau - 1:tau], [R ** (tau + n)], start)
     acc = _index_order_sums(space.mass * avg[0], start[0])
     total += d_levels[tau] * phi.value(R ** (tau + 1)) * acc
     return Check("smoothing_difference_bound", f"n={n}", lhs, float(total))
@@ -570,7 +615,7 @@ def converse_witness(space, phi, psi, R, n0, t, l):
     iu, iv = _triu(n)
     if iu.size:
         pairs = _PairLocations(iu, iv)
-        quot = np.abs(witness[iu] - witness[iv]) / space.dist[iu, iv]
+        quot = np.abs(witness[iu] - witness[iv]) / space.dist[_pair_mask(n)]
         gap = np.abs(dists[iu] - dists[iv])
         avg = np.zeros(iu.size)
         np.divide(np.abs(psi_integral[iu] - psi_integral[iv]), gap, out=avg, where=gap > 0)

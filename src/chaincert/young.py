@@ -106,7 +106,7 @@ class YoungFunction:
                 out = np.expm1(arr ** self.q) / math.expm1(1.0)
         else:
             out = self._pwl_value(arr)
-        return float(out) if np.ndim(x) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
     def _pwl_value(self, arr):
         idx = np.searchsorted(self.knots_x, arr, side="right") - 1
@@ -216,9 +216,8 @@ class ConvexGauge:
         self.base = base
 
     def value(self, x):
-        v = self.base.value(x)
-        out = np.maximum(np.asarray(v, dtype=float) - 1.0, 0.0)
-        return float(out) if np.ndim(v) == 0 else out
+        out = np.maximum(np.asarray(self.base.value(x), dtype=float) - 1.0, 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def inverse(self, y):
         arr = np.asarray(y, dtype=float)

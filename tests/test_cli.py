@@ -306,6 +306,21 @@ def test_overflowing_minorizing_metric_is_precondition_failure(tmp_path, capsys,
     assert rest and all(line.startswith("warning: overflow encountered") for line in rest)
 
 
+@pytest.mark.parametrize("theorem, check", [("T1", "gauge_sup_bound"), ("T3", "modulus_bound")])
+def test_gauge_sides_that_both_overflow_are_precondition_failures(tmp_path, capsys, theorem, check):
+    # the gauge of the quotient 2e200 overflows, and so does the other side: inf <= inf
+    # cannot tell, so the run stops with exit 3 and numpy has nothing to warn about
+    cfg = _scenario_with(tmp_path, "line3", "functions", values="1e200,0,0")
+    cfg = _scenario_with(tmp_path, cfg, "certificate", theorem=theorem)
+    if theorem == "T3":
+        cfg = _scenario_with(tmp_path, cfg, "phi", p="2")  # with phi = x, (x - 1)+ of 2e200 is finite
+    err = _assert_precondition_failure(tmp_path, capsys, cfg)
+    assert err.splitlines() == [
+        f"precondition failure: {check}: both sides overflow a float (the gauge integral of the "
+        "difference quotients and the gauge of a normalized difference)"
+    ]
+
+
 @pytest.mark.parametrize("scale", ["inf", "nan", "-inf"])
 def test_non_finite_scale_is_config_error(tmp_path, capsys, scale):
     # rejected before the multiply, so numpy has nothing to warn about

@@ -12,7 +12,7 @@ from chaincert import (
     generate_space,
     luxemburg_norm,
 )
-from util import bisection_luxemburg, full_sort_luxemburg, ternary_amemiya
+from util import bisection_luxemburg, full_sort_luxemburg, shifted_power_luxemburg, ternary_amemiya
 
 PHI2 = YoungFunction.power(2)
 BASES = [YoungFunction.power(p) for p in (1, 1.5, 2, 4)] + [
@@ -131,6 +131,15 @@ def test_non_finite_weights_rejected():
             luxemburg_norm([1.0, 2.0], [bad, 0.5], PHI2)
         with pytest.raises(ValueError, match="finite"):
             amemiya_norm([1.0, 2.0], [bad, 0.5], PHI2)
+    # the three messages hold for every non-finite kind, and a weight check comes before the value check
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            luxemburg_norm([np.nan, 2.0], [0.5, bad], PHI2)
+        with pytest.raises(ValueError, match="function values must be finite"):
+            luxemburg_norm([1.0, bad], [0.5, 0.5], PHI2)
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        luxemburg_norm([np.inf, 1.0], [0.5, -0.0001], PHI2)
+    assert luxemburg_norm([], [], PHI2) == 0.0
 
 
 def _oracle_cases(rng):
@@ -181,6 +190,22 @@ def test_luxemburg_bracket_survives_inexact_inverse():
 
 
 SHIFTED_POWERS = [ConvexGauge(YoungFunction.power(p)) for p in (1, 1.5, 2, 3, 4)]
+
+
+def test_shifted_power_matches_reference_bit_for_bit():
+    # the solve carries u^p through the cut and the sort; the reference computes it again after the sort
+    rng = np.random.default_rng(23)
+    for gauge in SHIFTED_POWERS:
+        for size in (0, 1, 2, 7, 40, 1600):
+            for scale in (1e-3, 1.0, 1e3, 1e150):
+                values = scale * rng.standard_normal(size)
+                values[rng.random(size) < 0.2] = 0.0
+                if size > 2:
+                    values[: size // 3] = values[size // 3]  # ties at the top and across the cut
+                weights = rng.random(size)
+                weights[rng.random(size) < 0.2] = 0.0
+                got, want = luxemburg_norm(values, weights, gauge), shifted_power_luxemburg(values, weights, gauge)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (gauge, size, scale)
 
 
 def _matches_full_sort(values, weights, gauge):

@@ -29,6 +29,9 @@ from chaincert.mspace import _triu
 from chaincert.verify import _PairLocations
 from util import (
     corrupted_kernels,
+    gather_quotients,
+    gather_verify_thm1,
+    gather_verify_thm3,
     line3_space,
     loop_growth_ratios,
     loop_invariant_suite,
@@ -53,6 +56,37 @@ def test_quotients():
     assert np.all(np.diag(fd) == 0.0)
     assert fd[0, 1] == 1.0
     assert fd[0, 2] == 0.0
+
+
+def test_gauge_sides_that_both_overflow_raise_naming_the_check():
+    # psi_+(2e200) overflows, so the integral side is +inf; so is the sup of psi_+ of the
+    # normalized differences, and inf <= inf cannot tell: both checks raise, numpy warns of nothing
+    line = line3_space()
+    f = np.array([1e200, 0.0, 0.0])
+    calls = {
+        "gauge_sup_bound": lambda: verify_thm1(certificate_thm1(line, PHI1, PHI2, 6.0, 1),
+                                               MinorizingMetrics(line, PHI1), f, nabla_r=1.0),
+        "modulus_bound": lambda: verify_thm3(certificate_thm3(line, PHI2, 6.0), MinorizingMetrics(line, PHI2), f),
+    }
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowError, match=f"^{name}: both sides overflow a float"):
+                call()
+        assert caught == []
+
+
+def test_finite_lhs_under_an_infinite_integral_passes():
+    # 1e155 / d squared overflows in the integral, while the normalized differences stay finite
+    line = line3_space()
+    f = np.array([1e155, 0.0, 0.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t1 = verify_thm1(certificate_thm1(line, PHI1, PHI2, 6.0, 1), MinorizingMetrics(line, PHI1), f, nabla_r=1.0)
+        t3 = verify_thm3(certificate_thm3(line, PHI2, 6.0), MinorizingMetrics(line, PHI2), f)
+    assert caught == []
+    for check in (t1.check("gauge_sup_bound"), t3.check("modulus_bound")):
+        assert np.isfinite(check.lhs).all() and (check.rhs == np.inf).all() and check.passed
 
 
 def test_thm1_line_passes():
@@ -448,6 +482,61 @@ def test_proof_traces_match_loop_oracle():
                     except ValueError:  # l <= c
                         continue
                     _assert_same_trace(proof_trace(table, mets, s, t, l, f=f, n=shift), expected)
+
+
+def test_verify_path_matches_gather_oracle():
+    # one |f(s) - f(t)| matrix, the pair mask and the leaner Luxemburg solve change no bit
+    # of any check, location or quotient norm: random, constant, tied and near-overflow f
+    rng = np.random.default_rng(29)
+    spaces = [generate_space("random", n=n, seed=n) for n in range(1, 41)] + [generate_space("random", n=200, seed=7)]
+    for space in spaces:
+        n = space.n
+        m1, m2 = MinorizingMetrics(space, PHI1), MinorizingMetrics(space, PHI2)
+        t1 = (certificate_thm1(space, PHI1, PHI2, 6.0, 1), m1)
+        t3 = (certificate_thm3(space, PHI2, 6.0), m2) if n > 1 else None
+        for f in (rng.standard_normal(n), np.full(n, -2.5), rng.integers(0, 3, n) * 0.5,
+                  1e150 * rng.standard_normal(n)):
+            tf = TestFunction(f)
+            assert _bits(tf.quotients(space)) == _bits(gather_quotients(tf, space))
+            cases = [(verify_thm1, gather_verify_thm1, t1, {}), (verify_thm1, gather_verify_thm1, t1, {"nabla_r": 1.0})]
+            if t3 is not None:
+                cases.append((verify_thm3, gather_verify_thm3, t3, {}))
+            for fn, oracle, (cert, mets), kw in cases:
+                got, want = fn(cert, mets, f, **kw), oracle(cert, mets, f, **kw)
+                _assert_same_checks(got.checks, want.checks)
+                assert _bits(got.params.get("quotient_norm", 0.0)) == _bits(want.params.get("quotient_norm", 0.0))
+
+
+def test_rel_margins_match_scalar_oracle_elementwise():
+    # finite values, +-inf, nan, and finite pairs whose difference overflows, bit for bit
+    rng = np.random.default_rng(31)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.5e-310, 1e308, -1e308, np.inf, -np.inf, np.nan])
+    cases = [(np.repeat(pool, pool.size), np.tile(pool, pool.size))]  # every pair of the pool
+    for size in (1, 2, 5, 40, 300):
+        lhs = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+        rhs = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 4, size)
+        cases.append((lhs, rhs))
+        mixed = [lhs.copy(), rhs.copy()]
+        for a in mixed:
+            pick = rng.random(size) < 0.5
+            a[pick] = rng.choice(pool, int(pick.sum()))
+        cases.append(tuple(mixed))
+    for lhs, rhs in cases:
+        with np.errstate(over="ignore"):  # rhs - lhs overflows for (-1e308, 1e308)
+            got = verify._rel_margins(lhs, rhs)
+        want = np.array([rel_margin(a, b) for a, b in zip(lhs.tolist(), rhs.tolist())])
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert _bits(got[~np.isnan(got)]) == _bits(want[~np.isnan(want)]), (lhs, rhs)
+
+
+def test_proof_trace_at_the_diameter_with_one_level_matches_loop_oracle():
+    # a pair at the diameter has c = 0, so l = 1 leaves no level between tau = 1 and l
+    sp = generate_space("grid", n=5)
+    table, mets = radius_table(sp, PHI1, 6.0), MinorizingMetrics(sp, PHI1)
+    for f in (np.arange(5.0), 1e3 * np.array([0.0, 5.0, -3.0, 2.0, 9.0])):
+        got = proof_trace(table, mets, 0, 4, 1, f=f)
+        assert (got.c, got.tau) == (0, 1)
+        _assert_same_trace(got, loop_proof_trace(table, mets, 0, 4, 1, f=f))
 
 
 def test_invariant_suite_matches_loop_oracle():

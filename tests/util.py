@@ -20,8 +20,19 @@ from chaincert import (
     radius_table,
 )
 from chaincert import verify
+from chaincert.chain import _check_agreement, modulus_pairs
 from chaincert.cli import _fmt
-from chaincert.verify import REL_SLACK, _as_test_function, _bracket_index, _step_integral, _step_value
+from chaincert.mspace import _triu
+from chaincert.verify import (
+    REL_SLACK,
+    _as_test_function,
+    _bracket_index,
+    _PairLocations,
+    _step_integral,
+    _step_value,
+    _worst_row,
+)
+from chaincert.young import ConvexGauge
 
 
 def two_point_space():
@@ -661,3 +672,114 @@ def loop_growth_ratios(space, phi, R, n0, t):
         w = _step_integral(full_radii, R, n0, float(dists[x]), table.kstar)
         ratios[x] = growth / w if w > 0 else math.inf
     return ratios
+
+
+# -- the per-function verify path, one numpy pass per quantity ------------------
+
+
+def gather_quotients(f, space):
+    """Reference difference quotients: a zeroed matrix divided where d > 0."""
+    f = f.values
+    if f.size != space.n:
+        raise ValueError(f"test function has the wrong length: {f.size} values on a {space.n}-point space")
+    out = np.zeros(space.dist.shape)
+    with np.errstate(over="ignore"):  # d > 0 off the diagonal, so any overflow is an inf quotient, rejected below
+        np.divide(np.abs(f[:, None] - f[None, :]), space.dist, out=out, where=space.dist > 0)
+    if not np.isfinite(out).all():
+        raise ValueError("difference quotients |f(s) - f(t)| / d(s, t) overflow")
+    return out
+
+
+def shifted_power_luxemburg(values, weights, gauge):
+    """Reference Luxemburg norm in (x^p - 1)+: every check on the full arrays, u^p computed again after the sort."""
+    w = np.asarray(weights, dtype=float).ravel()
+    v = np.abs(np.asarray(values, dtype=float).ravel())
+    if v.shape != w.shape:
+        raise ValueError(f"values and weights are misaligned: {v.shape} vs {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if (w < 0).any():
+        raise ValueError("weights must be nonnegative")
+    if not np.isfinite(v).all():
+        raise ValueError("function values must be finite")
+    atoms = (w > 0) & (v > 0)
+    if not atoms.any():
+        return 0.0
+    v, w = v[atoms], w[atoms]
+    vmax = float(v.max())
+    base = gauge.base
+    up = v / vmax
+    up **= base.p
+    s = float(np.dot(w, up))
+    keep = v >= 0.5 * vmax * (s / (1.0 + float(w.sum()))) ** (1.0 / base.p)
+    v, w = v[keep], w[keep]
+    order = np.argsort(-v)
+    u = v[order] / vmax
+    w = w[order]
+    W = np.cumsum(w)
+    up = u ** base.p
+    S = np.cumsum(w * up)
+    with np.errstate(divide="ignore", over="ignore"):
+        at_values = S / up - W
+    k = int(np.searchsorted(at_values, 1.0, side="right"))
+    return vmax * float(S[k - 1] / (1.0 + W[k - 1])) ** (1.0 / base.p)
+
+
+def gather_verify_thm1(cert, metrics, f, nabla_r=None):
+    """Reference verify_thm1: the pair differences and tau gathered by index, the gauge sides unguarded."""
+    f = _as_test_function(f)
+    if cert.theorem != "T1":
+        raise ValueError("expected a ratio-pair (T1) certificate")
+    _check_agreement(cert, metrics)
+    space = metrics.space
+    gauge = ConvexGauge(cert.psi)
+    fd = gather_quotients(f, space)
+    lux = shifted_power_luxemburg(fd.ravel(), cert.nu.ravel(), gauge)
+
+    iu, iv = _triu(space.n)
+    pairs = _PairLocations(iu, iv)
+    lhs = np.abs(f.values[iu] - f.values[iv])
+    tau = metrics.tau[iu, iv]
+    holder = Check("holder_bound", pairs, lhs, cert.K * lux * tau)
+
+    checks = []
+    relaxed_K = cert.A * cert.R ** (cert.n0 + 1) * (1.0 + cert.B)
+    if lhs.size:
+        checks.append(_worst_row("holder_bound_relaxed", pairs, lhs, relaxed_K * lux * tau))
+
+    if nabla_r is not None:
+        rhs_int = float((cert.nu * gauge.value(fd)).sum())
+        denom = cert.K * nabla_r * tau
+        ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
+        sup_lhs = float(gauge.value(ratios).max()) if ratios.size else 0.0
+        checks.append(Check("gauge_sup_bound", "sup", sup_lhs, rhs_int))
+    checks.append(holder)
+
+    params = {
+        "theorem": "T1",
+        "K": cert.K,
+        "quotient_norm": lux,
+        "nabla_r": nabla_r,
+        "relaxed_K": relaxed_K,
+    }
+    return VerificationReport(checks, params)
+
+
+def gather_verify_thm3(cert, metrics, f):
+    """Reference verify_thm3: the pair differences gathered by index, the integral side unguarded."""
+    f = _as_test_function(f)
+    if cert.theorem != "T3":
+        raise ValueError("expected a radius-weighted (T3) certificate")
+    space = cert.space
+    gauge = ConvexGauge(cert.phi)
+    fd = gather_quotients(f, space)
+    rhs_int = float((cert.nu * gauge.value(fd)).sum())
+
+    iu, iv = _triu(space.n)
+    mod = modulus_pairs(cert, metrics)
+    diff = np.abs(f.values[iu] - f.values[iv])
+    with np.errstate(over="ignore"):
+        lhs = gauge.value(diff / mod)
+    rhs = np.full(iu.size, rhs_int)
+    params = {"theorem": "T3", "K": cert.K, "C": cert.C, "mass_integral": metrics.total}
+    return VerificationReport([Check("modulus_bound", _PairLocations(iu, iv), lhs, rhs)], params)

@@ -2,19 +2,24 @@
 
     python tools/pipeline_scale.py            # n = 64, 256, 512, 1024
     python tools/pipeline_scale.py 512 2048   # other sizes
+    python tools/pipeline_scale.py 8 20 40    # per-call costs at the sizes of small spaces
 
 Each space has n uniform points in the unit square, uniform mass and the
 Euclidean metric; phi = x, psi = x^2, R = 6 and n0 = 1. The stages are:
 
     space      generation and validation (the O(n^3) triangle check)
     metrics    MinorizingMetrics for x and for x^2
-    t1         certificate_thm1 (x, x^2) and verify_thm1 (nabla_r = 1)
+    t1         certificate_thm1 (x, x^2)
+    verify1    one verify_thm1 (nabla_r = 1) of f under the t1 certificate
     luxemburg  one luxemburg_norm in (x^2 - 1)+ of the quotients of f under
                the t1 certificate's pair measure
-    t3         certificate_thm3 (x^2) and verify_thm3
+    t3         certificate_thm3 (x^2)
+    verify3    one verify_thm3 of f under the t3 certificate
     suite      invariant_suite (x, x^2)
-    witness    converse_witness (x^2, x) at point 0 with l = 4 and one
-               proof_trace for the pair (0, n - 1) with l = kstar + 2
+    witness    converse_witness (x^2, x) at point 0 with l = 4
+    trace      one proof_trace of f for the pair (0, n - 1) with
+               l = kstar + 2, on a radius table whose per-level masks an
+               untimed first trace has built
 
 Each stage runs three times untraced, of which the fastest gives its wall
 time, and once more under tracemalloc for its peak, so the tracing does not
@@ -79,23 +84,19 @@ def stages(n, seed=0):
     space = run("space", lambda: cc.generate_space("random", n=n, seed=seed))
     m1, m2 = run("metrics", lambda: (cc.MinorizingMetrics(space, PHI1), cc.MinorizingMetrics(space, PHI2)))
 
-    def t1():
-        cert = cc.certificate_thm1(space, PHI1, PHI2, R, N0)
-        cc.verify_thm1(cert, m1, f, nabla_r=1.0)
-        return cert
-
-    nu = run("t1", t1).nu.ravel()
+    t1 = run("t1", lambda: cc.certificate_thm1(space, PHI1, PHI2, R, N0))
+    run("verify1", lambda: cc.verify_thm1(t1, m1, f, nabla_r=1.0))
+    nu = t1.nu.ravel()
     fd = cc.TestFunction(f).quotients(space).ravel()
     run("luxemburg", lambda: cc.luxemburg_norm(fd, nu, cc.ConvexGauge(PHI2)))
-    run("t3", lambda: cc.verify_thm3(cc.certificate_thm3(space, PHI2, R), m2, f))
+    t3 = run("t3", lambda: cc.certificate_thm3(space, PHI2, R))
+    run("verify3", lambda: cc.verify_thm3(t3, m2, f))
     run("suite", lambda: cc.invariant_suite(space, PHI1, PHI2, R, N0))
-
-    def witness():
-        cc.converse_witness(space, PHI2, PHI1, R, N0, 0, WITNESS_LEVEL)
-        table = cc.radius_table(space, PHI1, R)
-        cc.proof_trace(table, m1, 0, n - 1, table.kstar + 2, f=f)
-
-    run("witness", witness)
+    run("witness", lambda: cc.converse_witness(space, PHI2, PHI1, R, N0, 0, WITNESS_LEVEL))
+    table = cc.radius_table(space, PHI1, R)
+    level = table.kstar + 2
+    cc.proof_trace(table, m1, 0, n - 1, level, f=f)
+    run("trace", lambda: cc.proof_trace(table, m1, 0, n - 1, level, f=f))
     return rows
 
 
@@ -105,10 +106,10 @@ def main(argv):
     for n in sizes:
         rows = stages(n)
         for name, seconds, peak in rows:
-            print(f"{n:>6} {name:<9} {seconds:>9.4f} {peak / 1e6:>9.2f}")
+            print(f"{n:>6} {name:<9} {seconds:>9.6f} {peak / 1e6:>9.3f}")
         total = sum(seconds for _, seconds, _ in rows)
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        print(f"{n:>6} {'total':<9} {total:>9.4f} {'':>9} max RSS {rss:.0f} MB")
+        print(f"{n:>6} {'total':<9} {total:>9.6f} {'':>9} max RSS {rss:.0f} MB")
 
 
 if __name__ == "__main__":
