@@ -59,9 +59,10 @@ def constant_b3(R):
     return 3.0 * R ** 4 / (R - 1.0) ** 2
 
 
-def _ball_rows(space, radii, closed=True):
-    """Row x averages over the closed (d <= r(x)) or open (d < r(x)) ball around x."""
-    ind = space.dist <= radii[:, None] if closed else space.dist < radii[:, None]
+def _ball_rows(space, radii, closed=True, centers=slice(None)):
+    """Row i averages over the closed (d <= r(x)) or open (d < r(x)) ball around x = centers[i]; all points by default."""
+    dist, radii = space.dist[centers], radii[centers, None]
+    ind = dist <= radii if closed else dist < radii
     rowmass = ind @ space.mass
     return np.divide(space.mass, rowmass[:, None], out=np.zeros(ind.shape), where=ind & (rowmass > 0)[:, None])
 

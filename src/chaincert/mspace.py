@@ -225,7 +225,11 @@ def _pair_mask(n):
 
 
 class RadiusTable:
-    """Critical radii r_k(x) for levels k = 0..kstar of a (space, phi, R) triple."""
+    """Critical radii r_k(x) for levels k = 0..kstar of a (space, phi, R) triple.
+
+    Immutable after construction and holds no cache: each call of extended
+    builds its stack anew.
+    """
 
     def __init__(self, space, phi, R, radii, kstar):
         self.space = space
@@ -233,9 +237,6 @@ class RadiusTable:
         self.R = float(R)
         self.radii = radii  # (kstar + 1, n)
         self.kstar = int(kstar)
-        # l -> the per-level extended radii, ball masks and kernel that
-        # proof traces read, each built on first use (verify._levels)
-        self._levels = {}
 
     def radius_vector(self, k):
         return self.radii[min(k, self.kstar)]
@@ -243,13 +244,18 @@ class RadiusTable:
     def radius(self, k, x):
         return float(self.radii[min(k, self.kstar), x])
 
-    def extended_vector(self, k, l):
-        """r^l_k = sum_{i=k}^{l} 2^(i-k) r_i, componentwise over points."""
-        if not 0 <= k <= l:
-            raise ValueError("need 0 <= k <= l")
-        out = np.zeros(self.space.n)
-        for i in range(k, l + 1):
-            out += (2.0 ** (i - k)) * self.radius_vector(i)
+    def extended(self, l):
+        """The (l + 1, n) stack of extended radii r^l_k = sum_{i=k}^{l} 2^(i-k) r_i, row k for k = 0..l.
+
+        Row k starts at 0 and adds its terms one at a time in ascending i, so
+        each row is bit for bit the sum of a loop over i for that k alone.
+        """
+        if l < 0:
+            raise ValueError("need l >= 0")
+        radii = self.radii[np.minimum(np.arange(l + 1), self.kstar)]
+        out = np.zeros_like(radii)
+        for j in range(l + 1):  # row k takes its term i = k + j at step j
+            out[:l + 1 - j] += 2.0 ** j * radii[j:]
         return out
 
 

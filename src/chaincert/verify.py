@@ -3,7 +3,8 @@
 verify_thm1 / verify_thm3 check the Hölder bounds delivered by the two
 certificates on a supplied function, pair by pair. proof_trace re-derives the
 internal quantities of the chaining argument for one pair (bracketing level
-c, start levels tau_s/tau_t, padded distances d_k) and measures each step
+c, start levels tau_s/tau_t, padded distances d_k) from the balls around s
+and t, built on every call and kept nowhere, and measures each step
 inequality. converse_witness builds the step-function witness showing the
 minorizing metric is optimal up to constants. invariant_suite aggregates the
 structural invariants of radii, kernels and their compositions.
@@ -22,7 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .chain import _check_agreement, averaging_kernel, constant_a, modulus_pairs
+from .chain import _ball_rows, _check_agreement, averaging_kernel, constant_a, modulus_pairs
 from .minorize import _growth_at, _growth_table, _own_growth, _row_blocks
 from .mspace import _check_points, _pair_mask, _triu, radius_table
 from .orlicz import luxemburg_norm
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 REL_SLACK = 1e-9
+_BALL_BLOCK = 2 ** 16  # floats of distance rows, and of quotient rows, gathered at a time for ball averages (512 KB)
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class TestFunction:
 
     def quotients(self, space):
         """|f(u) - f(v)| / d(u, v) with 0/0 = 0 on the diagonal; ValueError for a wrong length or an overflow."""
-        return self._pair_differences(space)[1]
+        return self._divided(space, self._differences(space))
 
     def _pair_differences(self, space):
         """(|f(s) - f(t)| over the pairs of mspace._triu, the quotient matrix) from one |f(u) - f(v)| matrix.
@@ -69,19 +71,28 @@ class TestFunction:
         The pairs are gathered before the matrix is divided in place, so no
         second n x n array is kept.
         """
+        out = self._differences(space)
+        return out[_pair_mask(space.n)], self._divided(space, out)
+
+    def _differences(self, space):
+        """The matrix |f(u) - f(v)|; an overflow is an inf entry, which _divided rejects."""
         f = self.values
         if f.size != space.n:
             raise ValueError(f"test function has the wrong length: {f.size} values on a {space.n}-point space")
-        # d > 0 off the diagonal, so any overflow is an inf quotient, rejected below; 0/0 on the diagonal is set to 0
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             out = f[:, None] - f[None, :]
-            np.abs(out, out=out)
-            gaps = out[_pair_mask(f.size)]
+        return np.abs(out, out=out)
+
+    @staticmethod
+    def _divided(space, out):
+        """out divided in place by the distances, with 0/0 = 0 on the diagonal; ValueError for a non-finite quotient."""
+        # d > 0 off the diagonal, so any overflow is an inf quotient; 0/0 on the diagonal is set to 0
+        with np.errstate(over="ignore", invalid="ignore"):
             out /= space.dist
         np.fill_diagonal(out, 0.0)
         if not np.isfinite(out).all():
             raise ValueError("difference quotients |f(s) - f(t)| / d(s, t) overflow")
-        return gaps, out
+        return out
 
 
 class _PairLocations(Sequence):
@@ -335,57 +346,9 @@ class ProofTrace(_CheckList):
     checks: list
 
 
-class _Levels:
-    """Per-level data of one radius table up to level l for proof traces, each part built on first use.
-
-    ext[k] is extended_vector(k, l); ext_ball[k], ball[k] and open_ball[k]
-    are (n, n) masks whose row x is the closed ball of radius ext_k(x), the
-    closed ball of radius r_k(x) and the open ball of radius r_k(x), for
-    k = 0..l. Closed balls take the tolerance 1e-12 * max(1, r); the level-0
-    open ball is the whole space by convention. kernel is the matrix of
-    averaging_kernel(table, l). Memory is O(l n^2) bools.
-    """
-
-    def __init__(self, table, l):
-        self.table = table
-        self.l = l
-
-    @functools.cached_property
-    def ext(self):
-        return np.vstack([self.table.extended_vector(k, self.l) for k in range(self.l + 1)])
-
-    @functools.cached_property
-    def radii(self):
-        return np.vstack([self.table.radius_vector(k) for k in range(self.l + 1)])
-
-    @functools.cached_property
-    def ext_ball(self):
-        return _closed_balls(self.table.space.dist, self.ext)
-
-    @functools.cached_property
-    def ball(self):
-        return _closed_balls(self.table.space.dist, self.radii)
-
-    @functools.cached_property
-    def open_ball(self):
-        out = self.table.space.dist[None, :, :] < self.radii[:, :, None]
-        out[0] = True
-        return out
-
-    @functools.cached_property
-    def kernel(self):
-        return averaging_kernel(self.table, self.l)
-
-
-def _levels(table, l):
-    """The table's per-level data up to level l, kept on the table for later calls."""
-    if l not in table._levels:
-        table._levels[l] = _Levels(table, l)
-    return table._levels[l]
-
-
 def _closed_balls(dist, radii):
-    """Masks d(x, .) <= r(x) + 1e-12 max(1, r(x)): one (n, n) mask for a vector r, stacked for rows of radii."""
+    """Masks d(x, .) <= r(x) + 1e-12 max(1, r(x)) over the rows d(x, .) of dist and their radii r(x);
+    a stack of radius vectors gives a stack of masks."""
     edge = radii + 1e-12 * np.maximum(1.0, radii)
     return dist <= edge[..., None]
 
@@ -405,6 +368,13 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     is dominated by the previous-level radius inside the defining balls),
     geometric_level_sum, trace_metric_bound, and, when f is given,
     smoothing_difference_bound for the supplied threshold shift n.
+
+    Every step reads only the balls around s and t and the points inside
+    them, so a trace builds on each call the extended radii of s and t and
+    their (l + 1, 2, n) extended-ball rows, and the smoothing check the
+    level-l kernel rows of s and t and the ball rows of the points it
+    averages over; nothing is kept on the table. Beyond the quotient matrix
+    of f, a trace takes O(l n) memory.
     """
     _check_agreement(table, metrics)
     space = table.space
@@ -429,77 +399,81 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     if l <= c:
         raise ValueError("need l > c")
 
-    levels = _levels(table, l)
-    ext = levels.ext
-    balls = levels.ext_ball
+    st = [s, t]  # index 0 is s and 1 is t in ext and balls
+    ext = table.extended(l)[:, st]
+    balls = _closed_balls(space.dist[st], ext)
 
-    def condition(k, x):
+    def condition(k, j):
         # union of the level-k extended balls sits strictly inside the
-        # previous-level open ball around every point of the x ball
+        # previous-level open ball around every point of the ball of st[j]
         if k == 1:
             return True  # level-0 open balls are the whole space by convention
-        u_ball = balls[k, x]
-        union = balls[k, s] | balls[k, t]
+        u_ball = balls[k, j]
+        union = balls[k, 0] | balls[k, 1]
         r_prev = table.radius_vector(k - 1)[u_ball]
         return not (space.dist[u_ball][:, union] >= r_prev[:, None]).any()
 
     cap = max(c, 1)
-    tau_by_point = {}
-    for x in (s, t):
-        satisfied = [k for k in range(1, cap + 1) if condition(k, x)]
-        tau_by_point[x] = max(satisfied)
-    tau_s, tau_t = tau_by_point[s], tau_by_point[t]
-    tau = min(tau_s, tau_t)
-    anchor = t if tau == tau_t else s
+    tau_st = [max(k for k in range(1, cap + 1) if condition(k, j)) for j in (0, 1)]
+    tau = min(tau_st)
+    anchor_j = 1 if tau == tau_st[1] else 0
 
-    d_levels = np.minimum(ext[:, s] + ext[:, t] + d, D)
+    d_levels = np.minimum(ext[:, 0] + ext[:, 1] + d, D)
     checks = []
 
     # start_level_gap: d_tau <= r_(tau-1)(u) on the balls that define tau
-    us = np.concatenate([np.flatnonzero(balls[tau, x]) for x in (s, t) if tau_by_point[x] == tau])
+    us = np.concatenate([np.flatnonzero(balls[tau, j]) for j in (0, 1) if tau_st[j] == tau])
     checks.append(_worst_row("start_level_gap", _PointLocations(us),
                              np.full(us.size, d_levels[tau]), table.radius_vector(tau - 1)[us]))
 
     lhs_sum = d_levels[tau] * R ** tau
-    lhs_sum += sum((ext[k][s] + ext[k][t]) * R ** k for k in range(tau, c + 1))
-    rhs_sum = (R / (R - 5.0)) * R ** c * (1.5 * d + 2.0 * (ext[c][s] + ext[c][t]))
+    lhs_sum += sum((ext[k, 0] + ext[k, 1]) * R ** k for k in range(tau, c + 1))
+    rhs_sum = (R / (R - 5.0)) * R ** c * (1.5 * d + 2.0 * (ext[c, 0] + ext[c, 1]))
     checks.append(Check("geometric_level_sum", f"c={c}", float(lhs_sum), float(rhs_sum)))
 
     A = constant_a(R)
     lhs_tm = d_levels[tau] * R ** tau
-    lhs_tm += sum(ext[k][x] * R ** k for x in (s, t) for k in range(tau, l))
+    lhs_tm += sum(ext[k, j] * R ** k for j in (0, 1) for k in range(tau, l))
     checks.append(Check("trace_metric_bound", "A*tau", float(lhs_tm), float(A * metrics.tau[s, t])))
 
     if f is not None:
-        checks.append(_smoothing_difference_check(levels, f, fd, s, t, tau, anchor, d_levels, n))
+        checks.append(_smoothing_difference_check(table, l, f, fd, st, ext, balls, tau, anchor_j, d_levels, n))
 
     return ProofTrace(
         s=s, t=t, l=l, distance=d, a=a, b=b, c=c,
-        tau_s=tau_s, tau_t=tau_t, tau=tau, anchor=anchor,
+        tau_s=tau_st[0], tau_t=tau_st[1], tau=tau, anchor=st[anchor_j],
         d_levels=d_levels, checks=checks,
     )
 
 
-def _ball_averages(space, fd, fd_max, balls, thresholds, rows):
-    """out[i, u]: the mass average of fd[u] over the ball balls[i, u] where rows[i, u], else 0.
+def _ball_averages(space, fd, radii, thresholds, rows, closed=True):
+    """out[i, u]: the mass average of fd[u] over the ball of radius radii[i, u] around u where rows[i, u], else 0.
 
-    Quotients below thresholds[i] count as 0, so a ball without one at or
-    above it averages to 0, and no ball is searched when the largest
-    quotient fd_max is below every threshold. Each other ball is summed with
-    np.dot over its own members: a masked matrix product would group the
-    terms differently and change the last bits.
+    The balls are closed with the tolerance of _closed_balls, or open
+    (d < r). Quotients below thresholds[i] count as 0, so a ball without one
+    at or above it averages to 0. The ball rows of the points of rows are
+    built _BALL_BLOCK floats at a time, and each ball with a quotient at or
+    above its threshold is summed with np.dot over its own members: a masked
+    matrix product would group the terms differently and change the last
+    bits.
     """
     out = np.zeros(rows.shape)
-    if fd_max < min(thresholds, default=math.inf):
-        return out
-    hits = rows & (balls & (fd >= np.asarray(thresholds)[:, None, None])).any(axis=2)
-    for i, u in zip(*hits.nonzero()):
-        member = np.flatnonzero(balls[i, u])
-        w = space.mass[member]
-        tot = float(w.sum())
-        if tot > 0.0:
-            vals = fd[u, member]
-            out[i, u] = float(np.dot(w, np.where(vals >= thresholds[i], vals, 0.0))) / tot
+    thresholds = np.asarray(thresholds)
+    levels, points = rows.nonzero()
+    step = max(1, _BALL_BLOCK // space.n)
+    for lo in range(0, points.size, step):
+        block_i, block_u = levels[lo:lo + step], points[lo:lo + step]
+        r = radii[block_i, block_u]
+        balls = _closed_balls(space.dist[block_u], r) if closed else space.dist[block_u] < r[:, None]
+        block_thr = thresholds[block_i]
+        hits = (balls & (fd[block_u] >= block_thr[:, None])).any(axis=1)
+        for i, u, ball, thr in zip(block_i[hits], block_u[hits], balls[hits], block_thr[hits]):
+            member = np.flatnonzero(ball)
+            w = space.mass[member]
+            tot = float(w.sum())
+            if tot > 0.0:
+                vals = fd[u, member]
+                out[i, u] = float(np.dot(w, np.where(vals >= thr, vals, 0.0))) / tot
     return out
 
 
@@ -508,31 +482,42 @@ def _index_order_sums(terms, mask):
     return np.where(mask, terms, 0.0).cumsum(axis=-1)[..., -1]
 
 
-def _smoothing_difference_check(levels, f, fd, s, t, tau, anchor, d_levels, n):
-    table, l, ext = levels.table, levels.l, levels.ext
+def _smoothing_difference_check(table, l, f, fd, st, ext, balls, tau, anchor_j, d_levels, n):
+    """The smoothing_difference_bound of a trace; st, ext and balls as in proof_trace, and st[anchor_j] the anchor.
+
+    A level whose ball-average sum is 0 adds an exact 0 and its weight
+    phi(R^(k+1)) is not multiplied in, so a weight that overflows to inf
+    makes the bound inf only under a positive sum, never nan. No ball is
+    built when every quotient is below the lowest threshold R^(tau+n).
+    """
     space = table.space
     R = table.R
     phi = table.phi
-    smoothed = levels.kernel @ f.values
-    lhs = abs(float(smoothed[s] - smoothed[t]))
+    smoothed = _ball_rows(space, table.radius_vector(l), centers=st) @ f.values
+    lhs = abs(float(smoothed[0] - smoothed[1]))
 
     total = d_levels[tau] * R ** (tau + n)
-    total += sum(ext[k][x] * R ** (k + n) for x in (s, t) for k in range(tau, l))
-    # levels k = tau..l-1: each point u of the level-(k+1) extended balls of s
-    # and t adds mass(u) r_k(u) times its ball average, once for s and once for t
-    outer = levels.ext_ball[tau + 1:l + 1, [s, t]].swapaxes(0, 1)  # [0] for s, [1] for t
-    fd_max = float(fd.max())
-    avg = _ball_averages(space, fd, fd_max, levels.ball[tau:l], [R ** (k + n) for k in range(tau, l)],
-                         outer[0] | outer[1])
-    terms = space.mass * levels.radii[tau:l] * avg
-    weight = phi.value(np.array([R ** (k + 1) for k in range(tau, l)]))
-    for acc in _index_order_sums(terms, outer):
-        for w, a in zip(weight, acc):
-            total += w * a
-    start = levels.ext_ball[tau, anchor][None, :]
-    avg = _ball_averages(space, fd, fd_max, levels.open_ball[tau - 1:tau], [R ** (tau + n)], start)
-    acc = _index_order_sums(space.mass * avg[0], start[0])
-    total += d_levels[tau] * phi.value(R ** (tau + 1)) * acc
+    total += sum(ext[k, j] * R ** (k + n) for j in (0, 1) for k in range(tau, l))
+    if fd.max() >= R ** (tau + n):  # else every ball average is 0
+        # levels k = tau..l-1: each point u of the level-(k+1) extended balls of s
+        # and t adds mass(u) r_k(u) times its ball average, once for s and once for t
+        outer = balls[tau + 1:l + 1].swapaxes(0, 1)  # [0] for s, [1] for t
+        radii = table.radii[np.minimum(np.arange(tau, l), table.kstar)]
+        avg = _ball_averages(space, fd, radii, [R ** (k + n) for k in range(tau, l)], outer[0] | outer[1])
+        terms = space.mass * radii * avg
+        weight = phi.value(np.array([R ** (k + 1) for k in range(tau, l)]))
+        for acc in _index_order_sums(terms, outer):
+            for w, a in zip(weight, acc):
+                if a:
+                    total += w * a
+        # the anchor's start ball, each point averaged over its level-(tau-1)
+        # open ball; the level-0 open ball is the whole space, radius inf
+        anchor = balls[tau, anchor_j][None, :]
+        prev = table.radius_vector(tau - 1) if tau > 1 else np.full(space.n, math.inf)
+        avg = _ball_averages(space, fd, prev[None, :], [R ** (tau + n)], anchor, closed=False)
+        acc = _index_order_sums(space.mass * avg[0], anchor[0])
+        if acc:
+            total += d_levels[tau] * phi.value(R ** (tau + 1)) * acc
     return Check("smoothing_difference_bound", f"n={n}", lhs, float(total))
 
 
@@ -745,11 +730,12 @@ def invariant_suite(space, phi, psi, R, n0):
     if R > 2:
         ll = kstar + 2
         scale = R ** 2 / ((R - 1.0) * (R - 2.0))
-        worst = _worst_series_margin([table.extended_vector(k, ll) * R ** k for k in range(ll)],
+        ext = table.extended(ll)
+        worst = _worst_series_margin([ext[k] * R ** k for k in range(ll)],
                                      [scale * growth[min(c, kstar)] for c in range(ll)])
         checks.append(Check("extended_series_integral", "all x,c", worst, 0.0))
 
-    ext = np.vstack([table.extended_vector(k, l) for k in range(l + 1)])
+    ext = table.extended(l)
     rng = np.random.default_rng(0)
     fs = [rng.standard_normal(n) for _ in range(3)]
     g = fs[0] + np.abs(rng.standard_normal(n))

@@ -211,7 +211,7 @@ def test_kernel_average_bound_line():
         comp = np.eye(3)
         for k in range(l, -1, -1):
             comp = comp @ kernels[k]
-            ext = table.extended_vector(k, l)
+            ext = table.extended(l)[k]
             for x in range(3):
                 lhs = float(comp[x] @ np.abs(f))
                 inside = line.dist[x] <= ext[x] + 1e-12

@@ -12,6 +12,7 @@ from chaincert import (
     generate_space,
     invariant_suite,
     majorizing_integral,
+    proof_trace,
     radius_table,
 )
 from chaincert.mspace import _triu
@@ -222,17 +223,25 @@ def test_zero_mass_ties_keep_the_profile_pattern(layout):
 # tracemalloc peaks at n = 400 (random space, seed 5): MinorizingMetrics
 # 6.71 MB with one growth profile per point, before the growth table (2.89 MB
 # with it); invariant_suite 4.32 MB, at the product of the composed kernel
-# and one level's kernel. The bounds sit just above 6.71 and 4.32 MB; one
-# more n x n float array adds 1.28 MB.
-_PEAK_BOUNDS = {"metrics": 6.8e6, "suite": 4.5e6}
+# and one level's kernel; one proof trace of f (pair (0, n - 1), l = kstar + 2,
+# fresh table) 2.04 MB: the 1.28 MB quotient matrix of f and its finiteness
+# mask, then ball-average blocks of 512 KB, where the per-table memo of three
+# (l + 1, n, n) ball masks and the kernel P_l made 6.37 MB. The bounds sit
+# just above 6.71, 4.32 and 2.04 MB; one more n x n float array adds 1.28 MB,
+# and one (l + 1, n, n) bool stack 1.12 MB.
+_PEAK_BOUNDS = {"metrics": 6.8e6, "suite": 4.5e6, "trace": 2.3e6}
 
 
 @pytest.mark.parametrize("stage", sorted(_PEAK_BOUNDS))
 def test_memory_guard(stage):
     sp = generate_space("random", n=400, seed=5)
+    if stage == "trace":  # the table and metrics are built before the measurement
+        table, mets = radius_table(sp, PHI1, 6.0), MinorizingMetrics(sp, PHI1)
+        f = np.random.default_rng(5).standard_normal(sp.n)
     run = {
         "metrics": lambda: MinorizingMetrics(sp, PHI2),
         "suite": lambda: invariant_suite(sp, PHI1, PHI2, 6.0, 1),
+        "trace": lambda: proof_trace(table, mets, 0, sp.n - 1, table.kstar + 2, f=f),
     }[stage]
     tracemalloc.start()
     try:

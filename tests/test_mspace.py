@@ -547,10 +547,10 @@ def test_radius_lipschitz_and_sandwich():
 
 def test_extended_radius_examples():
     line = radius_table(line3_space(), PHI1, 2.0)
-    assert line.extended_vector(1, 1)[0] == line.radius(1, 0)
-    assert line.extended_vector(1, 2)[0] == 1.0
+    assert line.extended(1)[1, 0] == line.radius(1, 0)
+    assert line.extended(2)[1, 0] == 1.0
     two = radius_table(two_point_space(), PHI2, 2.0)
-    assert two.extended_vector(0, 1)[0] == 1.0
+    assert two.extended(1)[0, 0] == 1.0
 
 
 def test_radius_series_integral_bound():
@@ -570,9 +570,10 @@ def test_extended_series_integral_bound():
     for sp in random_battery(4, 4, 3, 10):
         table = radius_table(sp, PHI1, R)
         l = table.kstar + 2
+        ext = table.extended(l)
         for x in range(sp.n):
             for c in range(l):
-                lhs = sum(table.extended_vector(k, l)[x] * R ** k for k in range(c, l))
+                lhs = sum(ext[k, x] * R ** k for k in range(c, l))
                 rhs = R ** 2 / ((R - 1.0) * (R - 2.0)) * ball_growth_integral(
                     sp, PHI1, x, table.radius(c, x)
                 )
@@ -584,10 +585,11 @@ def test_ball_nesting():
     for sp in random_battery(5, 4, 3, 10):
         table = radius_table(sp, PHI2, R)
         l = table.kstar + 1
+        ext = table.extended(l)
         for k in range(l):
             for x in range(sp.n):
-                rlk = table.extended_vector(k, l)[x]
-                rlk1 = table.extended_vector(k + 1, l)[x]
+                rlk = ext[k, x]
+                rlk1 = ext[k + 1, x]
                 for u in range(sp.n):
                     if sp.dist[x, u] <= rlk1:
                         assert table.radius(k, u) <= table.radius(k, x) + rlk1 + 1e-12

@@ -25,7 +25,7 @@ from chaincert import (
     verify_thm3,
 )
 from chaincert import verify
-from chaincert.mspace import _triu
+from chaincert.mspace import _pair_mask, _triu
 from chaincert.verify import _PairLocations
 from util import (
     corrupted_kernels,
@@ -33,6 +33,7 @@ from util import (
     gather_verify_thm1,
     gather_verify_thm3,
     line3_space,
+    loop_extended,
     loop_growth_ratios,
     loop_invariant_suite,
     loop_proof_trace,
@@ -301,7 +302,7 @@ def test_invariant_suite_builds_each_kernel_once_without_the_trace_memo():
         built.append(k)
         return averaging_kernel(table, k)
 
-    with mock.patch.object(verify, "averaging_kernel", kernel), mock.patch.object(verify, "_levels", None):
+    with mock.patch.object(verify, "averaging_kernel", kernel):
         report = invariant_suite(line3_space(), PHI1, PHI2, 6.0, 1)
     assert built == list(range(report.params["kstar"] + 1, -1, -1))
 
@@ -563,7 +564,7 @@ def test_converse_witness_ratios_match_loop_oracle():
             assert _bits(w.growth_ratios) == _bits(loop_growth_ratios(sp, PHI2, 2.0, 1, t))
 
 
-def test_level_memo_matches_fresh_tables():
+def test_traces_on_a_reused_table_match_fresh_tables():
     sp = generate_space("grid", n=20, gamma=0.5, mass="random", seed=5)
     table = radius_table(sp, PHI1, 6.0)
     mets = MinorizingMetrics(sp, PHI1)
@@ -575,7 +576,53 @@ def test_level_memo_matches_fresh_tables():
             for s, t in ((0, 7), (7, 0), (19, 3), (3, 19)):
                 fresh = proof_trace(radius_table(sp, PHI1, 6.0), mets, s, t, l, f=f, n=0)
                 _assert_same_trace(proof_trace(table, mets, s, t, l, f=f, n=0), fresh)
-    assert sorted(table._levels) == sorted(set(levels))
+
+
+def test_extended_radii_match_loop_oracle():
+    # one stack per call, each row added in ascending i as the per-level loop adds it
+    for sp in _array_battery():
+        for phi in (PHI1, PHI2, YoungFunction.exponential(1)):
+            for R in (2.0, 6.0):
+                table = radius_table(sp, phi, R)
+                for l in range(table.kstar + 4):
+                    ext = table.extended(l)
+                    assert ext.shape == (l + 1, sp.n)
+                    for k in range(l + 1):
+                        assert _bits(ext[k]) == _bits(loop_extended(table, k, l)), (k, l)
+
+
+def test_smoothing_bound_under_an_overflowing_weight_is_never_nan():
+    # phi = exp(x^2) overflows at every weight phi(R^(k+1)) here; a level with a zero
+    # ball-average sum adds an exact 0 (not inf * 0 = nan), and a positive sum makes the bound inf
+    phi = YoungFunction.exponential(2)
+    sp = generate_space("random", n=20, seed=3)
+    table, mets = radius_table(sp, phi, 6.0), MinorizingMetrics(sp, phi)
+    l = table.kstar + 2
+    assert phi.value(6.0 ** 2) == math.inf
+    f = np.random.default_rng(0).standard_normal(sp.n)
+    for scale, infinite in ((1.0, False), (1e4, True)):
+        for t in range(1, sp.n):
+            got = proof_trace(table, mets, 0, t, l, f=scale * f)
+            check = got.check("smoothing_difference_bound")
+            assert check.passed and (check.rhs[0] == math.inf) == infinite, (scale, t, check.rhs)
+            _assert_same_trace(got, loop_proof_trace(table, mets, 0, t, l, f=scale * f))
+
+
+def test_trace_leaves_nothing_on_its_table():
+    sp = generate_space("random", n=400, seed=5)
+    table, mets = radius_table(sp, PHI1, 6.0), MinorizingMetrics(sp, PHI1)
+    f = np.random.default_rng(5).standard_normal(sp.n)
+    _pair_mask(sp.n)  # the process-wide mask that the quotients read, made outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = proof_trace(table, mets, 0, sp.n - 1, table.kstar + 2, f=f)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.check("smoothing_difference_bound").passed
+    assert held < 0.1e6
 
 
 def test_pair_list_is_cached_and_read_only():

@@ -269,7 +269,7 @@ def worst_start_level_gap(table, trace):
     tau, one scalar candidate at a time.
     """
     best = {}
-    ext = table.extended_vector(trace.tau, trace.l)
+    ext = loop_extended(table, trace.tau, trace.l)
     for x, tau_x in ((trace.s, trace.tau_s), (trace.t, trace.tau_t)):
         if tau_x != trace.tau:
             continue
@@ -408,6 +408,16 @@ def ternary_amemiya(values, weights, phi, rel_tol=1e-12):
     return min(best, objective(0.5 * (lo + hi)))
 
 
+def loop_extended(table, k, l):
+    """Reference extended radii r^l_k = sum_{i=k}^{l} 2^(i-k) r_i, componentwise over points."""
+    if not 0 <= k <= l:
+        raise ValueError("need 0 <= k <= l")
+    out = np.zeros(table.space.n)
+    for i in range(k, l + 1):
+        out += (2.0 ** (i - k)) * table.radius_vector(i)
+    return out
+
+
 def _loop_ball(space, x, radius, closed=True):
     row = space.dist[x]
     tol = 1e-12 * max(1.0, radius)
@@ -442,7 +452,7 @@ def loop_proof_trace(table, metrics, s, t, l, f=None, n=2):
     if l <= c:
         raise ValueError("need l > c")
 
-    ext = {k: table.extended_vector(k, l) for k in range(0, l + 1)}
+    ext = {k: loop_extended(table, k, l) for k in range(0, l + 1)}
 
     def condition(k, x):
         u_ball = _loop_ball(space, x, ext[k][x])
@@ -523,7 +533,8 @@ def _loop_smoothing_check(table, space, f, s, t, l, tau, anchor, ext, d_levels, 
             for u in outer:
                 inner = _loop_ball(space, int(u), table.radius(k, int(u)))
                 acc += space.mass[u] * table.radius(k, int(u)) * _loop_averaged_quotient(space, fd[u], inner, thr)
-            total += phi.value(R ** (k + 1)) * acc
+            if acc:  # a zero sum adds an exact 0, also under a weight that overflows to inf
+                total += phi.value(R ** (k + 1)) * acc
     acc = 0.0
     thr = R ** (tau + n)
     for u in _loop_ball(space, anchor, ext[tau][anchor]):
@@ -532,7 +543,8 @@ def _loop_smoothing_check(table, space, f, s, t, l, tau, anchor, ext, d_levels, 
         else:
             inner = _loop_ball(space, int(u), table.radius(tau - 1, int(u)), closed=False)
         acc += space.mass[u] * _loop_averaged_quotient(space, fd[u], inner, thr)
-    total += d_levels[tau] * phi.value(R ** (tau + 1)) * acc
+    if acc:
+        total += d_levels[tau] * phi.value(R ** (tau + 1)) * acc
     return Check("smoothing_difference_bound", f"n={n}", lhs, float(total))
 
 
@@ -592,7 +604,7 @@ def loop_invariant_suite(space, phi, psi, R, n0, seed=0):
     if R > 2:
         worst = -math.inf
         ll = kstar + 2
-        ext = [table.extended_vector(k, ll) for k in range(ll)]
+        ext = [loop_extended(table, k, ll) for k in range(ll)]
         for x in range(n):
             for c in range(ll):
                 lhs = sum(ext[k][x] * R ** k for k in range(c, ll))
@@ -600,7 +612,7 @@ def loop_invariant_suite(space, phi, psi, R, n0, seed=0):
                 worst = max(worst, _loop_neg_margin(lhs, rhs))
         checks.append(Check("extended_series_integral", "all x,c", worst, 0.0))
 
-    ext = [table.extended_vector(k, l) for k in range(l + 1)]
+    ext = [loop_extended(table, k, l) for k in range(l + 1)]
     worst = -math.inf
     support_bad = 0.0
     for k in range(l):

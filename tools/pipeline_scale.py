@@ -18,8 +18,9 @@ Euclidean metric; phi = x, psi = x^2, R = 6 and n0 = 1. The stages are:
     suite      invariant_suite (x, x^2)
     witness    converse_witness (x^2, x) at point 0 with l = 4
     trace      one proof_trace of f for the pair (0, n - 1) with
-               l = kstar + 2, on a radius table whose per-level masks an
-               untimed first trace has built
+               l = kstar + 2; a trace keeps nothing on its radius table, so
+               there is no untimed warm-up trace and every run builds all
+               that the trace reads
 
 Each stage runs three times untraced, of which the fastest gives its wall
 time, and once more under tracemalloc for its peak, so the tracing does not
@@ -95,7 +96,6 @@ def stages(n, seed=0):
     run("witness", lambda: cc.converse_witness(space, PHI2, PHI1, R, N0, 0, WITNESS_LEVEL))
     table = cc.radius_table(space, PHI1, R)
     level = table.kstar + 2
-    cc.proof_trace(table, m1, 0, n - 1, level, f=f)
     run("trace", lambda: cc.proof_trace(table, m1, 0, n - 1, level, f=f))
     return rows
 
