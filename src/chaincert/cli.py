@@ -66,37 +66,33 @@ def _fmt(x):
     return str(x)
 
 
-def _get(cfg, section, key, default=None, required=False):
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    if required:
-        raise ConfigError(f"missing [{section}] {key}")
-    return default
+def _get(cfg, section, key, kind=None, default=None, required=False):
+    """[section] key as text, or read by _number when kind is given; default when it is absent."""
+    if not cfg.has_option(section, key):
+        if required:
+            raise ConfigError(f"missing [{section}] {key}")
+        return default
+    text = cfg.get(section, key)
+    return text if kind is None else _number(kind, text, section, key)
 
 
-_NUMBER_KINDS = {int: "an integer", float: "a number"}
+_NUMBER_KINDS = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
 def _number(kind, text, section, key):
-    """text converted by kind (int or float); a value it cannot convert is a ConfigError naming [section] key."""
+    """text read as kind (int, float, or bool as configparser spells it); else a ConfigError naming [section] key."""
     try:
-        return kind(text)
-    except ValueError:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()] if kind is bool else kind(text)
+    except (ValueError, KeyError):
         raise ConfigError(f"[{section}] {key} must be {_NUMBER_KINDS[kind]}, not {text!r}") from None
-
-
-def _get_number(cfg, section, key, kind, default=None, required=False):
-    """[section] key read by _number, or None when it is absent and has no default."""
-    text = _get(cfg, section, key, default, required)
-    return None if text is None else _number(kind, text, section, key)
 
 
 def _parse_young(cfg, section):
     kind = _get(cfg, section, "kind", required=True)
     if kind == "power":
-        return YoungFunction.power(_get_number(cfg, section, "p", float, required=True))
+        return YoungFunction.power(_get(cfg, section, "p", float, required=True))
     if kind == "exponential":
-        return YoungFunction.exponential(_get_number(cfg, section, "q", float, required=True))
+        return YoungFunction.exponential(_get(cfg, section, "q", float, required=True))
     if kind == "piecewise":
         raw = _get(cfg, section, "knots", required=True)
         knots = []
@@ -121,18 +117,16 @@ def _parse_space(cfg, base_dir):
     if source != "generate":
         raise ConfigError(f"unknown space source {source!r}")
     kind = _get(cfg, "space", "kind", default="grid")
-    seed = _get_number(cfg, "space", "seed", int)
-    params = {}
+    seed = _get(cfg, "space", "seed", int)
+    params = {}  # generate_space rejects an unknown kind, and _parse makes that a ConfigError
     if kind == "grid":
-        params["n"] = _get_number(cfg, "space", "n", int, required=True)
-        params["gamma"] = _get_number(cfg, "space", "gamma", float, default="1.0")
-        params["scale"] = _get_number(cfg, "space", "scale", float, default="1.0")
+        params["n"] = _get(cfg, "space", "n", int, required=True)
+        params["gamma"] = _get(cfg, "space", "gamma", float, default=1.0)
+        params["scale"] = _get(cfg, "space", "scale", float, default=1.0)
     elif kind == "tree":
-        params["depth"] = _get_number(cfg, "space", "depth", int, required=True)
+        params["depth"] = _get(cfg, "space", "depth", int, required=True)
     elif kind == "random":
-        params["n"] = _get_number(cfg, "space", "n", int, required=True)
-    else:
-        raise ConfigError(f"unknown space kind {kind!r}")
+        params["n"] = _get(cfg, "space", "n", int, required=True)
     mass = _get(cfg, "space", "mass", default="uniform")
     if mass not in ("uniform", "random"):
         mass = [_number(float, v, "space", "mass") for v in mass.split(",")]
@@ -158,21 +152,14 @@ def _parse_functions(cfg, space, seed_override):
         return [_check_values(vals, space, f"values of function {idx}") for idx, vals in enumerate(rows)]
     if source != "random":
         raise ConfigError(f"unknown function source {source!r}")
-    count = _get_number(cfg, "functions", "count", int, default="20")
+    count = _get(cfg, "functions", "count", int, default=20)
     if count < 0:
         raise ConfigError(f"[functions] count must be >= 0, not {count}")
-    seed = _get_number(cfg, "functions", "seed", int, default="0")
+    seed = _get(cfg, "functions", "seed", int, default=0)
     if seed_override is not None:
         seed = seed_override
     rng = np.random.default_rng(seed)
     return [_check_values(rng.standard_normal(space.n), space, f"random function {idx}") for idx in range(count)]
-
-
-def _get_bool(cfg, section, key, default):
-    try:
-        return cfg.getboolean(section, key, fallback=default)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a boolean, not {cfg.get(section, key)!r}") from None
 
 
 def _parse_mc(cfg, seed_override, gauge):
@@ -180,11 +167,11 @@ def _parse_mc(cfg, seed_override, gauge):
 
     gauge is the one the sampler normalizes its increments to: psi for T1, phi for T3.
     """
-    if not _get_bool(cfg, "mc", "enabled", False):
+    if not _get(cfg, "mc", "enabled", bool, default=False):
         return None
-    n_grid = _get_number(cfg, "mc", "n", int, default="64")
-    paths = _get_number(cfg, "mc", "paths", int, default="10000")
-    mc_seed = _get_number(cfg, "mc", "seed", int, default="0") if seed_override is None else seed_override
+    n_grid = _get(cfg, "mc", "n", int, default=64)
+    paths = _get(cfg, "mc", "paths", int, default=10000)
+    mc_seed = _get(cfg, "mc", "seed", int, default=0) if seed_override is None else seed_override
     if n_grid < 2 or paths < 1 or mc_seed < 0:
         raise ConfigError(f"[mc] needs n >= 2, paths >= 1 and seed >= 0 (n = {n_grid}, paths = {paths}, seed = {mc_seed})")
     try:
@@ -213,13 +200,6 @@ def _field(text):
     return buf.getvalue()[:-2]
 
 
-def _write_lines(path, header, blocks):
-    """Write the header line, then the blocks of ready csv lines in order."""
-    with path.open("w", newline="") as fh:
-        fh.write(header)
-        fh.writelines(blocks)
-
-
 def _reprs(values):
     """The repr of each float of values, formatting each distinct bit pattern once.
 
@@ -228,8 +208,6 @@ def _reprs(values):
     so the strings are exactly those of repr on each value.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.size < 2:
-        return list(map(repr, values.tolist()))
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     if bits.size == values.size:
         return list(map(repr, values.tolist()))
@@ -320,7 +298,9 @@ def emit_report(results, out_dir):
     written = [cert_path]
     for name, header in _CSV_HEADERS.items():
         path = out / f"{name}.csv"
-        _write_lines(path, header, results[f"{name}_rows"])
+        with path.open("w", newline="") as fh:
+            fh.write(header)
+            fh.writelines(results[f"{name}_rows"])
         written.append(path)
 
     summary_path = out / "summary.json"
@@ -347,8 +327,8 @@ def _parse(config_path, out_dir, seed):
         theorem = _get(cfg, "certificate", "theorem", default="T1").upper()
         if theorem not in ("T1", "T3"):
             raise ConfigError(f"unknown theorem selection {theorem!r}")
-        R = _get_number(cfg, "certificate", "R", float, default="6")
-        n0 = _get_number(cfg, "certificate", "n0", int, default="1")
+        R = _get(cfg, "certificate", "R", float, default=6.0)
+        n0 = _get(cfg, "certificate", "n0", int, default=1)
         if not 1 < R < math.inf or n0 < 1:
             raise ConfigError("need a finite R > 1 and n0 >= 1")
         space = _parse_space(cfg, config_path.parent)
@@ -357,7 +337,7 @@ def _parse(config_path, out_dir, seed):
         if theorem == "T1" and psi is None:
             raise ConfigError("theorem T1 needs a [psi] section")
         functions = _parse_functions(cfg, space, seed)
-        invariants = _get_bool(cfg, "verify", "invariants", True)
+        invariants = _get(cfg, "verify", "invariants", bool, default=True)
         gauge = psi if theorem == "T1" else phi  # the one the sampler normalizes its increments to
         mc = _parse_mc(cfg, seed, gauge)
         out = Path(out_dir) if out_dir else Path(_get(cfg, "output", "dir", default="out"))

@@ -232,7 +232,7 @@ def increment_moment_stats(batch, sampler):
     for block in _pair_rows(batch.values, sampler.space.dist[_pair_mask(sampler.n)]):
         vals = sampler.psi.value(block)
         means.append(vals.mean(axis=1))
-        ses.append(vals.std(axis=1, ddof=1))
+        ses.append(vals.std(axis=1, ddof=1) if batch.n_paths > 1 else np.zeros(vals.shape[0]))
     means = np.concatenate(means)
     ses = np.concatenate(ses) / math.sqrt(batch.n_paths)
     j = int(np.argmax(means - 3.0 * ses))

@@ -78,6 +78,15 @@ def _growth_at(table, u):
     return cumint[rows, j] + step
 
 
+def _growth_at_limits(space, phi, limits):
+    """growth[c, x]: the growth integral of x up to limits[c, x]; each block's table serves every row of limits."""
+    growth = np.empty_like(limits)
+    for rows, table in _row_blocks(space, phi):
+        for c in range(limits.shape[0]):
+            growth[c, rows] = _growth_at(table, limits[c, rows])
+    return growth
+
+
 def _own_growth(space, rows, cumint, out):
     """Fill out[i, y] with the growth integral of point rows[i] up to d(rows[i], y).
 
@@ -110,10 +119,8 @@ def ball_growth_integral(space, phi, x, upper):
             "(the integrand is constant 1 beyond the diameter)",
             stacklevel=2,
         )
-    u = min(upper, D)
-    if u == 0.0:
-        return 0.0
-    return float(_growth_at(_growth_table(space, phi, [x]), np.array([u]))[0])
+    # at u = 0 the one step is the point's own, of width 0, which adds an exact 0
+    return float(_growth_at(_growth_table(space, phi, [x]), np.array([min(upper, D)]))[0])
 
 
 class MinorizingMetrics:
@@ -145,8 +152,4 @@ def majorizing_integral(space, phi):
     The table is built one block of rows at a time, so memory beyond the
     block stays O(n).
     """
-    D = space.diameter
-    full = np.empty(space.n)
-    for rows, table in _row_blocks(space, phi):
-        full[rows] = _growth_at(table, np.full(len(table[1]), D))
-    return _mass_weighted(space, full)
+    return _mass_weighted(space, _growth_at_limits(space, phi, np.full((1, space.n), space.diameter))[0])

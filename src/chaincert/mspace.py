@@ -200,8 +200,10 @@ class MetricMeasureSpace:
 
 
 def _check_points(space, x):
-    """ValueError unless every index in x names a point of space; a negative one would read a row from the end."""
+    """ValueError unless each index of x is an int naming a point: numpy reads bools as a mask, negatives from the end."""
     x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        raise ValueError(f"point index must be an integer, not {x.dtype}")
     if ((x < 0) | (x >= space.n)).any():
         raise ValueError(f"point index must be nonnegative and below n = {space.n}")
 
@@ -334,35 +336,22 @@ def _grid_space(n, gamma=1.0, scale=1.0, mass=None, seed=None):
         raise ValueError("gamma must lie in (0, 1]; larger exponents break the triangle inequality")
     if not 0 < scale < math.inf:
         raise ValueError("scale must be positive and finite")
-    pos = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
+    pos = np.linspace(0.0, 1.0, n)
     dist = scale * np.abs(pos[:, None] - pos[None, :]) ** gamma
     rng = np.random.default_rng(seed)
     return MetricMeasureSpace(dist, _resolve_mass(mass, n, rng))
-
-
-def _tree_hops(i, j):
-    # 1-based heap indices; hop distance via the lowest common ancestor
-    di, dj = i.bit_length() - 1, j.bit_length() - 1
-    hops = 0
-    while i != j:
-        if di >= dj:
-            i >>= 1
-            di -= 1
-        else:
-            j >>= 1
-            dj -= 1
-        hops += 1
-    return hops
 
 
 def _tree_space(depth, mass=None, seed=None):
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     n = 2 ** (depth + 1) - 1
-    dist = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            dist[a, b] = dist[b, a] = _tree_hops(a + 1, b + 1)
+    # heap index i is at level bit_length(i) - 1; lifted to their upper level, top, a pair meets bit_length(xor) up
+    idx = np.arange(1, n + 1)
+    lv = np.frexp(idx)[1] - 1
+    top = np.minimum.outer(lv, lv)
+    xor = (idx[:, None] >> (lv[:, None] - top)) ^ (idx >> (lv - top))
+    dist = (lv[:, None] + lv - 2 * top + 2 * np.frexp(xor)[1]).astype(float)
     rng = np.random.default_rng(seed)
     labels = [f"v{i + 1}" for i in range(n)]
     return MetricMeasureSpace(dist, _resolve_mass(mass, n, rng), labels=labels)

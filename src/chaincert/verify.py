@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .chain import _ball_rows, _check_agreement, averaging_kernel, constant_a, modulus_pairs
-from .minorize import _growth_at, _growth_table, _own_growth, _row_blocks
+from .minorize import _growth_at_limits, _growth_table, _own_growth
 from .mspace import _check_points, _pair_mask, _triu, radius_table
 from .orlicz import luxemburg_norm
 from .young import ConvexGauge, pair_series, shifted_series
@@ -107,9 +107,6 @@ class _PairLocations(Sequence):
 
     def __getitem__(self, j):
         return f"({self.iu[j]},{self.iv[j]})"
-
-    def __iter__(self):
-        return (f"({i},{j})" for i, j in zip(self.iu.tolist(), self.iv.tolist()))
 
 
 class _PointLocations(Sequence):
@@ -346,11 +343,14 @@ class ProofTrace(_CheckList):
     checks: list
 
 
+def _ball_edge(r):
+    """The closed-ball edge r + 1e-12 max(1, r) of radii r: a point at a distance at most this is inside."""
+    return r + 1e-12 * np.maximum(1.0, r)
+
+
 def _closed_balls(dist, radii):
-    """Masks d(x, .) <= r(x) + 1e-12 max(1, r(x)) over the rows d(x, .) of dist and their radii r(x);
-    a stack of radius vectors gives a stack of masks."""
-    edge = radii + 1e-12 * np.maximum(1.0, radii)
-    return dist <= edge[..., None]
+    """Masks d(x, .) <= _ball_edge(r(x)) of the rows of dist and radii r(x); a stack of radii gives a stack of masks."""
+    return dist <= _ball_edge(radii)[..., None]
 
 
 def _bracket_index(table, x, d):
@@ -378,7 +378,8 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     """
     _check_agreement(table, metrics)
     space = table.space
-    _check_points(space, [s, t])
+    for x in (s, t):  # one at a time: numpy would read a bool beside an int as an int
+        _check_points(space, x)
     if f is not None:
         f = _as_test_function(f)
         fd = f.quotients(space)
@@ -567,6 +568,9 @@ def converse_witness(space, phi, psi, R, n0, t, l):
     the tail constant D and the per-point ratio of the growth integral to the
     witness integral (bounded by R^(n0+1)).
     """
+    _check_points(space, t)
+    if l < 0:
+        raise ValueError("need l >= 0")
     series = pair_series(psi, phi, R, n0)
     if not series.converges:
         raise ValueError("sum_k psi(R^k)/phi(R^(k+n0)) must converge for the witness")
@@ -639,19 +643,6 @@ def converse_witness(space, phi, psi, R, n0, t, l):
 # -- structural invariant suite -------------------------------------------------
 
 
-def _radius_growth(space, phi, radii):
-    """growth[c, x]: the growth integral of x up to r_c(x), per block of points one level at a time.
-
-    A function of its own, so that the last block's table is freed on return
-    rather than held through the rest of the suite.
-    """
-    growth = np.empty_like(radii)
-    for rows, table in _row_blocks(space, phi):
-        for c in range(radii.shape[0]):
-            growth[c, rows] = _growth_at(table, radii[c, rows])
-    return growth
-
-
 def _phi_at_level(phi, k, logR):
     """phi(R^k); an OverflowError names it when it exceeds the largest float."""
     try:
@@ -673,8 +664,7 @@ def _nesting_margins(dist, table, ext, k, pairs):
     # #{w : ext_k(x) < d(u, w) <= r_k(u)} is the count of u's ball less the
     # count of d(u, .) <= ext_k(x), clipped at 0; it is largest at the
     # least ext_k(x) over the x paired with u
-    edge = ext[k] + 1e-12 * np.maximum(1.0, ext[k])
-    near = np.where(pairs, edge[:, None], np.inf).min(axis=0)
+    near = np.where(pairs, _ball_edge(ext[k])[:, None], np.inf).min(axis=0)
     below = np.count_nonzero(dist <= near[:, None], axis=1)
     return worst, int((np.count_nonzero(_closed_balls(dist, r_k), axis=1) - below).max())
 
@@ -723,7 +713,7 @@ def invariant_suite(space, phi, psi, R, n0):
     checks.append(Check("ball_mass_upper", "all x,k", worst_hi, 0.0))
 
     # radii are distances, so no clamp to the diameter is needed
-    growth = _radius_growth(space, phi, radii)
+    growth = _growth_at_limits(space, phi, radii)
     worst = _worst_series_margin([radii[k] * R ** k for k in range(kstar + 1)], (R / (R - 1.0)) * growth)
     checks.append(Check("radius_series_integral", "all x,c", worst, 0.0))
 

@@ -128,22 +128,14 @@ class YoungFunction:
         return float(out) if np.ndim(y) == 0 else out
 
     def _pwl_inverse(self, arr):
+        # the segment below the first knot value >= y, or the last one; a knot value maps to its abscissa
         xs, ys, slopes = self.knots_x, self.knots_y, self.slopes
         j = np.searchsorted(ys, arr, side="left")
-        out = np.empty_like(arr)
-        at_knot = (j < len(ys)) & (ys[np.minimum(j, len(ys) - 1)] == arr)
-        inside = (j > 0) & (j < len(ys))
-        beyond = j >= len(ys)
-        out[j == 0] = 0.0
-        if inside.any():
-            ji = j[inside]
-            out[inside] = xs[ji - 1] + (arr[inside] - ys[ji - 1]) / slopes[ji - 1]
-        if at_knot.any():
-            jk = np.minimum(j[at_knot], len(ys) - 1)
-            out[at_knot] = xs[jk]
-        if beyond.any():
-            out[beyond] = xs[-1] + (arr[beyond] - ys[-1]) / slopes[-1]
-        return out
+        b = np.maximum(j - 1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at y = 0 on a flat first segment, a knot value
+            out = xs[b] + (arr - ys[b]) / slopes[np.minimum(b, len(slopes) - 1)]
+        k = np.minimum(j, len(ys) - 1)
+        return np.where(ys[k] == arr, xs[k], out)
 
     # -- log-space evaluation (for predicates along geometric grids) --------
 

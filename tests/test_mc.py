@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,3 +221,15 @@ def test_increment_moment_stats_matches_full_array(sampler):
     assert stat.mean == pytest.approx(means[j], rel=1e-12, abs=0.0)
     assert stat.stderr == pytest.approx(ses[j], rel=1e-12, abs=0.0)
     assert stat.threshold == pytest.approx(1.0 + 6.0 * ses[j], rel=1e-12, abs=0.0)
+
+
+def test_increment_moment_stats_of_one_path_has_zero_stderr():
+    # one path has no spread to estimate: stderr 0, as _mean_stderr gives, and no ddof warning
+    s = brownian_grid_sampler(8, PHI2)
+    batch = sample(s, 1, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stat = increment_moment_stats(batch, s).stats[0]
+    iu, iv = np.triu_indices(s.n, 1)
+    vals = s.psi.value(np.abs(batch.values[0, iu] - batch.values[0, iv]) / s.space.dist[iu, iv])
+    assert (stat.mean, stat.stderr, stat.threshold, stat.n_paths) == (float(vals.max()), 0.0, 1.0, 1)

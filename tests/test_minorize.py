@@ -16,7 +16,7 @@ from chaincert import (
     radius_table,
 )
 from chaincert.mspace import _triu
-from chaincert.verify import _radius_growth
+from chaincert.minorize import _growth_at_limits
 from util import (
     _GrowthProfile,
     ball_growth_integral_riemann,
@@ -171,7 +171,7 @@ def test_suite_growth_matches_profile_oracle():
             for x in range(sp.n):
                 pos = radii[:, x] > 0
                 expected[pos, x] = _GrowthProfile(sp, phi, x).integral(radii[pos, x])
-            assert _bits(_radius_growth(sp, phi, radii)) == _bits(expected)
+            assert _bits(_growth_at_limits(sp, phi, radii)) == _bits(expected)
 
 
 def test_tau_is_positive_between_distinct_points():

@@ -22,6 +22,7 @@ from chaincert import mspace
 from chaincert.cli import EXIT_CONFIG, run
 from util import (
     line3_space,
+    loop_tree_dist,
     random_battery,
     searchsorted_ball_mass,
     searchsorted_radii,
@@ -492,6 +493,11 @@ def test_ball_mass_returns_float_for_scalars_and_rejects_negative_radii():
     for x in (-1, [0, -1], 6, [0, 6]):  # a negative index would read a row from the end
         with pytest.raises(ValueError, match="point index must be nonnegative and below n = 6"):
             sp.ball_mass(x, 0.5)
+    for x in (1.5, True, [0, 1.5], np.bool_(False)):  # numpy would fail on a float and read a bool as a mask
+        with pytest.raises(ValueError, match="point index must be an integer"):
+            sp.ball_mass(x, 0.3)
+        with pytest.raises(ValueError, match="point index must be an integer"):
+            ball_growth_integral(sp, PHI2, x, 0.3)
 
 
 def test_radius_table_two_point():
@@ -622,6 +628,11 @@ def test_generate_tree():
     assert sp.dist[0, 3] == 2.0  # root to a leaf
     assert sp.dist[3, 4] == 2.0  # siblings via their parent
     assert sp.dist[3, 6] == 4.0  # leaves in different subtrees
+
+
+def test_tree_distances_match_hop_loop_oracle():
+    for depth in range(9):
+        assert generate_space("tree", depth=depth).dist.tobytes() == loop_tree_dist(depth).tobytes()
 
 
 def test_zero_mass_policy_and_limit_radii():

@@ -241,6 +241,9 @@ def test_proof_trace_argument_validation():
     for s, t in ((-1, 0), (0, -1), (5, 0), (0, 5)):  # -1 would trace point 4 under the label -1
         with pytest.raises(ValueError, match="point index must be nonnegative and below n = 5"):
             proof_trace(table, MinorizingMetrics(five, PHI1), s, t, l=table.kstar + 2)
+    for s, t in ((1.5, 0), (0, 1.5), (True, 0), (0, True)):  # True beside 0 would pass as the index 1
+        with pytest.raises(ValueError, match="point index must be an integer"):
+            proof_trace(table, MinorizingMetrics(five, PHI1), s, t, l=table.kstar + 2)
 
 
 def test_start_level_gap_violation_is_measured():
@@ -274,6 +277,18 @@ def test_converse_witness_zero_segment():
     assert w.witness_values[1] == 0.0  # d(t, x) = 1 = r_1(t), zero below it
     assert w.witness_values[2] == pytest.approx(0.5)
     assert w.passed
+
+
+def test_converse_witness_rejects_negative_levels_and_bad_points():
+    sp = generate_space("random", n=12, seed=1)
+    with pytest.raises(ValueError, match="need l >= 0"):
+        converse_witness(sp, PHI2, PHI1, 6.0, 1, 0, -1)
+    for t in (-1, 12):
+        with pytest.raises(ValueError, match="point index must be nonnegative and below n = 12"):
+            converse_witness(sp, PHI2, PHI1, 6.0, 1, t, 2)
+    for t in (1.5, True):
+        with pytest.raises(ValueError, match="point index must be an integer"):
+            converse_witness(sp, PHI2, PHI1, 6.0, 1, t, 2)
 
 
 def test_converse_witness_requires_convergence():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from chaincert import (
     ratio_condition,
     shifted_series,
 )
+from util import four_mask_pwl_inverse
 
 POWER_KINDS = [YoungFunction.power(p) for p in (1.0, 1.5, 2.0, 4.0)]
 ALL_KINDS = POWER_KINDS + [
@@ -227,3 +229,24 @@ def test_non_finite_knots_rejected(knots):
     # an inf knot gives an inf or nan slope, and nan passes every comparison
     with pytest.raises(ValueError, match="knots must be finite"):
         YoungFunction.piecewise(knots)
+
+
+@pytest.mark.parametrize("knots", [
+    [(0, 0), (1, 1)],
+    [(0, 0), (1, 1), (2, 5)],
+    [(0, 0), (0.5, 0.2), (1, 1), (3, 5)],
+    [(0, 0), (0.5, 0), (1, 1)],
+    [(0, 0), (0.25, 0), (0.5, 0), (0.75, 0), (1, 1), (2, 6)],
+    [(0, 0), (0.3, 0), (0.6, 0.3), (0.9, 0.6), (1, 1), (1.5, 3), (4, 13)],
+], ids=["identity", "steep", "interior-knots", "flat-first", "flat-run", "flat-then-collinear"])
+def test_piecewise_inverse_matches_four_mask_oracle(knots):
+    # at each knot value, one ulp above it, and at 0, 1e-300 and 1e300
+    pwl = YoungFunction.piecewise(knots)
+    ys = pwl.knots_y
+    y = np.concatenate([ys, np.nextafter(ys, np.inf), [0.0, 1e-300, 1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pwl.inverse(y)
+        assert got.tobytes() == four_mask_pwl_inverse(pwl, y).tobytes()
+        for v in y.tolist():
+            assert np.float64(pwl.inverse(v)).tobytes() == four_mask_pwl_inverse(pwl, np.array([v])).tobytes()

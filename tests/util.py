@@ -795,3 +795,48 @@ def gather_verify_thm3(cert, metrics, f):
     rhs = np.full(iu.size, rhs_int)
     params = {"theorem": "T3", "K": cert.K, "C": cert.C, "mass_integral": metrics.total}
     return VerificationReport([Check("modulus_bound", _PairLocations(iu, iv), lhs, rhs)], params)
+
+
+def _tree_hops(i, j):
+    # 1-based heap indices; hop distance via the lowest common ancestor
+    di, dj = i.bit_length() - 1, j.bit_length() - 1
+    hops = 0
+    while i != j:
+        if di >= dj:
+            i >>= 1
+            di -= 1
+        else:
+            j >>= 1
+            dj -= 1
+        hops += 1
+    return hops
+
+
+def loop_tree_dist(depth):
+    """Reference hop matrix of the balanced binary tree of the given depth, one pair at a time."""
+    n = 2 ** (depth + 1) - 1
+    dist = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            dist[a, b] = dist[b, a] = _tree_hops(a + 1, b + 1)
+    return dist
+
+
+def four_mask_pwl_inverse(phi, arr):
+    """Reference inverse of a piecewise Young function: one mask each for y = 0, a segment, a knot and beyond."""
+    xs, ys, slopes = phi.knots_x, phi.knots_y, phi.slopes
+    j = np.searchsorted(ys, arr, side="left")
+    out = np.empty_like(arr)
+    at_knot = (j < len(ys)) & (ys[np.minimum(j, len(ys) - 1)] == arr)
+    inside = (j > 0) & (j < len(ys))
+    beyond = j >= len(ys)
+    out[j == 0] = 0.0
+    if inside.any():
+        ji = j[inside]
+        out[inside] = xs[ji - 1] + (arr[inside] - ys[ji - 1]) / slopes[ji - 1]
+    if at_knot.any():
+        jk = np.minimum(j[at_knot], len(ys) - 1)
+        out[at_knot] = xs[jk]
+    if beyond.any():
+        out[beyond] = xs[-1] + (arr[beyond] - ys[-1]) / slopes[-1]
+    return out
