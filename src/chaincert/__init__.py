@@ -17,11 +17,9 @@ from .mc import (
     McStat,
     PathBatch,
     ProcessSampler,
-    analytic_increment_moment,
     brownian_grid_sampler,
     empirical_corollary,
     gaussian_abs_moment,
-    gaussian_cov_sampler,
     increment_moment_stats,
     sample,
 )

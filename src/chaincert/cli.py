@@ -8,7 +8,7 @@ byte-identical across reruns of the same scenario and seed.
 
 Exit codes: 0 success, 2 configuration error (unreadable or malformed
 config, non-numeric values, invalid parameter ranges, non-boolean switches,
-invalid spaces or a non-finite grid scale, a Monte Carlo gauge the samplers
+invalid spaces or a non-finite grid scale, a Monte Carlo gauge the sampler
 cannot normalize or whose moment E|Z|^p overflows), 3 precondition failure
 (growth-ratio or series divergence, degenerate certificates, a minorizing
 metric or a phi(R^k) that overflows, a gauge check whose two sides both
@@ -175,7 +175,7 @@ def _parse_mc(cfg, seed_override, gauge):
     if n_grid < 2 or paths < 1 or mc_seed < 0:
         raise ConfigError(f"[mc] needs n >= 2, paths >= 1 and seed >= 0 (n = {n_grid}, paths = {paths}, seed = {mc_seed})")
     try:
-        _normalizer(gauge)  # the samplers' own test, so the supported gauges are listed in one place
+        _normalizer(gauge)  # the sampler's own test, so the supported gauges are listed in one place
     except ValueError as exc:
         raise ConfigError(f"[mc] cannot sample this gauge: {exc}") from None
     return n_grid, paths, mc_seed
@@ -272,7 +272,7 @@ def _mc_rows(mc_report):
     """mc.csv text, one line per statistic."""
     return [
         ",".join([_field(s.name)] + [_fmt(v) for v in (s.mean, s.stderr, s.n_paths, s.threshold, s.passed)]) + "\n"
-        for s in mc_report.stats
+        for s in mc_report.checks
     ]
 
 

@@ -1,11 +1,12 @@
 """Monte Carlo verification of the process-level sup bounds.
 
-Samplers generate Gaussian processes whose increments are normalized so that
-E psi(|X(s)-X(t)| / d(s,t)) = 1 exactly (power psi of any order, or the
-normalized exponential gauge with exponent 2; both have closed-form Gaussian
-moments). Path generation is reproducible bit for bit: paths are drawn in
-fixed blocks of 1,024, block b from its own generator seeded by (seed, b), so
-the first m paths of a batch do not depend on how many paths were drawn.
+The sampler draws Brownian motion at evenly spread times in [0, 1], on a
+metric scaled so that E psi(|X(s)-X(t)| / d(s,t)) = 1 exactly (power psi of
+any order, or the normalized exponential gauge with exponent 2; both have
+closed-form Gaussian moments). Path generation is reproducible bit for bit:
+paths are drawn in fixed blocks of 1,024, block b from its own generator
+seeded by (seed, b), so the first m paths of a batch do not depend on how
+many paths were drawn.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ import numpy as np
 
 from .chain import _check_agreement, modulus_pairs
 from .mspace import MetricMeasureSpace, _pair_mask
+from .verify import _CheckList
 
 __all__ = [
     "gaussian_abs_moment",
     "ProcessSampler",
     "PathBatch",
     "brownian_grid_sampler",
-    "gaussian_cov_sampler",
-    "analytic_increment_moment",
     "sample",
     "McStat",
     "McReport",
@@ -53,19 +53,16 @@ def _normalizer(psi):
     if psi.kind == "exponential" and psi.q == 2.0:
         # E exp(lam Z^2) = 1/sqrt(1-2 lam); solve (1/sqrt(1-2/c^2)-1)/(e-1) = 1
         return math.sqrt(2.0 / (1.0 - math.exp(-2.0)))
-    raise ValueError("samplers support power gauges and the exponential gauge with q=2")
+    raise ValueError("the sampler supports power gauges and the exponential gauge with q=2")
 
 
 @dataclass(frozen=True)
 class ProcessSampler:
-    """Gaussian process on a finite space with unit normalized increments."""
+    """Brownian motion observed at the given times, with unit normalized increments on space."""
 
-    kind: str
     space: MetricMeasureSpace = field(repr=False)
-    sigma: np.ndarray = field(repr=False)  # pairwise increment standard deviations
     psi: object
-    times: np.ndarray | None = field(repr=False, default=None)
-    chol: np.ndarray | None = field(repr=False, default=None)
+    times: np.ndarray = field(repr=False)
 
     @property
     def n(self):
@@ -82,52 +79,18 @@ def brownian_grid_sampler(n, psi):
         raise ValueError("need at least two grid points")
     c = _normalizer(psi)
     times = np.linspace(0.0, 1.0, n)
-    sigma = np.sqrt(np.abs(times[:, None] - times[None, :]))
-    space = MetricMeasureSpace(c * sigma, np.full(n, 1.0 / n))
-    return ProcessSampler(kind="brownian-grid", space=space, sigma=sigma, psi=psi, times=times)
-
-
-def gaussian_cov_sampler(cov, psi):
-    """Centered Gaussian vector with the given covariance.
-
-    The metric is c * sigma(s,t) with sigma the L2 increment distance and the
-    masses are uniform; rows with identical covariance profiles give
-    coincident points, which the space's validation rejects.
-    """
-    cov = np.asarray(cov, dtype=float)
-    n = cov.shape[0]
-    var = np.diag(cov)
-    sigma2 = var[:, None] + var[None, :] - 2.0 * cov
-    sigma2 = np.maximum(sigma2, 0.0)
-    np.fill_diagonal(sigma2, 0.0)
-    sigma = np.sqrt(sigma2)
-    c = _normalizer(psi)
-    m = np.full(n, 1.0 / n)
-    space = MetricMeasureSpace(c * sigma, m / m.sum())  # n copies of 1/n need not sum to 1
-    chol = np.linalg.cholesky(cov + 1e-12 * np.eye(n))
-    return ProcessSampler(kind="gaussian-cov", space=space, sigma=sigma, psi=psi, chol=chol)
-
-
-def analytic_increment_moment(sampler):
-    """Exact E psi(|X(s)-X(t)| / d(s,t)) per pair (1 on the off-diagonal)."""
-    n = sampler.n
-    d = sampler.space.dist
-    out = np.zeros((n, n))
-    off = ~np.eye(n, dtype=bool)
-    ratio = np.zeros_like(d)
-    ratio[off] = sampler.sigma[off] / d[off]
-    psi = sampler.psi
-    if psi.kind == "power":
-        out[off] = ratio[off] ** psi.p * gaussian_abs_moment(psi.p)
-    else:
-        lam = ratio[off] ** 2
-        out[off] = (1.0 / np.sqrt(1.0 - 2.0 * lam) - 1.0) / math.expm1(1.0)
-    return out
+    space = MetricMeasureSpace(c * np.sqrt(np.abs(times[:, None] - times[None, :])), np.full(n, 1.0 / n))
+    return ProcessSampler(space=space, psi=psi, times=times)
 
 
 @dataclass(frozen=True)
 class PathBatch:
     values: np.ndarray = field(repr=False)  # (n_paths, n_points)
+
+    def __post_init__(self):
+        shape = np.shape(self.values)
+        if len(shape) != 2 or shape[0] < 1:
+            raise ValueError("need at least one path")
 
     @property
     def n_paths(self):
@@ -142,15 +105,12 @@ def sample(sampler, n_paths, seed):
     if n_paths < 1:
         raise ValueError("need at least one path")
     values = np.zeros((n_paths, sampler.n))  # Brownian paths start at 0
+    dt = np.diff(sampler.times)
     for lo in range(0, n_paths, _BLOCK):
         block = values[lo:lo + _BLOCK]
         rng = np.random.default_rng([seed, lo // _BLOCK])
-        if sampler.kind == "brownian-grid":
-            dt = np.diff(sampler.times)
-            steps = rng.standard_normal((block.shape[0], dt.size)) * np.sqrt(dt)
-            np.cumsum(steps, axis=1, out=block[:, 1:])
-        else:
-            block[:] = rng.standard_normal(block.shape) @ sampler.chol.T
+        steps = rng.standard_normal((block.shape[0], dt.size)) * np.sqrt(dt)
+        np.cumsum(steps, axis=1, out=block[:, 1:])
     return PathBatch(values=values)
 
 
@@ -168,18 +128,8 @@ class McStat:
 
 
 @dataclass(frozen=True)
-class McReport:
-    stats: list
-
-    @property
-    def passed(self):
-        return all(s.passed for s in self.stats)
-
-    def stat(self, name):
-        for s in self.stats:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+class McReport(_CheckList):
+    checks: list  # McStat entries
 
 
 def _pair_rows(values, denom):
@@ -225,8 +175,10 @@ def _mean_stderr(x):
 def increment_moment_stats(batch, sampler):
     """Empirical per-pair psi moment of normalized increments, worst pair.
 
-    Sampler correctness: the worst empirical mean should sit within three
-    standard errors of the analytic value 1.
+    The measured hypothesis of the stochastic theorem, E psi(|X(s)-X(t)| /
+    d(s,t)) <= 1 for every pair, on the sampler's space and gauge: the worst
+    empirical mean should sit within three standard errors of 1, which the
+    sampler's increments meet exactly.
     """
     means, ses = [], []
     for block in _pair_rows(batch.values, sampler.space.dist[_pair_mask(sampler.n)]):

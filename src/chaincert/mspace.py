@@ -201,6 +201,9 @@ class MetricMeasureSpace:
 
 def _check_points(space, x):
     """ValueError unless each index of x is an int naming a point: numpy reads bools as a mask, negatives from the end."""
+    if isinstance(x, (list, tuple)):  # numpy casts the bool of [True, 0] to an integer
+        if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat):
+            raise ValueError("point index must be an integer, not bool")
     x = np.asarray(x)
     if x.dtype.kind not in "iu":
         raise ValueError(f"point index must be an integer, not {x.dtype}")

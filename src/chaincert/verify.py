@@ -378,8 +378,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     """
     _check_agreement(table, metrics)
     space = table.space
-    for x in (s, t):  # one at a time: numpy would read a bool beside an int as an int
-        _check_points(space, x)
+    _check_points(space, (s, t))
     if f is not None:
         f = _as_test_function(f)
         fd = f.quotients(space)

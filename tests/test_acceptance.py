@@ -259,8 +259,8 @@ def test_criterion8_monte_carlo_corollary():
     mets = MinorizingMetrics(sampler.space, PHI1)
     batch = sample(sampler, 10000, seed=2026)
     report = empirical_corollary(batch, cert, mets)
-    ratio = report.stat("increment_ratio_sup")
-    gauge = report.stat("gauge_ratio_sup")
+    ratio = report.check("increment_ratio_sup")
+    gauge = report.check("gauge_ratio_sup")
     again = sample(sampler, 10000, seed=2026)
     deterministic = np.array_equal(batch.values, again.values)
     elapsed = time.monotonic() - start

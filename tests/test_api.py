@@ -23,6 +23,8 @@ REMOVED = (
     "_GrowthProfile",
     "_mass_integral",
     "_pair_tau",
+    "gaussian_cov_sampler",
+    "analytic_increment_moment",
 )
 
 
@@ -51,7 +53,6 @@ def test_removed_keywords_stay_gone():
         chain._check_ratio: {"kmax"},
         minorize.ball_growth_integral: {"warn_clamp"},
         chaincert.invariant_suite: {"seed", "kernels"},
-        chaincert.gaussian_cov_sampler: {"mass"},
         chain.certificate_thm3: {"tail_tol"},
         chain.certificate_thm1: {"tail_tol"},
         chain.modulus_pairs: {"iu", "iv"},
@@ -63,5 +64,6 @@ def test_removed_keywords_stay_gone():
     for fn, names in removed.items():
         assert not names & set(inspect.signature(fn).parameters), fn.__name__
     assert [f.name for f in dataclasses.fields(chaincert.PathBatch)] == ["values"]
+    assert [f.name for f in dataclasses.fields(chaincert.ProcessSampler)] == ["space", "psi", "times"]
     assert not callable(young.YoungFunction.power(2))
     assert not callable(young.ConvexGauge(young.YoungFunction.power(2)))

@@ -170,7 +170,7 @@ def test_unsupported_mc_gauge_is_config_error(tmp_path, capsys, theorem, section
     cfg = _scenario_with(tmp_path, "brownian64", section, kind="exponential", q="1")
     if theorem == "T3":
         cfg = _write(tmp_path, "t3.cfg", cfg.read_text().replace("theorem = T1", "theorem = T3"))
-    assert "samplers support" in _assert_config_error(tmp_path, capsys, cfg)
+    assert "the sampler supports" in _assert_config_error(tmp_path, capsys, cfg)
 
 
 _BAD_NUMBERS = [

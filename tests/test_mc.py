@@ -7,15 +7,12 @@ import pytest
 from chaincert import (
     MinorizingMetrics,
     PathBatch,
-    SpaceValidationError,
     YoungFunction,
-    analytic_increment_moment,
     brownian_grid_sampler,
     certificate_thm1,
     certificate_thm3,
     empirical_corollary,
     gaussian_abs_moment,
-    gaussian_cov_sampler,
     generate_space,
     increment_moment_stats,
     modulus_pairs,
@@ -38,10 +35,11 @@ def test_gaussian_moments():
 
 def test_normalization_constants():
     s2 = brownian_grid_sampler(4, PHI2)
+    sigma = np.sqrt(np.abs(s2.times[:, None] - s2.times[None, :]))
     # c_2 = 1: metric equals the increment standard deviation
-    assert np.allclose(s2.space.dist, s2.sigma)
+    assert np.allclose(s2.space.dist, sigma)
     s4 = brownian_grid_sampler(4, YoungFunction.power(4))
-    assert s4.space.dist[0, 1] == pytest.approx(3.0 ** 0.25 * s4.sigma[0, 1], rel=1e-12)
+    assert s4.space.dist[0, 1] == pytest.approx(3.0 ** 0.25 * sigma[0, 1], rel=1e-12)
 
 
 def test_two_point_grid():
@@ -55,20 +53,16 @@ def test_two_point_grid():
 
 @pytest.mark.parametrize("psi", [PHI2, YoungFunction.power(4), YoungFunction.exponential(2)])
 def test_analytic_moment_is_one(psi):
+    # X(s) - X(t) is sigma Z with sigma = |s - t|^(1/2), so the normalized increment is r |Z| with r = sigma / d
     s = brownian_grid_sampler(8, psi)
-    mom = analytic_increment_moment(s)
-    off = ~np.eye(8, dtype=bool)
-    assert np.allclose(mom[off], 1.0, atol=1e-9)
-
-
-def test_gaussian_cov_sampler():
-    cov = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 2.0]])
-    s = gaussian_cov_sampler(cov, PHI2)
-    mom = analytic_increment_moment(s)
-    off = ~np.eye(3, dtype=bool)
-    assert np.allclose(mom[off], 1.0, atol=1e-9)
-    with pytest.raises(SpaceValidationError, match="coincident points"):
-        gaussian_cov_sampler(np.ones((2, 2)), PHI2)
+    iu, iv = np.triu_indices(8, 1)
+    ratio = np.sqrt(np.abs(s.times[iu] - s.times[iv])) / s.space.dist[iu, iv]
+    assert np.allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
+    # E psi(r |Z|) as a Riemann sum of the normal density; a wider range overflows exp(x^2)
+    z = np.linspace(-38.0, 38.0, 400001)
+    density = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    moment = float(np.sum(psi.value(ratio[0] * np.abs(z)) * density)) * (z[1] - z[0])
+    assert moment == pytest.approx(1.0, rel=0.0, abs=1e-9)
 
 
 def test_sampling_determinism():
@@ -92,16 +86,13 @@ def test_sample_matches_per_path_reference():
     # 2,500 paths cross two block boundaries
     brownian = brownian_grid_sampler(9, PHI2)
     assert np.array_equal(sample(brownian, 2500, seed=8).values, per_path_sample(brownian, 2500, 8))
-    cov = np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])
-    gauss = gaussian_cov_sampler(cov, PHI2)
-    assert np.allclose(sample(gauss, 2500, seed=8).values, per_path_sample(gauss, 2500, 8), rtol=1e-12, atol=1e-12)
 
 
 def test_empirical_increment_moment():
     s = brownian_grid_sampler(4, PHI2)
     batch = sample(s, 100000, seed=12)
     report = increment_moment_stats(batch, s)
-    stat = report.stats[0]
+    stat = report.checks[0]
     assert stat.mean <= 1.0 + 3.0 * stat.stderr
 
 
@@ -111,7 +102,7 @@ def test_empirical_corollary_constant_paths():
     mets = MinorizingMetrics(s.space, PHI1)
     batch = PathBatch(values=np.zeros((50, 6)))
     report = empirical_corollary(batch, cert, mets)
-    for stat in report.stats:
+    for stat in report.checks:
         assert stat.mean == 0.0 and stat.stderr == 0.0
 
 
@@ -122,8 +113,8 @@ def test_empirical_corollary_brownian():
     batch = sample(s, 2000, seed=3)
     report = empirical_corollary(batch, cert, mets)
     assert report.passed
-    assert report.stat("increment_ratio_sup").mean < 1.0
-    assert report.stat("gauge_ratio_sup").mean < 1.0
+    assert report.check("increment_ratio_sup").mean < 1.0
+    assert report.check("gauge_ratio_sup").mean < 1.0
 
 
 def test_empirical_corollary_modulus_variant():
@@ -133,7 +124,7 @@ def test_empirical_corollary_modulus_variant():
     batch = sample(s, 1000, seed=6)
     report = empirical_corollary(batch, cert, mets)
     assert report.passed
-    assert report.stat("modulus_ratio_sup").mean < 1.0
+    assert report.check("modulus_ratio_sup").mean < 1.0
 
 
 @pytest.mark.parametrize("mismatch", ["phi", "size", "space"])
@@ -164,10 +155,11 @@ def test_certificate_and_metrics_must_agree(mismatch):
             call()
 
 
-def _ou_sampler(n, psi):
-    # Ornstein-Uhlenbeck covariance, drawn through the Cholesky factor
-    t = np.linspace(0.0, 1.0, n)
-    return gaussian_cov_sampler(np.exp(-3.0 * np.abs(t[:, None] - t[None, :])), psi)
+def _ou_paths(sampler, n_paths, seed):
+    """Ornstein-Uhlenbeck paths at the sampler's times, drawn through the Cholesky factor of their covariance."""
+    t = sampler.times
+    chol = np.linalg.cholesky(np.exp(-3.0 * np.abs(t[:, None] - t[None, :])))
+    return PathBatch(np.random.default_rng(seed).standard_normal((n_paths, t.size)) @ chol.T)
 
 
 def _gathered_stats(batch, cert, mets):
@@ -186,37 +178,37 @@ def _gathered_stats(batch, cert, mets):
     return out
 
 
-@pytest.mark.parametrize("make", [brownian_grid_sampler, _ou_sampler], ids=["brownian", "cholesky"])
+@pytest.mark.parametrize("draw", [sample, _ou_paths], ids=["brownian", "cholesky"])
 @pytest.mark.parametrize("theorem", ["T1", "T3"])
-def test_sup_statistic_matches_chunked_gather(make, theorem):
+def test_sup_statistic_matches_chunked_gather(draw, theorem):
     # path counts off the gather's 512-path chunks and the sampler's 1,024-path blocks
     for n, paths in ((2, 1), (3, 700), (10, 513), (33, 1100), (64, 1537)):
-        sampler = make(n, PHI2)
+        sampler = brownian_grid_sampler(n, PHI2)
         if theorem == "T1":
             cert = certificate_thm1(sampler.space, PHI1, PHI2, 6.0, 1)
             mets = MinorizingMetrics(sampler.space, PHI1)
         else:
             cert = certificate_thm3(sampler.space, PHI2, 6.0)
             mets = MinorizingMetrics(sampler.space, PHI2)
-        batch = sample(sampler, paths, seed=n)
-        got = [(st.mean, st.stderr) for st in empirical_corollary(batch, cert, mets).stats]
+        batch = draw(sampler, paths, n)
+        got = [(st.mean, st.stderr) for st in empirical_corollary(batch, cert, mets).checks]
         assert got == _gathered_stats(batch, cert, mets)
 
 
-@pytest.mark.parametrize("sampler", [
-    brownian_grid_sampler(17, PHI2),
-    _ou_sampler(12, YoungFunction.power(4)),
-    brownian_grid_sampler(9, YoungFunction.exponential(2)),
+@pytest.mark.parametrize("sampler, draw", [
+    (brownian_grid_sampler(17, PHI2), sample),
+    (brownian_grid_sampler(12, YoungFunction.power(4)), _ou_paths),
+    (brownian_grid_sampler(9, YoungFunction.exponential(2)), sample),
 ], ids=["brownian-x2", "cholesky-x4", "brownian-exp2"])
-def test_increment_moment_stats_matches_full_array(sampler):
-    batch = sample(sampler, 3001, seed=5)
+def test_increment_moment_stats_matches_full_array(sampler, draw):
+    batch = draw(sampler, 3001, 5)
     iu, iv = np.triu_indices(sampler.n, 1)
     d = sampler.space.dist[iu, iv]
     vals = sampler.psi.value(np.abs(batch.values[:, iu] - batch.values[:, iv]) / d[None, :])
     means = vals.mean(axis=0)
     ses = vals.std(axis=0, ddof=1) / math.sqrt(batch.n_paths)
     j = int(np.argmax(means - 3.0 * ses))
-    stat = increment_moment_stats(batch, sampler).stats[0]
+    stat = increment_moment_stats(batch, sampler).checks[0]
     assert stat.n_paths == 3001
     assert stat.mean == pytest.approx(means[j], rel=1e-12, abs=0.0)
     assert stat.stderr == pytest.approx(ses[j], rel=1e-12, abs=0.0)
@@ -229,7 +221,14 @@ def test_increment_moment_stats_of_one_path_has_zero_stderr():
     batch = sample(s, 1, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stat = increment_moment_stats(batch, s).stats[0]
+        stat = increment_moment_stats(batch, s).checks[0]
     iu, iv = np.triu_indices(s.n, 1)
     vals = s.psi.value(np.abs(batch.values[0, iu] - batch.values[0, iv]) / s.space.dist[iu, iv])
     assert (stat.mean, stat.stderr, stat.threshold, stat.n_paths) == (float(vals.max()), 0.0, 1.0, 1)
+
+
+def test_path_batch_needs_paths():
+    # a batch without paths gave nan statistics and RuntimeWarnings
+    for values in (np.zeros((0, 6)), np.zeros(6), np.zeros((2, 3, 6))):
+        with pytest.raises(ValueError, match="need at least one path"):
+            PathBatch(values)

@@ -493,7 +493,8 @@ def test_ball_mass_returns_float_for_scalars_and_rejects_negative_radii():
     for x in (-1, [0, -1], 6, [0, 6]):  # a negative index would read a row from the end
         with pytest.raises(ValueError, match="point index must be nonnegative and below n = 6"):
             sp.ball_mass(x, 0.5)
-    for x in (1.5, True, [0, 1.5], np.bool_(False)):  # numpy would fail on a float and read a bool as a mask
+    # numpy would fail on a float, read a bool as a mask and a bool in a list as an integer
+    for x in (1.5, True, [0, 1.5], np.bool_(False), [True, 0], (0, np.True_)):
         with pytest.raises(ValueError, match="point index must be an integer"):
             sp.ball_mass(x, 0.3)
         with pytest.raises(ValueError, match="point index must be an integer"):

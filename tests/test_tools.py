@@ -14,7 +14,7 @@ def _load(name):
 def test_pipeline_scale_stages_run_at_small_n():
     rows = _load("pipeline_scale").stages(16)
     assert [name for name, _, _ in rows] == [
-        "space", "metrics", "t1", "verify1", "luxemburg", "t3", "verify3", "suite", "witness", "trace",
+        "space", "metrics", "t1", "verify1", "luxemburg", "t3", "verify3", "suite", "witness", "trace", "mc",
     ]
     for _, seconds, peak in rows:
         assert seconds >= 0 and peak > 0
@@ -23,4 +23,4 @@ def test_pipeline_scale_stages_run_at_small_n():
 def test_pipeline_scale_main_prints_every_stage(capsys):
     _load("pipeline_scale").main(["8"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 12 and lines[-1].split()[:2] == ["8", "total"]
+    assert len(lines) == 13 and lines[-1].split()[:2] == ["8", "total"]

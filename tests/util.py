@@ -188,22 +188,18 @@ def searchsorted_ball_mass(space, x, eps, closed=True):
 def per_path_sample(sampler, n_paths, seed, block=1024):
     """Reference sampler: one path at a time from the normal stream of its block.
 
-    Path i is the (i mod block)-th run of draws from default_rng([seed, i // block]):
-    n - 1 Brownian steps scaled by sqrt(dt) and summed from 0, or n normals
-    multiplied by the Cholesky factor.
+    Path i is the (i mod block)-th run of n - 1 draws from
+    default_rng([seed, i // block]): Brownian steps scaled by sqrt(dt) and
+    summed from 0.
     """
-    brownian = sampler.kind == "brownian-grid"
-    width = sampler.n - 1 if brownian else sampler.n
+    width = sampler.n - 1
     out = np.empty((n_paths, sampler.n))
     for b in range(0, -(-n_paths // block)):
         rows = min(block, n_paths - b * block)
         z = np.random.default_rng([seed, b]).standard_normal(rows * width)
         for j in range(rows):
             zj = z[j * width:(j + 1) * width]
-            if brownian:
-                out[b * block + j] = np.concatenate([[0.0], np.cumsum(zj * np.sqrt(np.diff(sampler.times)))])
-            else:
-                out[b * block + j] = sampler.chol @ zj
+            out[b * block + j] = np.concatenate([[0.0], np.cumsum(zj * np.sqrt(np.diff(sampler.times)))])
     return out
 
 

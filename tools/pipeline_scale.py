@@ -21,6 +21,11 @@ Euclidean metric; phi = x, psi = x^2, R = 6 and n0 = 1. The stages are:
                l = kstar + 2; a trace keeps nothing on its radius table, so
                there is no untimed warm-up trace and every run builds all
                that the trace reads
+    mc         sample of 1,024 Brownian paths on the n-point grid of
+               brownian_grid_sampler(n, x^2), then empirical_corollary
+               under that grid's certificate_thm1 (x, x^2) and metrics;
+               the sampler, the certificate and the metrics are built
+               outside the timed stage
 
 Each stage runs three times untraced, of which the fastest gives its wall
 time, and once more under tracemalloc for its peak, so the tracing does not
@@ -52,6 +57,7 @@ REPEAT = 3  # the host's speed drifts, so one timed run per stage is too noisy
 R = 6.0
 N0 = 1
 WITNESS_LEVEL = 4
+MC_PATHS = 1024
 PHI1 = cc.YoungFunction.power(1)
 PHI2 = cc.YoungFunction.power(2)
 
@@ -97,6 +103,10 @@ def stages(n, seed=0):
     table = cc.radius_table(space, PHI1, R)
     level = table.kstar + 2
     run("trace", lambda: cc.proof_trace(table, m1, 0, n - 1, level, f=f))
+    sampler = cc.brownian_grid_sampler(n, PHI2)
+    grid_cert = cc.certificate_thm1(sampler.space, PHI1, PHI2, R, N0)
+    grid_metrics = cc.MinorizingMetrics(sampler.space, PHI1)
+    run("mc", lambda: cc.empirical_corollary(cc.sample(sampler, MC_PATHS, seed), grid_cert, grid_metrics))
     return rows
 
 
