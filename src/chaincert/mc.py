@@ -7,6 +7,15 @@ closed-form Gaussian moments). Path generation is reproducible bit for bit:
 paths are drawn in fixed blocks of 1,024, block b from its own generator
 seeded by (seed, b), so the first m paths of a batch do not depend on how
 many paths were drawn.
+
+Sampling and the sup statistic run as two halves, one in the calling thread
+and one in a helper thread (mspace._run_halves, which the triangle check of
+space validation uses too), once the work passes a measured cut-off:
+_SAMPLE_SPLIT normal draws for sampling, whose path blocks are dealt
+alternately to the halves, and _SUP_SPLIT pair ratios per block of paths for
+the sup, whose point rows i are dealt alternately. Each block has its own
+generator and each half its own buffers and per-path maxima, and the maximum
+is exact, so every bit is that of the serial loop.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import _check_agreement, modulus_pairs
-from .mspace import MetricMeasureSpace, _pair_mask
+from .mspace import MetricMeasureSpace, _pair_mask, _run_halves
 from .verify import _CheckList
 
 __all__ = [
@@ -98,6 +107,8 @@ class PathBatch:
 
 
 _BLOCK = 1024  # paths per generator
+_SAMPLE_SPLIT = 2 ** 16  # from this many normal draws in two or more blocks on, sample runs as two halves
+_SUP_SPLIT = 2 ** 20  # from this many pair ratios per block of paths on, _path_sups runs as two halves
 
 
 def sample(sampler, n_paths, seed):
@@ -106,12 +117,31 @@ def sample(sampler, n_paths, seed):
         raise ValueError("need at least one path")
     values = np.zeros((n_paths, sampler.n))  # Brownian paths start at 0
     dt = np.diff(sampler.times)
-    for lo in range(0, n_paths, _BLOCK):
-        block = values[lo:lo + _BLOCK]
-        rng = np.random.default_rng([seed, lo // _BLOCK])
-        steps = rng.standard_normal((block.shape[0], dt.size)) * np.sqrt(dt)
-        np.cumsum(steps, axis=1, out=block[:, 1:])
+    starts = range(0, n_paths, _BLOCK)
+    steps = np.empty((min(n_paths, _BLOCK), dt.size))
+    if len(starts) < 2 or n_paths * dt.size < _SAMPLE_SPLIT:
+        _sample_blocks(values, dt, seed, starts, steps)
+    else:
+        theirs = np.empty_like(steps)
+        _run_halves(lambda: _sample_blocks(values, dt, seed, starts[::2], steps),
+                    lambda: _sample_blocks(values, dt, seed, starts[1::2], theirs),
+                    "path sampler")
     return PathBatch(values=values)
+
+
+def _sample_blocks(values, dt, seed, starts, steps):
+    """Fill the blocks of values that begin at starts, each from its own generator.
+
+    The normal steps of a block are drawn into the buffer steps, scaled by
+    sqrt(dt) and summed from 0 into the block's slice of values.
+    """
+    scale = np.sqrt(dt)
+    for lo in starts:
+        block = values[lo:lo + _BLOCK]
+        z = steps[:block.shape[0]]
+        np.random.default_rng([seed, lo // _BLOCK]).standard_normal(out=z)
+        np.multiply(z, scale, out=z)
+        np.cumsum(z, axis=1, out=block[:, 1:])
 
 
 @dataclass(frozen=True)
@@ -132,38 +162,62 @@ class McReport(_CheckList):
     checks: list  # McStat entries
 
 
-def _pair_rows(values, denom):
-    """Yield |x_i - x_j| / denom for j > i, one point i at a time, as (n-1-i, paths).
+def _pair_rows(rows, denom, points, buf):
+    """Yield |x_i - x_j| / denom for j > i, for each point i of points, as (n-1-i, paths).
 
-    values is (paths, n). The pairs are in mspace._triu(n) order, so
-    the denominators of point i are one contiguous slice of denom. The paths
-    are transposed once into contiguous rows, and every block is written into
-    one reused buffer, valid until the next block: memory is O(n * paths).
+    rows is the (n, paths) transpose of the paths. The pairs are in
+    mspace._triu(n) order, so the denominators of point i are one contiguous
+    slice of denom. Every block is written into the reused buffer buf, of at
+    least (n - 1, paths), and is valid until the next block.
     """
-    rows = np.ascontiguousarray(values.T)
-    n = rows.shape[0]
-    buf = np.empty((max(n - 1, 0), rows.shape[1]))
-    start = 0
-    for i in range(n - 1):
-        block = buf[:n - 1 - i]
+    n, paths = rows.shape
+    for i in points:
+        block = buf[:n - 1 - i, :paths]
+        start = i * (2 * n - i - 1) // 2  # the pairs of the points before i
         np.subtract(rows[i], rows[i + 1:], out=block)
         np.abs(block, out=block)
         np.divide(block, denom[start:start + block.shape[0], None], out=block)
-        start += block.shape[0]
         yield block
 
 
 def _path_sups(values, denom):
-    """Per-path max over the pairs of |x_i - x_j| / denom, _BLOCK paths at a
-    time, so that _pair_rows' copies are O(n * _BLOCK) for any number of paths."""
-    if values.shape[1] < 2:
+    """Per-path max over the pairs of |x_i - x_j| / denom.
+
+    The paths go _BLOCK at a time, so each half's copies are O(n * _BLOCK)
+    for any number of paths. From _SUP_SPLIT ratios on, the points i are
+    dealt alternately to the two halves of _run_halves, each with its own
+    buffers and its own per-path maxima, which one np.maximum joins; the
+    maximum is exact, so the split changes no bit.
+    """
+    paths, n = values.shape
+    if n < 2:
         raise ValueError("the sup statistic needs at least two points")
-    sups = np.full(values.shape[0], -np.inf)
+    points = range(n - 1)
+    rows, buf, sups = _sup_buffers(paths, n)
+    if min(paths, _BLOCK) * (n * (n - 1) // 2) < _SUP_SPLIT:
+        _sup_half(values, denom, points, rows, buf, sups)
+        return sups
+    theirs = _sup_buffers(paths, n)
+    _run_halves(lambda: _sup_half(values, denom, points[::2], rows, buf, sups),
+                lambda: _sup_half(values, denom, points[1::2], *theirs),
+                "Monte Carlo sup")
+    return np.maximum(sups, theirs[2], out=sups)
+
+
+def _sup_buffers(paths, n):
+    """One half's (n, _BLOCK) transposed rows, (n - 1, _BLOCK) pair buffer and per-path maxima."""
+    width = min(paths, _BLOCK)
+    return np.empty((n, width)), np.empty((n - 1, width)), np.full(paths, -np.inf)
+
+
+def _sup_half(values, denom, points, rows, buf, sups):
+    """Raise sups to the max of the pair ratios of the points i of points, _BLOCK paths at a time."""
     for lo in range(0, values.shape[0], _BLOCK):
         part = sups[lo:lo + _BLOCK]
-        for block in _pair_rows(values[lo:lo + _BLOCK], denom):
+        block_rows = rows[:, :part.size]
+        np.copyto(block_rows, values[lo:lo + _BLOCK].T)
+        for block in _pair_rows(block_rows, denom, points, buf):
             np.maximum(part, block.max(axis=0), out=part)
-    return sups
 
 
 def _mean_stderr(x):
@@ -181,7 +235,9 @@ def increment_moment_stats(batch, sampler):
     sampler's increments meet exactly.
     """
     means, ses = [], []
-    for block in _pair_rows(batch.values, sampler.space.dist[_pair_mask(sampler.n)]):
+    rows = np.ascontiguousarray(batch.values.T)
+    buf = np.empty((sampler.n - 1, batch.n_paths))
+    for block in _pair_rows(rows, sampler.space.dist[_pair_mask(sampler.n)], range(sampler.n - 1), buf):
         vals = sampler.psi.value(block)
         means.append(vals.mean(axis=1))
         ses.append(vals.std(axis=1, ddof=1) if batch.n_paths > 1 else np.zeros(vals.shape[0]))

@@ -30,7 +30,7 @@ __all__ = [
 _ATOL = 1e-12
 _TRIANGLE_BLOCK = 2 ** 16  # floats of two-hop sums in one block of the triangle check (512 KB)
 _TRIANGLE_ROWS = 8  # rows i per block; the block's columns j fill the rest of the budget
-_TRIANGLE_SPLIT = 128  # from this many points on, the triangle check runs as two halves, one in a helper thread
+_TRIANGLE_SPLIT = 128  # from this many points on, the triangle check runs as the two halves of _run_halves
 
 
 class SpaceValidationError(ValueError):
@@ -82,6 +82,40 @@ def _triangle_rows(dist, starts, buf, strip, stop):
         if (dist[a:a + r, a:] > lim).any() or (dist[a:, a:a + r].T > lim).any():
             stop.set()
             return
+
+
+def _run_halves(mine, theirs, what, stop=None):
+    """Run mine() in the calling thread while theirs() runs in one helper thread.
+
+    The helper is joined before this returns or raises, so no thread outlives
+    the call, and it runs under the caller's numpy error state (np.errstate is
+    per thread). When mine() raises, stop, if given, is set so that theirs()
+    can quit early, and the exception goes on. When theirs() raises, this
+    raises RuntimeError from it, so a half that died is never taken for a
+    finished one. The caller allocates every large buffer of both halves.
+    """
+    err, call = np.geterr(), np.geterrcall()
+    failed = []
+
+    def helper():
+        try:
+            with np.errstate(call=call, **err):
+                theirs()
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, name=f"chaincert-{what}")
+    thread.start()
+    try:
+        mine()
+    except BaseException:
+        if stop is not None:
+            stop.set()
+        raise
+    finally:
+        thread.join()
+    if failed:
+        raise RuntimeError(f"the helper thread of the {what} failed") from failed[0]
 
 
 class MetricMeasureSpace:
@@ -139,12 +173,11 @@ class MetricMeasureSpace:
         # d(i,j) <= d(i,k) + d(j,k) for all triples, up to float tolerance;
         # _triangle_rows checks one row block after another. From
         # _TRIANGLE_SPLIT points on, the row blocks are dealt alternately to
-        # two halves, since a block's columns j >= a shrink with a; one half
-        # runs here and one in a helper thread that is joined before this
-        # returns or raises. numpy's add and min release the GIL, so the
-        # halves overlap on two cores. A half that finds a violation sets
-        # stop, and the other half quits at its next row block. The minimum
-        # is exact, so the split changes no verdict.
+        # the two halves of _run_halves, since a block's columns j >= a shrink
+        # with a. numpy's add and min release the GIL, so the halves overlap
+        # on two cores. A half that finds a violation sets stop, and the
+        # other half quits at its next row block. The minimum is exact, so
+        # the split changes no verdict.
         n = mass.size
         bj = min(n, max(1, _TRIANGLE_BLOCK // (_TRIANGLE_ROWS * n)))
         starts = range(0, n, _TRIANGLE_ROWS)
@@ -152,24 +185,10 @@ class MetricMeasureSpace:
         if n < _TRIANGLE_SPLIT:
             _triangle_rows(dist, starts, *_triangle_buffers(n, bj), stop)
         else:
-            helper_buffers = _triangle_buffers(n, bj)  # allocated here, so a MemoryError is raised here
-            finished = threading.Event()
-
-            def helper_half():
-                _triangle_rows(dist, starts[1::2], *helper_buffers, stop)
-                finished.set()
-
-            helper = threading.Thread(target=helper_half, name="chaincert-triangle")
-            helper.start()
-            try:
-                _triangle_rows(dist, starts[::2], *_triangle_buffers(n, bj), stop)
-            except BaseException:
-                stop.set()  # the helper quits at its next row block; the exception goes on
-                raise
-            finally:
-                helper.join()
-            if not finished.is_set():
-                raise RuntimeError("the helper thread of the triangle check failed")
+            mine, theirs = _triangle_buffers(n, bj), _triangle_buffers(n, bj)
+            _run_halves(lambda: _triangle_rows(dist, starts[::2], *mine, stop),
+                        lambda: _triangle_rows(dist, starts[1::2], *theirs, stop),
+                        "triangle check", stop)
         if stop.is_set():
             raise SpaceValidationError("triangle inequality violated")
 

@@ -22,6 +22,7 @@ from chaincert import (
     verify_thm1,
     verify_thm3,
 )
+from chaincert import mc
 from util import gather_path_sups, per_path_sample
 
 PHI1 = YoungFunction.power(1)
@@ -232,3 +233,51 @@ def test_path_batch_needs_paths():
     for values in (np.zeros((0, 6)), np.zeros(6), np.zeros((2, 3, 6))):
         with pytest.raises(ValueError, match="need at least one path"):
             PathBatch(values)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 129])
+def test_split_sampling_matches_per_path_reference(monkeypatch, n):
+    # the blocks are dealt to the two halves from any number of draws on;
+    # 1,025 and 3,000 paths end in a short block of either half
+    monkeypatch.setattr(mc, "_SAMPLE_SPLIT", 0)
+    sampler = brownian_grid_sampler(n, PHI2)
+    for paths in (1, 1023, 1025, 3000):
+        assert np.array_equal(sample(sampler, paths, seed=n).values, per_path_sample(sampler, paths, n))
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T3"])
+@pytest.mark.parametrize("n", [2, 3, 64, 129])
+def test_split_sup_matches_serial_and_gather_bit_for_bit(monkeypatch, theorem, n):
+    # n - 1 point rows are dealt to the two halves: 1, 2, 63 and 128 rows,
+    # so one half may get none; 1,025 and 3,000 paths end in a short block
+    sampler = brownian_grid_sampler(n, PHI2)
+    if theorem == "T1":
+        cert = certificate_thm1(sampler.space, PHI1, PHI2, 6.0, 1)
+        denom = 2.0 * cert.K * MinorizingMetrics(sampler.space, PHI1).tau[np.triu_indices(n, 1)]
+    else:
+        denom = modulus_pairs(certificate_thm3(sampler.space, PHI2, 6.0), MinorizingMetrics(sampler.space, PHI2))
+    values = sample(sampler, 3000, seed=n).values
+    iu, iv = np.triu_indices(n, 1)
+    for paths in (1, 1023, 1025, 3000):
+        sups = {}
+        for name, split in (("serial", math.inf), ("halves", 0)):
+            monkeypatch.setattr(mc, "_SUP_SPLIT", split)
+            sups[name] = mc._path_sups(values[:paths], denom).tobytes()
+        assert sups["serial"] == sups["halves"] == gather_path_sups(values[:paths], iu, iv, denom).tobytes()
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["serial", "halves"])
+def test_sup_runs_under_the_callers_error_state(below):
+    # every ratio over a subnormal denominator overflows: the caller's
+    # errstate, not numpy's default, decides for the helper's rows too
+    n = next(m for m in range(2, 1000) if 1024 * (m * (m - 1) // 2) >= mc._SUP_SPLIT) - below
+    values = np.random.default_rng(n).standard_normal((1024, n))
+    denom = np.full(n * (n - 1) // 2, 1e-310)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore"):
+            sups = mc._path_sups(values, denom)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered in divide"):
+            mc._path_sups(values, denom)
+    assert caught == []
+    assert np.isinf(sups).all()

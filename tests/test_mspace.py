@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from chaincert import (
     space_from_json,
     space_to_json,
 )
-from chaincert import mspace
+from chaincert import mc, mspace
 from chaincert.cli import EXIT_CONFIG, run
 from util import (
     line3_space,
@@ -267,12 +268,49 @@ def test_triangle_halves_find_a_violation_in_either_half(i, j):
     assert _triangle_verdict(below)
 
 
-def test_triangle_halves_leave_no_thread_behind(monkeypatch):
-    n = mspace._TRIANGLE_SPLIT
-    small = generate_space("random", n=n - 1, seed=n - 1).dist
-    dist = generate_space("random", n=n, seed=n).dist
-    bad = dist.copy()
-    bad[0, n - 1] = bad[n - 1, 0] = 10.0 * dist.max()
+def _triangle_use(k, below=False):
+    """The triangle check's use of mspace._run_halves: the verdict on random
+    Euclidean distances of _TRIANGLE_SPLIT points, or of one point fewer;
+    k = 1, 2, 3 break the triangle inequality at one pair."""
+    n = mspace._TRIANGLE_SPLIT - below
+    pts = np.random.default_rng(n).random((n, 2))
+    dist = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    if k:
+        i, j = [(3, 60), (50, 51), (n - 7, n - 1)][k - 1]
+        dist[i, j] = dist[j, i] = 10.0 * dist.max()
+    return _triangle_verdict(dist)
+
+
+def _sampler_use(k, below=False):
+    """The path sampler's use: 2,048 paths, two blocks, with seed k; the
+    grid's n - 1 steps make _SAMPLE_SPLIT normal draws, or 2,048 fewer.
+    k = -1 is a seed that fails."""
+    n = mc._SAMPLE_SPLIT // 2048 + 1 - below
+    return mc.sample(mc.brownian_grid_sampler(n, YoungFunction.power(2)), 2048, seed=k).values
+
+
+def _sup_use(k, below=False):
+    """The Monte Carlo sup's use: the sups of 1,024 normal paths from seed k
+    on the fewest points whose pairs give _SUP_SPLIT ratios per path block,
+    or on one point fewer. k = -1 gives two denominators for all the pairs,
+    which fails in every row."""
+    n = next(m for m in range(2, 1000) if 1024 * (m * (m - 1) // 2) >= mc._SUP_SPLIT) - below
+    values = np.random.default_rng(abs(k)).standard_normal((1024, n))
+    return mc._path_sups(values, np.linspace(1.0, 2.0, n * (n - 1) // 2 if k >= 0 else 2))
+
+
+# each use of the two-half runner: its call, a failing call, the half that
+# runs in both threads, and the name in the runner's error
+HALVES = {
+    "triangle": (_triangle_use, lambda: _triangle_use(1), (mspace, "_triangle_rows"), "triangle check"),
+    "sampler": (_sampler_use, lambda: _sampler_use(-1), (mc, "_sample_blocks"), "path sampler"),
+    "sup": (_sup_use, lambda: _sup_use(-1), (mc, "_sup_half"), "Monte Carlo sup"),
+}
+
+
+@pytest.mark.parametrize("use", HALVES)
+def test_halves_leave_no_thread_behind(monkeypatch, use):
+    call, failing, _, _ = HALVES[use]
     started = []
 
     class Counted(threading.Thread):
@@ -282,38 +320,35 @@ def test_triangle_halves_leave_no_thread_behind(monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", Counted)
     before = threading.active_count()
-    MetricMeasureSpace(dist, np.full(n, 1.0 / n))
-    with pytest.raises(SpaceValidationError) as err:
-        MetricMeasureSpace(bad, np.full(n, 1.0 / n))
-    assert str(err.value) == "triangle inequality violated"
+    call(0)
+    try:  # the triangle check rejects its space; the Monte Carlo calls raise
+        assert failing()
+    except ValueError:
+        pass
     assert threading.active_count() == before
     assert len(started) == 2
-    # below the cutoff the check starts no thread
-    MetricMeasureSpace(small, np.full(n - 1, 1.0 / (n - 1)))
+    # below the cutoff the call starts no thread
+    call(0, below=True)
     assert len(started) == 2
 
 
-def test_triangle_halves_of_concurrent_callers_keep_their_own_verdicts():
-    # four callers validate at once, each with its own helper, with the
+@pytest.mark.parametrize("use", HALVES)
+def test_halves_of_concurrent_callers_keep_their_own_results(use):
+    # four callers run at once, each with its own helper, with the
     # interpreter switching threads every microsecond; a stop event or buffer
-    # shared between calls would mix their verdicts
-    n = mspace._TRIANGLE_SPLIT
-    base = generate_space("random", n=n, seed=n).dist
-    cases = [base]
-    for i, j in [(3, 60), (50, 51), (121, 127)]:
-        bad = base.copy()
-        bad[i, j] = bad[j, i] = 10.0 * base.max()
-        cases.append(bad)
-    verdicts = [[] for _ in cases]
+    # shared between calls would mix their results
+    call = HALVES[use][0]
+    expected = [call(k) for k in range(4)]
+    results = [[] for _ in expected]
 
     def caller(k):
         for _ in range(4):
-            verdicts[k].append(_triangle_verdict(cases[k]))
+            results[k].append(call(k))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        callers = [threading.Thread(target=caller, args=(k,)) for k in range(len(cases))]
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(len(expected))]
         for t in callers:
             t.start()
         for t in callers:
@@ -321,28 +356,48 @@ def test_triangle_halves_of_concurrent_callers_keep_their_own_verdicts():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert verdicts == [[False] * 4] + [[True] * 4] * 3
+    for want, got in zip(expected, results):
+        assert len(got) == 4 and all(np.array_equal(g, want) for g in got)
+    if use == "triangle":
+        assert expected == [False, True, True, True]
 
 
-def test_triangle_helper_failure_is_no_pass(monkeypatch):
-    # a helper half that dies leaves its row blocks unchecked, so the check
-    # raises instead of passing the space
-    n = mspace._TRIANGLE_SPLIT
-    dist = generate_space("random", n=n, seed=n).dist
-    rows = mspace._triangle_rows
+@pytest.mark.parametrize("use", HALVES)
+def test_helper_failure_is_no_pass(monkeypatch, use):
+    # a helper half that dies leaves its share of the work undone, so the
+    # call raises instead of returning, with the helper's error as the cause
+    call, _, (module, name), what = HALVES[use]
+    half = getattr(module, name)
     main = threading.current_thread()
 
     def helper_fails(*args):
         if threading.current_thread() is not main:
             raise MemoryError("helper half")
-        return rows(*args)
+        return half(*args)
 
     lost = []
-    monkeypatch.setattr(mspace, "_triangle_rows", helper_fails)
+    monkeypatch.setattr(module, name, helper_fails)
     monkeypatch.setattr(threading, "excepthook", lost.append)
-    with pytest.raises(RuntimeError, match="helper thread of the triangle check failed"):
-        MetricMeasureSpace(dist, np.full(n, 1.0 / n))
-    assert [type(args.exc_value) for args in lost] == [MemoryError]
+    with pytest.raises(RuntimeError, match=f"helper thread of the {what} failed") as err:
+        call(0)
+    assert type(err.value.__cause__) is MemoryError
+    assert lost == []
+
+
+@pytest.mark.parametrize("n", [mspace._TRIANGLE_SPLIT - 1, mspace._TRIANGLE_SPLIT], ids=["serial", "halves"])
+def test_triangle_check_runs_under_the_callers_error_state(n):
+    # at a diameter of 1e308 two-hop sums overflow; the helper half ran
+    # under numpy's default error state, so it warned where the caller
+    # ignores overflow
+    dist = generate_space("random", n=n, seed=3).dist
+    dist = dist * (1e308 / dist.max())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(over="ignore"):
+            MetricMeasureSpace(dist, np.full(n, 1.0 / n))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered in add"):
+            MetricMeasureSpace(dist, np.full(n, 1.0 / n))
+    assert caught == []
 
 
 def test_triangle_calling_half_failure_propagates(monkeypatch):
