@@ -8,18 +8,20 @@ paths are drawn in fixed blocks of 1,024, block b from its own generator
 seeded by (seed, b), so the first m paths of a batch do not depend on how
 many paths were drawn.
 
-Sampling and the sup statistic run as two halves, one in the calling thread
-and one in a helper thread (mspace._run_halves, which the triangle check of
-space validation uses too), once the work passes a measured cut-off:
-_SAMPLE_SPLIT normal draws for sampling, whose path blocks are dealt
-alternately to the halves, and _SUP_SPLIT pair ratios per block of paths for
-the sup, whose point rows i are dealt alternately. Each block has its own
-generator and each half its own buffers and per-path maxima, and the maximum
-is exact, so every bit is that of the serial loop.
+Sampling and the sup statistic each make one call to mspace._run_halves,
+the two-halves runner that the triangle check of space validation uses too.
+The runner owns the split: past a measured cut-off (_SAMPLE_SPLIT normal
+draws for sampling, _SUP_SPLIT pair ratios per block of paths for the sup)
+and with two or more items, it deals the items alternately to the calling
+thread and one helper thread, path blocks for sampling and point rows i for
+the sup, and makes each half's buffers in the calling thread. Each block
+has its own generator and each half its own per-path maxima, and the
+maximum is exact, so every bit is that of the serial loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -117,15 +119,9 @@ def sample(sampler, n_paths, seed):
         raise ValueError("need at least one path")
     values = np.zeros((n_paths, sampler.n))  # Brownian paths start at 0
     dt = np.diff(sampler.times)
-    starts = range(0, n_paths, _BLOCK)
-    steps = np.empty((min(n_paths, _BLOCK), dt.size))
-    if len(starts) < 2 or n_paths * dt.size < _SAMPLE_SPLIT:
-        _sample_blocks(values, dt, seed, starts, steps)
-    else:
-        theirs = np.empty_like(steps)
-        _run_halves(lambda: _sample_blocks(values, dt, seed, starts[::2], steps),
-                    lambda: _sample_blocks(values, dt, seed, starts[1::2], theirs),
-                    "path sampler")
+    width = min(n_paths, _BLOCK)
+    _run_halves(functools.partial(_sample_blocks, values, dt, seed), range(0, n_paths, _BLOCK),
+                lambda: (np.empty((width, dt.size)),), n_paths * dt.size >= _SAMPLE_SPLIT, "path sampler")
     return PathBatch(values=values)
 
 
@@ -183,31 +179,23 @@ def _pair_rows(rows, denom, points, buf):
 def _path_sups(values, denom):
     """Per-path max over the pairs of |x_i - x_j| / denom.
 
-    The paths go _BLOCK at a time, so each half's copies are O(n * _BLOCK)
-    for any number of paths. From _SUP_SPLIT ratios on, the points i are
-    dealt alternately to the two halves of _run_halves, each with its own
-    buffers and its own per-path maxima, which one np.maximum joins; the
-    maximum is exact, so the split changes no bit.
+    The paths go _BLOCK at a time, so each half's (n, _BLOCK) transposed rows
+    and (n - 1, _BLOCK) pair buffer are O(n * _BLOCK) for any number of
+    paths. From _SUP_SPLIT ratios on, the points i are dealt to the two
+    halves of _run_halves, each with its own per-path maxima, which
+    np.maximum joins; the maximum is exact, so the split changes no bit.
     """
     paths, n = values.shape
     if n < 2:
         raise ValueError("the sup statistic needs at least two points")
-    points = range(n - 1)
-    rows, buf, sups = _sup_buffers(paths, n)
-    if min(paths, _BLOCK) * (n * (n - 1) // 2) < _SUP_SPLIT:
-        _sup_half(values, denom, points, rows, buf, sups)
-        return sups
-    theirs = _sup_buffers(paths, n)
-    _run_halves(lambda: _sup_half(values, denom, points[::2], rows, buf, sups),
-                lambda: _sup_half(values, denom, points[1::2], *theirs),
-                "Monte Carlo sup")
-    return np.maximum(sups, theirs[2], out=sups)
-
-
-def _sup_buffers(paths, n):
-    """One half's (n, _BLOCK) transposed rows, (n - 1, _BLOCK) pair buffer and per-path maxima."""
     width = min(paths, _BLOCK)
-    return np.empty((n, width)), np.empty((n - 1, width)), np.full(paths, -np.inf)
+    halves = _run_halves(functools.partial(_sup_half, values, denom), range(n - 1),
+                         lambda: (np.empty((n, width)), np.empty((n - 1, width)), np.full(paths, -np.inf)),
+                         width * (n * (n - 1) // 2) >= _SUP_SPLIT, "Monte Carlo sup")
+    sups = halves[0][2]
+    for _, _, theirs in halves[1:]:
+        np.maximum(sups, theirs, out=sups)
+    return sups
 
 
 def _sup_half(values, denom, points, rows, buf, sups):
@@ -234,6 +222,8 @@ def increment_moment_stats(batch, sampler):
     empirical mean should sit within three standard errors of 1, which the
     sampler's increments meet exactly.
     """
+    if batch.values.shape[1] != sampler.n:
+        raise ValueError("batch and sampler must share one space")
     means, ses = [], []
     rows = np.ascontiguousarray(batch.values.T)
     buf = np.empty((sampler.n - 1, batch.n_paths))

@@ -53,7 +53,7 @@ def _triangle_buffers(n, bj):
     return raw[skip:skip + size].reshape(_TRIANGLE_ROWS, bj, n), np.empty((_TRIANGLE_ROWS, n))
 
 
-def _triangle_rows(dist, starts, buf, strip, stop):
+def _triangle_rows(dist, stop, starts, buf, strip):
     """Check the triangle inequality on the row blocks that begin at starts.
 
     A block of 8 rows i and bj columns j >= a holds the two-hop sums
@@ -84,30 +84,38 @@ def _triangle_rows(dist, starts, buf, strip, stop):
             return
 
 
-def _run_halves(mine, theirs, what, stop=None):
-    """Run mine() in the calling thread while theirs() runs in one helper thread.
+def _run_halves(half, items, buffers, split, what, stop=None):
+    """Run half(items, *buffers()) once, or as two halves; return each half's buffers.
 
+    With split true and two or more items, half(items[::2], *mine) runs in
+    the calling thread and half(items[1::2], *theirs) in one helper thread;
+    both halves' buffers() are made here, so the helper allocates nothing.
     The helper is joined before this returns or raises, so no thread outlives
-    the call, and it runs under the caller's numpy error state (np.errstate is
-    per thread). When mine() raises, stop, if given, is set so that theirs()
-    can quit early, and the exception goes on. When theirs() raises, this
+    the call, and runs under the caller's numpy error state (np.errstate is
+    per thread). When the calling half raises, stop, if given, is set so that
+    the helper's half can quit early. When the helper's half raises, this
     raises RuntimeError from it, so a half that died is never taken for a
-    finished one. The caller allocates every large buffer of both halves.
+    finished one.
     """
+    if not split or len(items) < 2:
+        mine = buffers()
+        half(items, *mine)
+        return [mine]
+    mine, theirs = buffers(), buffers()
     err, call = np.geterr(), np.geterrcall()
     failed = []
 
     def helper():
         try:
             with np.errstate(call=call, **err):
-                theirs()
+                half(items[1::2], *theirs)
         except BaseException as exc:
             failed.append(exc)
 
     thread = threading.Thread(target=helper, name=f"chaincert-{what}")
     thread.start()
     try:
-        mine()
+        half(items[::2], *mine)
     except BaseException:
         if stop is not None:
             stop.set()
@@ -116,6 +124,7 @@ def _run_halves(mine, theirs, what, stop=None):
         thread.join()
     if failed:
         raise RuntimeError(f"the helper thread of the {what} failed") from failed[0]
+    return [mine, theirs]
 
 
 class MetricMeasureSpace:
@@ -182,13 +191,8 @@ class MetricMeasureSpace:
         bj = min(n, max(1, _TRIANGLE_BLOCK // (_TRIANGLE_ROWS * n)))
         starts = range(0, n, _TRIANGLE_ROWS)
         stop = threading.Event()
-        if n < _TRIANGLE_SPLIT:
-            _triangle_rows(dist, starts, *_triangle_buffers(n, bj), stop)
-        else:
-            mine, theirs = _triangle_buffers(n, bj), _triangle_buffers(n, bj)
-            _run_halves(lambda: _triangle_rows(dist, starts[::2], *mine, stop),
-                        lambda: _triangle_rows(dist, starts[1::2], *theirs, stop),
-                        "triangle check", stop)
+        _run_halves(functools.partial(_triangle_rows, dist, stop), starts, lambda: _triangle_buffers(n, bj),
+                    n >= _TRIANGLE_SPLIT, "triangle check", stop)
         if stop.is_set():
             raise SpaceValidationError("triangle inequality violated")
 

@@ -361,6 +361,12 @@ def _bracket_index(table, x, d):
     return table.kstar
 
 
+def _check_level(l):
+    """ValueError unless the level l is an int or a numpy integer, not a bool."""
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
+        raise ValueError(f"level l must be an integer, not {type(l).__name__}")
+
+
 def proof_trace(table, metrics, s, t, l, f=None, n=2):
     """Re-derive the chaining quantities for one pair and measure each step.
 
@@ -376,6 +382,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     averages over; nothing is kept on the table. Beyond the quotient matrix
     of f, a trace takes O(l n) memory.
     """
+    _check_level(l)
     _check_agreement(table, metrics)
     space = table.space
     _check_points(space, (s, t))
@@ -567,6 +574,7 @@ def converse_witness(space, phi, psi, R, n0, t, l):
     the tail constant D and the per-point ratio of the growth integral to the
     witness integral (bounded by R^(n0+1)).
     """
+    _check_level(l)
     _check_points(space, t)
     if l < 0:
         raise ValueError("need l >= 0")

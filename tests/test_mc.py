@@ -228,6 +228,14 @@ def test_increment_moment_stats_of_one_path_has_zero_stderr():
     assert (stat.mean, stat.stderr, stat.threshold, stat.n_paths) == (float(vals.max()), 0.0, 1.0, 1)
 
 
+def test_increment_moment_stats_rejects_a_batch_from_another_space():
+    # a batch on more points broke a numpy broadcast, one on fewer indexed past its last column
+    six, eight = brownian_grid_sampler(6, PHI2), brownian_grid_sampler(8, PHI2)
+    for batch, sampler in ((sample(eight, 50, 0), six), (sample(six, 50, 0), eight)):
+        with pytest.raises(ValueError, match="batch and sampler must share one space"):
+            increment_moment_stats(batch, sampler)
+
+
 def test_path_batch_needs_paths():
     # a batch without paths gave nan statistics and RuntimeWarnings
     for values in (np.zeros((0, 6)), np.zeros(6), np.zeros((2, 3, 6))):

@@ -308,17 +308,23 @@ HALVES = {
 }
 
 
-@pytest.mark.parametrize("use", HALVES)
-def test_halves_leave_no_thread_behind(monkeypatch, use):
-    call, failing, _, _ = HALVES[use]
-    started = []
+@pytest.fixture
+def started(monkeypatch):
+    """The names of the threads started from here on."""
+    names = []
 
     class Counted(threading.Thread):
         def start(self):
-            started.append(self)
+            names.append(self.name)
             super().start()
 
     monkeypatch.setattr(threading, "Thread", Counted)
+    return names
+
+
+@pytest.mark.parametrize("use", HALVES)
+def test_halves_leave_no_thread_behind(started, use):
+    call, failing, _, _ = HALVES[use]
     before = threading.active_count()
     call(0)
     try:  # the triangle check rejects its space; the Monte Carlo calls raise
@@ -330,6 +336,24 @@ def test_halves_leave_no_thread_behind(monkeypatch, use):
     # below the cutoff the call starts no thread
     call(0, below=True)
     assert len(started) == 2
+
+
+def test_runner_never_splits_fewer_than_two_items(monkeypatch, started):
+    # with every cut-off at 0, the one row block of 8 points, the one point
+    # row at n = 2 and the one block of 1,024 paths run in the calling thread;
+    # the sampler's 64-point grid space, whose 8 row blocks would split, is
+    # validated before the cut-offs drop
+    sampler = mc.brownian_grid_sampler(64, YoungFunction.power(2))
+    for module, split in ((mspace, "_TRIANGLE_SPLIT"), (mc, "_SAMPLE_SPLIT"), (mc, "_SUP_SPLIT")):
+        monkeypatch.setattr(module, split, 0)
+    dist = generate_space("random", n=8, seed=8).dist.copy()
+    assert not _triangle_verdict(dist)
+    dist[0, 7] = dist[7, 0] = 10.0 * dist.max()
+    assert _triangle_verdict(dist)
+    values = np.random.default_rng(2).standard_normal((1024, 2))
+    assert np.array_equal(mc._path_sups(values, np.ones(1)), np.abs(values[:, 0] - values[:, 1]))
+    assert mc.sample(sampler, 1024, seed=0).values.shape == (1024, 64)
+    assert started == []
 
 
 @pytest.mark.parametrize("use", HALVES)

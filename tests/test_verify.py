@@ -244,6 +244,10 @@ def test_proof_trace_argument_validation():
     for s, t in ((1.5, 0), (0, 1.5), (True, 0), (0, True)):  # True beside 0 would pass as the index 1
         with pytest.raises(ValueError, match="point index must be an integer"):
             proof_trace(table, MinorizingMetrics(five, PHI1), s, t, l=table.kstar + 2)
+    for l in (2.5, table.kstar + 2.0, True):  # a float level failed in numpy indexing with an IndexError
+        with pytest.raises(ValueError, match="level l must be an integer, not"):
+            proof_trace(table, MinorizingMetrics(five, PHI1), 0, 1, l)
+    assert proof_trace(table, MinorizingMetrics(five, PHI1), 0, 1, np.int64(table.kstar + 2)).checks
 
 
 def test_start_level_gap_violation_is_measured():
@@ -289,6 +293,10 @@ def test_converse_witness_rejects_negative_levels_and_bad_points():
     for t in (1.5, True):
         with pytest.raises(ValueError, match="point index must be an integer"):
             converse_witness(sp, PHI2, PHI1, 6.0, 1, t, 2)
+    for l in (1.5, 2.0, False):  # a float level failed in range() with a TypeError
+        with pytest.raises(ValueError, match="level l must be an integer, not"):
+            converse_witness(sp, PHI2, PHI1, 6.0, 1, 0, l)
+    assert converse_witness(sp, PHI2, PHI1, 6.0, 1, 0, np.int32(2)).checks
 
 
 def test_converse_witness_requires_convergence():
