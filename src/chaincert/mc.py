@@ -29,7 +29,7 @@ import numpy as np
 
 from .chain import _check_agreement, modulus_pairs
 from .mspace import MetricMeasureSpace, _pair_mask, _run_halves
-from .verify import _CheckList
+from .verify import _check_integer, _CheckList
 
 __all__ = [
     "gaussian_abs_moment",
@@ -114,9 +114,16 @@ _SUP_SPLIT = 2 ** 20  # from this many pair ratios per block of paths on, _path_
 
 
 def sample(sampler, n_paths, seed):
-    """Draw n_paths paths; block b of _BLOCK paths draws from default_rng([seed, b])."""
+    """Draw n_paths paths; block b of _BLOCK paths draws from default_rng([seed, b]).
+
+    n_paths and seed are integers, not bools, with n_paths >= 1 and seed >= 0.
+    """
+    _check_integer(n_paths, "n_paths")
+    _check_integer(seed, "seed")
     if n_paths < 1:
         raise ValueError("need at least one path")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, not {seed}")
     values = np.zeros((n_paths, sampler.n))  # Brownian paths start at 0
     dt = np.diff(sampler.times)
     width = min(n_paths, _BLOCK)

@@ -225,6 +225,8 @@ class MetricMeasureSpace:
 def _check_points(space, x):
     """ValueError unless each index of x is an int naming a point: numpy reads bools as a mask, negatives from the end."""
     if isinstance(x, (list, tuple)):  # numpy casts the bool of [True, 0] to an integer
+        if x and all(type(v) is int and 0 <= v < space.n for v in x):
+            return  # plain ints in range, the common case, without the array conversions below
         if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat):
             raise ValueError("point index must be an integer, not bool")
     x = np.asarray(x)
@@ -232,6 +234,24 @@ def _check_points(space, x):
         raise ValueError(f"point index must be an integer, not {x.dtype}")
     if ((x < 0) | (x >= space.n)).any():
         raise ValueError(f"point index must be nonnegative and below n = {space.n}")
+
+
+def _largest(a):
+    """The largest entry of a nonempty float or bool array as a Python scalar, nan if it holds one.
+
+    argmax takes the first largest entry, or the first nan, in one C call;
+    a.max() runs through numpy's Python-level reduction wrapper, about 1 µs
+    more on the small arrays of the verify path. argmax copies a read-only
+    array, so one takes a.max(). Where +0 and -0 tie for the top, the sign
+    may differ from a.max(); callers compare the result, or read an array
+    that holds no -0.
+    """
+    return a.item(a.argmax()) if a.flags.writeable else float(a.max())
+
+
+def _least(a):
+    """The smallest entry of a nonempty float or bool array as a Python scalar, nan if it holds one (see _largest)."""
+    return a.item(a.argmin()) if a.flags.writeable else float(a.min())
 
 
 @functools.lru_cache(maxsize=4)
@@ -277,18 +297,21 @@ class RadiusTable:
 
         Row k starts at 0 and adds its terms one at a time in ascending i, so
         each row is bit for bit the sum of a loop over i for that k alone.
+        The radii vanish from level kstar on (see radius_table), so the terms
+        with i >= kstar, which would add an exact 0, are left out.
         """
         if l < 0:
             raise ValueError("need l >= 0")
-        radii = self.radii[np.minimum(np.arange(l + 1), self.kstar)]
-        out = np.zeros_like(radii)
-        for j in range(l + 1):  # row k takes its term i = k + j at step j
-            out[:l + 1 - j] += 2.0 ** j * radii[j:]
+        radii = self.radii[:min(l + 1, self.kstar)]
+        top = radii.shape[0]
+        out = np.zeros((l + 1, self.space.n))
+        for j in range(top):  # row k takes its term i = k + j at step j
+            out[:top - j] += 2.0 ** j * radii[j:]
         return out
 
 
 def radius_table(space, phi, R):
-    """Build the radius table; zero-mass atoms are rejected."""
+    """Build the radius table; zero-mass atoms are rejected, so row kstar is 0."""
     if not 1 < R < math.inf:
         raise ValueError("R must be finite and exceed 1")
     min_pos = float(space.mass.min())

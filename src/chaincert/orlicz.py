@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .mspace import _largest, _least
 from .young import ConvexGauge
 
 __all__ = ["luxemburg_norm", "amemiya_norm"]
@@ -24,12 +25,12 @@ def _aligned(values, weights):
     if not w.size:
         return v, w
     # a nan or an infinity carries through min and max, and |v| >= 0
-    lo, hi = float(w.min()), float(w.max())
+    lo, hi = _least(w), _largest(w)
     if not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("weights must be finite")
     if lo < 0:
         raise ValueError("weights must be nonnegative")
-    if not math.isfinite(v.max()):
+    if not math.isfinite(_largest(v)):
         raise ValueError("function values must be finite")
     return v, w
 
@@ -53,11 +54,11 @@ def luxemburg_norm(values, weights, gauge):
       between gauge^-1(1 / sum_i w_i u_i) and min_k gauge^-1(1 / W_k) / u_k.
     """
     v, w = _aligned(values, weights)
-    atoms = (w > 0) & (v > 0)
+    atoms = np.minimum(w, v) > 0  # w > 0 and v > 0, as both are finite
     v, w = v[atoms], w[atoms]
     if not v.size:
         return 0.0
-    vmax = float(v.max())
+    vmax = _largest(v)
     shifted = isinstance(gauge, ConvexGauge)
     base = gauge.base if shifted else gauge
     if base.kind == "power":
@@ -75,9 +76,10 @@ def luxemburg_norm(values, weights, gauge):
         W = w.cumsum()
         S = (w * up).cumsum()
         with np.errstate(divide="ignore", over="ignore"):
-            at_values = S / up - W  # the integral at a = u_k max|v|, nondecreasing in k
+            at_values = S / up  # less W below: the integral at a = u_k max|v|, nondecreasing in k
+        at_values -= W
         k = int(at_values.searchsorted(1.0, side="right"))
-        return vmax * float(S[k - 1] / (1.0 + W[k - 1])) ** (1.0 / base.p)
+        return vmax * (S.item(k - 1) / (1.0 + W.item(k - 1))) ** (1.0 / base.p)
 
     order = np.argsort(-v)
     u = v[order] / vmax

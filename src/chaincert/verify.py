@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -25,7 +26,7 @@ import numpy as np
 
 from .chain import _ball_rows, _check_agreement, averaging_kernel, constant_a, modulus_pairs
 from .minorize import _growth_at_limits, _growth_table, _own_growth
-from .mspace import _check_points, _pair_mask, _triu, radius_table
+from .mspace import _check_points, _largest, _least, _pair_mask, _triu, radius_table
 from .orlicz import luxemburg_norm
 from .young import ConvexGauge, pair_series, shifted_series
 
@@ -57,13 +58,14 @@ class TestFunction:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
-        if not np.isfinite(v).all():
+        if v.size and not -math.inf < _least(v) <= _largest(v) < math.inf:  # a nan fails both
             raise ValueError("test functions must be finite")
         object.__setattr__(self, "values", v)
 
     def quotients(self, space):
         """|f(u) - f(v)| / d(u, v) with 0/0 = 0 on the diagonal; ValueError for a wrong length or an overflow."""
-        return self._divided(space, self._differences(space))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._divided(space, self._differences(space))
 
     def _pair_differences(self, space):
         """(|f(s) - f(t)| over the pairs of mspace._triu, the quotient matrix) from one |f(u) - f(v)| matrix.
@@ -71,26 +73,27 @@ class TestFunction:
         The pairs are gathered before the matrix is divided in place, so no
         second n x n array is kept.
         """
-        out = self._differences(space)
-        return out[_pair_mask(space.n)], self._divided(space, out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._differences(space)
+            return out[_pair_mask(space.n)], self._divided(space, out)
 
     def _differences(self, space):
-        """The matrix |f(u) - f(v)|; an overflow is an inf entry, which _divided rejects."""
+        """The matrix |f(u) - f(v)|, under the caller's errstate(over="ignore"); an overflow is an inf
+        entry, which _divided rejects."""
         f = self.values
         if f.size != space.n:
             raise ValueError(f"test function has the wrong length: {f.size} values on a {space.n}-point space")
-        with np.errstate(over="ignore"):
-            out = f[:, None] - f[None, :]
+        out = f[:, None] - f[None, :]
         return np.abs(out, out=out)
 
     @staticmethod
     def _divided(space, out):
-        """out divided in place by the distances, with 0/0 = 0 on the diagonal; ValueError for a non-finite quotient."""
+        """out divided in place by the distances, with 0/0 = 0 on the diagonal, under the caller's
+        errstate(over="ignore", invalid="ignore"); ValueError for a non-finite quotient."""
         # d > 0 off the diagonal, so any overflow is an inf quotient; 0/0 on the diagonal is set to 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            out /= space.dist
-        np.fill_diagonal(out, 0.0)
-        if not np.isfinite(out).all():
+        out /= space.dist
+        out.ravel()[::space.n + 1] = 0.0  # out is a new C-contiguous matrix, so ravel is a view
+        if not _largest(out) < math.inf:  # the quotients are >= 0, so an inf or a nan shows in the max
             raise ValueError("difference quotients |f(s) - f(t)| / d(s, t) overflow")
         return out
 
@@ -129,7 +132,9 @@ def _rel_margins(lhs, rhs):
         scale = np.abs(rhs)
         out = rhs - lhs
         out /= np.maximum(scale, 1.0, out=scale)  # in place: one temporary less at the size of lhs
-    if np.isfinite(out).all():  # a nan or an infinity in lhs or rhs leaves a non-finite entry
+    # an infinite or nan lhs or rhs leaves a nan or a -inf entry, except lhs = -inf under a
+    # finite rhs, which leaves the +inf it is set to below; so above -inf there is nothing to set
+    if not out.size or _least(out) > -math.inf:
         return out
     out[np.isinf(rhs) | (lhs == -np.inf)] = np.inf
     out[(lhs == np.inf) | (rhs == -np.inf) & (lhs > -np.inf)] = -np.inf
@@ -138,6 +143,8 @@ def _rel_margins(lhs, rhs):
 
 def _as_vector(x):
     """x as a float array of at least one dimension; a float64 array is taken as it is."""
+    if isinstance(x, float):  # a Python float or a numpy float64
+        return np.array([x])
     x = np.asarray(x, dtype=float)
     return x.reshape(1) if x.ndim == 0 else x
 
@@ -156,14 +163,18 @@ class Check:
     rhs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if isinstance(self.locations, str):
-            object.__setattr__(self, "locations", (self.locations,))
+        locations = self.locations
+        if isinstance(locations, str):
+            locations = (locations,)
+            object.__setattr__(self, "locations", locations)
         lhs = _as_vector(self.lhs)
         rhs = _as_vector(self.rhs)
-        if not len(self.locations) == lhs.size == rhs.size:
+        if not len(locations) == lhs.size == rhs.size:
             raise ValueError("a check needs one lhs and one rhs value per location")
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+        if lhs is not self.lhs:  # a float64 array is kept as it is
+            object.__setattr__(self, "lhs", lhs)
+        if rhs is not self.rhs:
+            object.__setattr__(self, "rhs", rhs)
 
     @property
     def iu(self):
@@ -203,7 +214,7 @@ def _worst_row(name, locations, lhs, rhs):
     """Check(name, locations, lhs, rhs).worst() for float arrays lhs and rhs,
     without building the check over all locations."""
     j = int(_rel_margins(lhs, rhs).argmin())
-    return Check(name, locations[j], lhs[[j]], rhs[[j]])
+    return Check(name, locations[j], float(lhs[j]), float(rhs[j]))
 
 
 class _CheckList:
@@ -253,14 +264,18 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
 
     The gauge norm is the Luxemburg norm of the difference quotients under
     the certificate's pair measure with gauge (psi - 1)+. When psi satisfies
-    the product condition with threshold 1 and multiplier nabla_r, the
-    sup-form bound sup psi_+(|df| / (K r tau)) <= int psi_+(f^d) dnu is
-    checked as well. A relaxed variant with constant A*R^(n0+1)*(1+B), the
-    bound the chaining argument itself delivers, is reported for diagnosis.
+    the product condition with threshold 1 and multiplier nabla_r, a
+    positive finite number, the sup-form bound
+    sup psi_+(|df| / (K r tau)) <= int psi_+(f^d) dnu is checked as well. A
+    relaxed variant with constant A*R^(n0+1)*(1+B), the bound the chaining
+    argument itself delivers, is reported for diagnosis.
     """
     f = _as_test_function(f)
     if cert.theorem != "T1":
         raise ValueError("expected a ratio-pair (T1) certificate")
+    if nabla_r is not None and (isinstance(nabla_r, bool) or not isinstance(nabla_r, numbers.Real)
+                                or not 0 < nabla_r < math.inf):
+        raise ValueError(f"nabla_r must be a positive finite number, not {nabla_r!r}")
     _check_agreement(cert, metrics)
     space = metrics.space
     gauge = ConvexGauge(cert.psi)
@@ -278,10 +293,17 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
 
     if nabla_r is not None:
         with np.errstate(over="ignore"):  # an overflow is an infinite side; see _both_sides_overflow
-            rhs_int = float((cert.nu * gauge.value(fd)).sum())
+            terms = gauge.value(fd)
+            terms *= cert.nu
+            rhs_int = float(terms.sum())
             denom = cert.K * nabla_r * tau  # tau > 0 off the diagonal, so this is 0 only where the product underflowed
-            ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
-            sup_lhs = float(gauge.value(ratios).max()) if ratios.size else 0.0
+            if denom.size and _least(denom) > 0:
+                ratios = lhs / denom
+            else:  # over an underflowed 0, a positive |df| reads inf and 0 reads 0
+                ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
+            # t -> max(t - 1, 0) is nondecreasing on floats, so the largest gauge value is the shifted
+            # largest psi value, bit for bit
+            sup_lhs = max(_largest(gauge.base.value(ratios)) - 1.0, 0.0) if ratios.size else 0.0
         if sup_lhs == rhs_int == math.inf:
             raise _both_sides_overflow("gauge_sup_bound")
         checks.append(Check("gauge_sup_bound", "sup", sup_lhs, rhs_int))
@@ -307,8 +329,11 @@ def verify_thm3(cert, metrics, f):
     diff, fd = f._pair_differences(space)
     mod = modulus_pairs(cert, metrics)  # checks that cert and metrics agree; nothing above reads metrics
     with np.errstate(over="ignore"):  # an overflow is an infinite side; see _both_sides_overflow
-        rhs_int = float((cert.nu * gauge.value(fd)).sum())
-        lhs = gauge.value(diff / mod)
+        terms = gauge.value(fd)
+        terms *= cert.nu
+        rhs_int = float(terms.sum())
+        diff /= mod
+        lhs = gauge.value(diff)
     if rhs_int == math.inf and (lhs == math.inf).any():
         raise _both_sides_overflow("modulus_bound")
     rhs = np.full(lhs.size, rhs_int)
@@ -361,10 +386,10 @@ def _bracket_index(table, x, d):
     return table.kstar
 
 
-def _check_level(l):
-    """ValueError unless the level l is an int or a numpy integer, not a bool."""
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
-        raise ValueError(f"level l must be an integer, not {type(l).__name__}")
+def _check_integer(value, name):
+    """ValueError, naming the argument, unless value is an int or a numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
 
 
 def proof_trace(table, metrics, s, t, l, f=None, n=2):
@@ -382,7 +407,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     averages over; nothing is kept on the table. Beyond the quotient matrix
     of f, a trace takes O(l n) memory.
     """
-    _check_level(l)
+    _check_integer(l, "level l")
     _check_agreement(table, metrics)
     space = table.space
     _check_points(space, (s, t))
@@ -418,33 +443,36 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
         u_ball = balls[k, j]
         union = balls[k, 0] | balls[k, 1]
         r_prev = table.radius_vector(k - 1)[u_ball]
-        return not (space.dist[u_ball][:, union] >= r_prev[:, None]).any()
+        return not _largest(space.dist[u_ball][:, union] >= r_prev[:, None])  # both balls hold their center
 
-    cap = max(c, 1)
-    tau_st = [max(k for k in range(1, cap + 1) if condition(k, j)) for j in (0, 1)]
+    # the largest level k <= max(c, 1) at which the condition holds; it holds at level 1
+    tau_st = [next(k for k in range(max(c, 1), 0, -1) if condition(k, j)) for j in (0, 1)]
     tau = min(tau_st)
     anchor_j = 1 if tau == tau_st[1] else 0
 
     d_levels = np.minimum(ext[:, 0] + ext[:, 1] + d, D)
+    d_tau = float(d_levels[tau])
+    pair_ext = ext.tolist()  # the level sums below run on Python floats, with the same roundings
     checks = []
 
     # start_level_gap: d_tau <= r_(tau-1)(u) on the balls that define tau
-    us = np.concatenate([np.flatnonzero(balls[tau, j]) for j in (0, 1) if tau_st[j] == tau])
+    us = [balls[tau, j].nonzero()[0] for j in (0, 1) if tau_st[j] == tau]
+    us = us[0] if len(us) == 1 else np.concatenate(us)
     checks.append(_worst_row("start_level_gap", _PointLocations(us),
-                             np.full(us.size, d_levels[tau]), table.radius_vector(tau - 1)[us]))
+                             np.full(us.size, d_tau), table.radius_vector(tau - 1)[us]))
 
-    lhs_sum = d_levels[tau] * R ** tau
-    lhs_sum += sum((ext[k, 0] + ext[k, 1]) * R ** k for k in range(tau, c + 1))
-    rhs_sum = (R / (R - 5.0)) * R ** c * (1.5 * d + 2.0 * (ext[c, 0] + ext[c, 1]))
-    checks.append(Check("geometric_level_sum", f"c={c}", float(lhs_sum), float(rhs_sum)))
+    lhs_sum = d_tau * R ** tau
+    lhs_sum += sum((pair_ext[k][0] + pair_ext[k][1]) * R ** k for k in range(tau, c + 1))
+    rhs_sum = (R / (R - 5.0)) * R ** c * (1.5 * d + 2.0 * (pair_ext[c][0] + pair_ext[c][1]))
+    checks.append(Check("geometric_level_sum", f"c={c}", lhs_sum, rhs_sum))
 
     A = constant_a(R)
-    lhs_tm = d_levels[tau] * R ** tau
-    lhs_tm += sum(ext[k, j] * R ** k for j in (0, 1) for k in range(tau, l))
-    checks.append(Check("trace_metric_bound", "A*tau", float(lhs_tm), float(A * metrics.tau[s, t])))
+    lhs_tm = d_tau * R ** tau
+    lhs_tm += sum(pair_ext[k][j] * R ** k for j in (0, 1) for k in range(tau, l))
+    checks.append(Check("trace_metric_bound", "A*tau", lhs_tm, A * float(metrics.tau[s, t])))
 
     if f is not None:
-        checks.append(_smoothing_difference_check(table, l, f, fd, st, ext, balls, tau, anchor_j, d_levels, n))
+        checks.append(_smoothing_difference_check(table, l, f, fd, st, pair_ext, balls, tau, anchor_j, d_tau, n))
 
     return ProofTrace(
         s=s, t=t, l=l, distance=d, a=a, b=b, c=c,
@@ -489,8 +517,9 @@ def _index_order_sums(terms, mask):
     return np.where(mask, terms, 0.0).cumsum(axis=-1)[..., -1]
 
 
-def _smoothing_difference_check(table, l, f, fd, st, ext, balls, tau, anchor_j, d_levels, n):
-    """The smoothing_difference_bound of a trace; st, ext and balls as in proof_trace, and st[anchor_j] the anchor.
+def _smoothing_difference_check(table, l, f, fd, st, pair_ext, balls, tau, anchor_j, d_tau, n):
+    """The smoothing_difference_bound of a trace; st, pair_ext (ext as lists) and balls as in proof_trace,
+    st[anchor_j] the anchor and d_tau the padded distance at level tau.
 
     A level whose ball-average sum is 0 adds an exact 0 and its weight
     phi(R^(k+1)) is not multiplied in, so a weight that overflows to inf
@@ -503,9 +532,9 @@ def _smoothing_difference_check(table, l, f, fd, st, ext, balls, tau, anchor_j, 
     smoothed = _ball_rows(space, table.radius_vector(l), centers=st) @ f.values
     lhs = abs(float(smoothed[0] - smoothed[1]))
 
-    total = d_levels[tau] * R ** (tau + n)
-    total += sum(ext[k, j] * R ** (k + n) for j in (0, 1) for k in range(tau, l))
-    if fd.max() >= R ** (tau + n):  # else every ball average is 0
+    total = d_tau * R ** (tau + n)
+    total += sum(pair_ext[k][j] * R ** (k + n) for j in (0, 1) for k in range(tau, l))
+    if _largest(fd) >= R ** (tau + n):  # else every ball average is 0
         # levels k = tau..l-1: each point u of the level-(k+1) extended balls of s
         # and t adds mass(u) r_k(u) times its ball average, once for s and once for t
         outer = balls[tau + 1:l + 1].swapaxes(0, 1)  # [0] for s, [1] for t
@@ -524,7 +553,7 @@ def _smoothing_difference_check(table, l, f, fd, st, ext, balls, tau, anchor_j, 
         avg = _ball_averages(space, fd, prev[None, :], [R ** (tau + n)], anchor, closed=False)
         acc = _index_order_sums(space.mass * avg[0], anchor[0])
         if acc:
-            total += d_levels[tau] * phi.value(R ** (tau + 1)) * acc
+            total += d_tau * phi.value(R ** (tau + 1)) * acc
     return Check("smoothing_difference_bound", f"n={n}", lhs, float(total))
 
 
@@ -558,7 +587,7 @@ def _step_integral(radii, R, n0, upper, l, transform=None):
     for k in range(l + 1):
         level = R ** (k - n0) if transform is None else transform(R ** (k - n0))
         lo, hi = radii[k + 1], radii[k]
-        overlap = np.clip(np.minimum(upper, hi) - lo, 0.0, None)
+        overlap = np.maximum(np.minimum(upper, hi) - lo, 0.0)
         total = total + level * overlap
     return total
 
@@ -574,7 +603,7 @@ def converse_witness(space, phi, psi, R, n0, t, l):
     the tail constant D and the per-point ratio of the growth integral to the
     witness integral (bounded by R^(n0+1)).
     """
-    _check_level(l)
+    _check_integer(l, "level l")
     _check_points(space, t)
     if l < 0:
         raise ValueError("need l >= 0")
@@ -672,8 +701,8 @@ def _nesting_margins(dist, table, ext, k, pairs):
     # count of d(u, .) <= ext_k(x), clipped at 0; it is largest at the
     # least ext_k(x) over the x paired with u
     near = np.where(pairs, _ball_edge(ext[k])[:, None], np.inf).min(axis=0)
-    below = np.count_nonzero(dist <= near[:, None], axis=1)
-    return worst, int((np.count_nonzero(_closed_balls(dist, r_k), axis=1) - below).max())
+    below = (dist <= near[:, None]).sum(axis=1)
+    return worst, int((_closed_balls(dist, r_k).sum(axis=1) - below).max())
 
 
 def invariant_suite(space, phi, psi, R, n0):
@@ -697,25 +726,23 @@ def invariant_suite(space, phi, psi, R, n0):
     checks = []
 
     radii = table.radii
-    checks.append(Check("radii_monotone", "all k", float(np.max(np.diff(radii, axis=0), initial=-np.inf)), 0.0))
-    lip = max(
-        float(np.max(np.abs(radii[k][:, None] - radii[k][None, :]) - dist))
-        for k in range(kstar + 1)
-    )
+    checks.append(Check("radii_monotone", "all k", float((radii[1:] - radii[:-1]).max(initial=-np.inf)), 0.0))
+    lip = max(float((np.abs(radii[k][:, None] - radii[k][None, :]) - dist).max()) for k in range(kstar + 1))
     checks.append(Check("radii_lipschitz", "all k", lip, 0.0))
 
     worst_lo = -math.inf
     worst_hi = -math.inf
     logR = math.log(R)
     pk = [_phi_at_level(phi, k, logR) for k in range(l + 1)]
+    points = np.arange(n)
     for k in range(kstar + 1):
         if k == 0:
-            closed = opened = 1.0
+            closed = opened = np.float64(1.0)
         else:
-            closed = space.ball_mass(np.arange(n), radii[k], closed=True)
-            opened = space.ball_mass(np.arange(n), radii[k], closed=False)
-        worst_lo = max(worst_lo, float(np.max(1.0 - pk[k] * closed)))
-        worst_hi = max(worst_hi, float(np.max(pk[k] * opened - 1.0)))
+            closed = space.ball_mass(points, radii[k], closed=True)
+            opened = space.ball_mass(points, radii[k], closed=False)
+        worst_lo = max(worst_lo, float((1.0 - pk[k] * closed).max()))
+        worst_hi = max(worst_hi, float((pk[k] * opened - 1.0).max()))
     checks.append(Check("ball_mass_lower", "all x,k", worst_lo, 0.0))
     checks.append(Check("ball_mass_upper", "all x,k", worst_hi, 0.0))
 
@@ -736,26 +763,29 @@ def invariant_suite(space, phi, psi, R, n0):
     rng = np.random.default_rng(0)
     fs = [rng.standard_normal(n) for _ in range(3)]
     g = fs[0] + np.abs(rng.standard_normal(n))
+    ones = np.ones(n)
+    abs_fs = [np.abs(fvals) for fvals in fs]
+    weighted = [(mass * a)[None, :] for a in abs_fs]  # mass * |f| as a row, the same for every level
     nesting = stochastic = worst_support = worst_rowsum = worst_avg = unit_dev = mono = -math.inf
     support_bad = 0
     comp = None
     for k in range(l, -1, -1):
         inball = _closed_balls(dist, ext[k])
         kernel = averaging_kernel(table, k)
-        stochastic = max(stochastic, float(np.max(np.abs(kernel.sum(axis=1) - 1.0))))
-        unit_dev = max(unit_dev, float(np.max(np.abs(kernel @ np.ones(n) - 1.0))))
-        mono = max(mono, float(np.max(kernel @ fs[0] - kernel @ g)))
+        stochastic = max(stochastic, float(np.abs(kernel.sum(axis=1) - 1.0).max()))
+        unit_dev = max(unit_dev, float(np.abs(kernel @ ones - 1.0).max()))
+        mono = max(mono, float((kernel @ fs[0] - kernel @ g).max()))
         if k == kstar:
-            settle = float(np.max(np.abs(kernel @ fs[0] - fs[0])))
+            settle = float(np.abs(kernel @ fs[0] - fs[0]).max())
         # the composed kernel P_l ... P_k, one factor more per level
         comp = kernel if comp is None else comp @ kernel
         del kernel  # one n x n float less during the support and average checks below
         worst_support = max(worst_support, float(np.abs(comp[~inball]).max(initial=0.0)))
-        worst_rowsum = max(worst_rowsum, float(np.max(np.abs(comp.sum(axis=1) - 1.0))))
-        for fvals in fs:
-            lhs_vec = comp @ np.abs(fvals)
-            rhs_vec = pk[k] * (inball * (mass * np.abs(fvals))[None, :]).sum(axis=1)
-            worst_avg = max(worst_avg, float(np.max(lhs_vec - rhs_vec - REL_SLACK * np.maximum(1.0, rhs_vec))))
+        worst_rowsum = max(worst_rowsum, float(np.abs(comp.sum(axis=1) - 1.0).max()))
+        for a, w in zip(abs_fs, weighted):
+            lhs_vec = comp @ a
+            rhs_vec = pk[k] * (inball * w).sum(axis=1)
+            worst_avg = max(worst_avg, float((lhs_vec - rhs_vec - REL_SLACK * np.maximum(1.0, rhs_vec)).max()))
         if k < l:
             worst, bad = _nesting_margins(dist, table, ext, k, pairs)
             nesting = max(nesting, worst)
@@ -781,5 +811,5 @@ def _worst_series_margin(terms, rhs):
         lhs = terms[c]
         for k in range(c + 1, len(terms)):
             lhs = lhs + terms[k]
-        worst = max(worst, float(np.max(lhs - rhs[c] - REL_SLACK * np.maximum(1.0, np.abs(rhs[c])))))
+        worst = max(worst, float((lhs - rhs[c] - REL_SLACK * np.maximum(1.0, np.abs(rhs[c]))).max()))
     return worst

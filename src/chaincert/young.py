@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mspace import _least
+
 __all__ = [
     "YoungFunction",
     "ConvexGauge",
@@ -97,7 +99,7 @@ class YoungFunction:
     def value(self, x):
         """phi(x) for scalar or array x >= 0."""
         arr = np.asarray(x, dtype=float)
-        if (arr < 0).any():
+        if arr.size and _least(arr) < 0:  # a nan passes, as it compares False
             raise ValueError("Young functions are evaluated on [0, inf) only")
         if self.kind == "power":
             out = arr ** self.p
@@ -186,7 +188,7 @@ class YoungFunction:
         raise ValueError(f"unknown Young function kind {kind!r}")
 
     def __eq__(self, other):
-        return isinstance(other, YoungFunction) and self.spec() == other.spec()
+        return other is self or isinstance(other, YoungFunction) and self.spec() == other.spec()
 
     def __hash__(self):
         return hash(repr(self.spec()))
@@ -208,8 +210,11 @@ class ConvexGauge:
         self.base = base
 
     def value(self, x):
-        out = np.maximum(np.asarray(self.base.value(x), dtype=float) - 1.0, 0.0)
-        return float(out) if out.ndim == 0 else out
+        out = self.base.value(x)  # a float for a scalar x, else a new array
+        if isinstance(out, float):
+            return max(out - 1.0, 0.0)
+        out -= 1.0
+        return np.maximum(out, 0.0, out=out)
 
     def inverse(self, y):
         arr = np.asarray(y, dtype=float)

@@ -289,3 +289,16 @@ def test_sup_runs_under_the_callers_error_state(below):
             mc._path_sups(values, denom)
     assert caught == []
     assert np.isinf(sups).all()
+
+
+def test_sample_rejects_counts_and_seeds_that_are_not_integers():
+    # n_paths = 1.5 and True ended in a TypeError from np.zeros, seed = -1 and 1.5 in
+    # numpy's own message, which did not name the seed
+    sampler = brownian_grid_sampler(6, PHI2)
+    for n_paths, seed, match in ((1.5, 1, "n_paths must be an integer, not float"),
+                                 (True, 1, "n_paths must be an integer, not bool"),
+                                 (4, -1, "seed must be nonnegative, not -1"),
+                                 (4, 1.5, "seed must be an integer, not float")):
+        with pytest.raises(ValueError, match=match):
+            sample(sampler, n_paths, seed)
+    assert np.array_equal(sample(sampler, np.int64(4), np.uint32(1)).values, sample(sampler, 4, 1).values)

@@ -282,11 +282,15 @@ def _triangle_use(k, below=False):
 
 
 def _sampler_use(k, below=False):
-    """The path sampler's use: 2,048 paths, two blocks, with seed k; the
+    """The path sampler's use: 2,048 paths, two blocks, with seed |k|; the
     grid's n - 1 steps make _SAMPLE_SPLIT normal draws, or 2,048 fewer.
-    k = -1 is a seed that fails."""
+    k = -1 gives the sampler one time more than it has points, so that every
+    block fails (sample rejects a negative seed before it starts a half)."""
     n = mc._SAMPLE_SPLIT // 2048 + 1 - below
-    return mc.sample(mc.brownian_grid_sampler(n, YoungFunction.power(2)), 2048, seed=k).values
+    sampler = mc.brownian_grid_sampler(n, YoungFunction.power(2))
+    if k < 0:
+        sampler = mc.ProcessSampler(space=sampler.space, psi=sampler.psi, times=np.linspace(0.0, 1.0, n + 1))
+    return mc.sample(sampler, 2048, seed=abs(k)).values
 
 
 def _sup_use(k, below=False):
@@ -578,6 +582,57 @@ def test_ball_mass_returns_float_for_scalars_and_rejects_negative_radii():
             sp.ball_mass(x, 0.3)
         with pytest.raises(ValueError, match="point index must be an integer"):
             ball_growth_integral(sp, PHI2, x, 0.3)
+
+
+def _old_point_verdict(n, x):
+    """The verdict of _check_points before its fast path for plain ints: None, or the start of the message."""
+    if isinstance(x, (list, tuple)) and any(isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat):
+        return "point index must be an integer, not bool"
+    x = np.asarray(x)
+    if x.dtype.kind not in "iu":
+        return f"point index must be an integer, not {x.dtype}"
+    if ((x < 0) | (x >= n)).any():
+        return "point index must be nonnegative and below n = 6"
+    return None
+
+
+def test_check_points_keeps_its_verdicts_for_every_index_kind():
+    sp = generate_space("random", n=6, seed=6)
+    items = [0, 5, 6, -1, np.int64(2), np.int32(5), np.uint8(3), np.int64(-2), np.int64(6),
+             True, False, np.True_, 1.5, 2.0, np.float64(1.0)]
+    cases = [container(pair) for container in (tuple, list) for pair in
+             [(a,) for a in items] + [(a, b) for a in items for b in items]]
+    cases += [(), [], [[0, 1], [2, 3]], [[0, 1], [2, 6]], (0, 1, 2, 3, 4, 5), 3, np.int64(3), 6, -1]
+    for x in cases:
+        want = _old_point_verdict(sp.n, x)
+        if want is None:
+            mspace._check_points(sp, x)
+        else:
+            with pytest.raises(ValueError) as err:
+                mspace._check_points(sp, x)
+            assert str(err.value) == want, x
+
+
+def test_largest_and_least_match_max_and_min():
+    rng = np.random.default_rng(8)
+    pool = np.array([0.0, 1.0, -2.5, 1e308, -1e308, np.inf, -np.inf, np.nan])
+    arrays = [np.array(3.0), np.array([np.nan]), rng.standard_normal((4, 5))]
+    arrays += [rng.choice(pool, size) for size in (1, 2, 7, 40) for _ in range(25)]
+    for a in arrays:
+        read_only = a.copy()
+        read_only.flags.writeable = False  # takes max() and min(), as argmax would copy it
+        for b in (a, read_only):
+            for got, want in ((mspace._largest(b), b.max()), (mspace._least(b), b.min())):
+                assert type(got) is float
+                assert got == want or (math.isnan(got) and math.isnan(want))
+    read_only = rng.standard_normal((300, 300))
+    read_only.flags.writeable = False
+    tracemalloc.start()
+    try:
+        mspace._largest(read_only), mspace._least(read_only)
+        assert tracemalloc.get_traced_memory()[1] < 10_000
+    finally:
+        tracemalloc.stop()
 
 
 def test_radius_table_two_point():

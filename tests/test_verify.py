@@ -415,6 +415,33 @@ def test_check_sizes_must_agree():
     assert one.locations == ("x",) and one.lhs.shape == (1,) and one.rel_margin == 0.5
 
 
+def test_check_stores_float64_vectors_of_any_input():
+    # floats and numpy scalars take the fast path, float64 vectors are kept as they are
+    vector = np.array([1.5, -2.0])
+    assert Check("c", ("a", "b"), vector, vector).lhs is vector
+    for value, want in ((1.5, [1.5]), (np.float64(1.5), [1.5]), (np.array(1.5), [1.5]), ([1.5], [1.5]),
+                        (np.array([3]), [3.0]), (np.float32(0.1), [float(np.float32(0.1))])):
+        check = Check("c", "x", value, value)
+        for side in (check.lhs, check.rhs):
+            assert type(side) is np.ndarray and side.dtype == np.float64 and side.shape == (1,)
+            assert side.tolist() == want
+        with pytest.raises(ValueError, match="a check needs one lhs and one rhs value per location"):
+            Check("c", ("a", "b"), value, value)
+
+
+def test_verify_thm1_rejects_a_nabla_r_that_is_not_a_positive_finite_number():
+    # 0, -1 and nan made gauge_sup_bound fail with an infinite lhs, and inf made it pass vacuously
+    space = generate_space("random", n=6, seed=3)
+    cert, mets = certificate_thm1(space, PHI1, PHI2, 6.0, 1), MinorizingMetrics(space, PHI1)
+    f = np.random.default_rng(3).standard_normal(6)
+    for nabla_r in (0, 0.0, -1, math.nan, math.inf, -math.inf, True, False, "1"):
+        with pytest.raises(ValueError, match="nabla_r must be a positive finite number"):
+            verify_thm1(cert, mets, f, nabla_r=nabla_r)
+    sups = [verify_thm1(cert, mets, f, nabla_r=r).check("gauge_sup_bound") for r in (1, 1.0, np.float64(1.0), np.int64(1))]
+    assert all(c.lhs.tobytes() == sups[0].lhs.tobytes() and c.rhs.tobytes() == sups[0].rhs.tobytes() for c in sups)
+    assert verify_thm1(cert, mets, f).params["nabla_r"] is None
+
+
 def _oracle_battery():
     spaces = [generate_space("random", n=n, seed=n) for n in (5, 17, 40, 64)]
     spaces += [generate_space("grid", n=n, gamma=0.5) for n in (6, 25)]

@@ -33,6 +33,25 @@ def test_normalization(phi):
     assert abs(phi.value(1.0) - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("base", [YoungFunction.power(1), YoungFunction.power(2), YoungFunction.exponential(2),
+                                  YoungFunction.piecewise([(0, 0), (0.5, 0.2), (1, 1), (3, 5)])])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_value_leaves_its_argument_alone_and_gives_floats_for_scalars(base, shifted):
+    gauge = ConvexGauge(base) if shifted else base
+    x = np.array([[0.0, 0.5, 1.0], [2.5, 3.0, 7.25]])
+    kept = x.copy()
+    out = gauge.value(x)
+    assert np.array_equal(x, kept) and not np.shares_memory(out, x)
+    assert out.shape == x.shape and out.dtype == np.float64
+    want = np.asarray(base.value(kept), dtype=float)
+    if shifted:  # the (base - 1)+ of the gauge's definition, on a copy
+        want = np.maximum(want - 1.0, 0.0)
+    assert out.tobytes() == want.tobytes()
+    for scalar in (2.5, np.float64(2.5), np.array(2.5)):
+        assert type(gauge.value(scalar)) is float and gauge.value(scalar) == want[1, 0]
+    assert type(gauge.value(2)) is float
+
+
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
         YoungFunction.power(2).value(-0.5)

@@ -27,11 +27,14 @@ Euclidean metric; phi = x, psi = x^2, R = 6 and n0 = 1. The stages are:
                the sampler, the certificate and the metrics are built
                outside the timed stage
 
-Each stage runs three times untraced, of which the fastest gives its wall
-time, and once more under tracemalloc for its peak, so the tracing does not
-slow the timed runs. All
-sizes run in one process with BLAS on one thread; the max RSS column is the
-process's high-water mark after that size.
+Each stage is timed over three batches of calls untraced, and the fastest
+batch gives its wall time per call; a batch is one call, or, for a stage
+whose first call takes less than 10 ms, as many calls as take about 10 ms
+together, so that the per-call times at small n are not timer and
+scheduling noise. The stage then runs once more under tracemalloc for its
+peak, so the tracing does not slow the timed runs. All sizes run in one
+process with BLAS on one thread; the max RSS column is the process's
+high-water mark after that size.
 """
 
 import math
@@ -53,7 +56,8 @@ import numpy as np  # noqa: E402
 import chaincert as cc  # noqa: E402
 
 SIZES = (64, 256, 512, 1024)
-REPEAT = 3  # the host's speed drifts, so one timed run per stage is too noisy
+REPEAT = 3  # the host's speed drifts, so one timed batch per stage is too noisy
+BATCH_S = 0.01  # a stage faster than this is timed over batches of calls that take about this long
 R = 6.0
 N0 = 1
 WITNESS_LEVEL = 4
@@ -63,12 +67,19 @@ PHI2 = cc.YoungFunction.power(2)
 
 
 def _measure(fn):
-    """fn() REPEAT times for its best wall time and once under tracemalloc; (result, seconds, peak bytes)."""
-    seconds = math.inf
-    for _ in range(REPEAT):
+    """fn() over REPEAT batches for its best wall time per call, and once under tracemalloc;
+    (result, seconds, peak bytes). A first call of BATCH_S or more is the first batch of one call."""
+    start = time.perf_counter()
+    out = fn()
+    seconds = time.perf_counter() - start
+    calls = 1 if seconds >= BATCH_S else math.ceil(BATCH_S / max(seconds, 1e-9))
+    if calls > 1:
+        seconds = math.inf  # the first call sized the batch; every batch is timed anew
+    for _ in range(REPEAT - 1 if calls == 1 else REPEAT):
         start = time.perf_counter()
-        out = fn()
-        seconds = min(seconds, time.perf_counter() - start)
+        for _ in range(calls):
+            out = fn()
+        seconds = min(seconds, (time.perf_counter() - start) / calls)
     tracemalloc.start()
     try:
         fn()
