@@ -244,7 +244,9 @@ def _largest(a):
     more on the small arrays of the verify path. argmax copies a read-only
     array, so one takes a.max(). Where +0 and -0 tie for the top, the sign
     may differ from a.max(); callers compare the result, or read an array
-    that holds no -0.
+    that holds no -0. A nan hides every other entry, so a range test that
+    must fail on a nan can read the result alone, but one that lets a nan
+    pass must look further (YoungFunction.value).
     """
     return a.item(a.argmax()) if a.flags.writeable else float(a.max())
 

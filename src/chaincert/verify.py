@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -259,6 +258,16 @@ def _as_test_function(f):
     return f if isinstance(f, TestFunction) else TestFunction(np.asarray(f, dtype=float))
 
 
+def _as_number(x):
+    """float(x) for a real number of any type or a 0-d array; nan for a bool, a string or anything else."""
+    if isinstance(x, (bool, np.bool_, str, bytes)):
+        return math.nan
+    try:
+        return float(x) if np.ndim(x) == 0 else math.nan
+    except (TypeError, ValueError):
+        return math.nan
+
+
 def verify_thm1(cert, metrics, f, nabla_r=None):
     """Check |f(s)-f(t)| <= K * |f^d|_gauge * tau(s,t) on every pair.
 
@@ -273,8 +282,7 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
     f = _as_test_function(f)
     if cert.theorem != "T1":
         raise ValueError("expected a ratio-pair (T1) certificate")
-    if nabla_r is not None and (isinstance(nabla_r, bool) or not isinstance(nabla_r, numbers.Real)
-                                or not 0 < nabla_r < math.inf):
+    if nabla_r is not None and not 0 < _as_number(nabla_r) < math.inf:
         raise ValueError(f"nabla_r must be a positive finite number, not {nabla_r!r}")
     _check_agreement(cert, metrics)
     space = metrics.space
@@ -297,10 +305,7 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
             terms *= cert.nu
             rhs_int = float(terms.sum())
             denom = cert.K * nabla_r * tau  # tau > 0 off the diagonal, so this is 0 only where the product underflowed
-            if denom.size and _least(denom) > 0:
-                ratios = lhs / denom
-            else:  # over an underflowed 0, a positive |df| reads inf and 0 reads 0
-                ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
+            ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
             # t -> max(t - 1, 0) is nondecreasing on floats, so the largest gauge value is the shifted
             # largest psi value, bit for bit
             sup_lhs = max(_largest(gauge.base.value(ratios)) - 1.0, 0.0) if ratios.size else 0.0

@@ -99,7 +99,8 @@ class YoungFunction:
     def value(self, x):
         """phi(x) for scalar or array x >= 0."""
         arr = np.asarray(x, dtype=float)
-        if arr.size and _least(arr) < 0:  # a nan passes, as it compares False
+        least = _least(arr) if arr.size else 0.0
+        if least < 0 or least != least and (arr < 0).any():  # the least entry reads nan if one is there
             raise ValueError("Young functions are evaluated on [0, inf) only")
         if self.kind == "power":
             out = arr ** self.p

@@ -434,10 +434,12 @@ def test_verify_thm1_rejects_a_nabla_r_that_is_not_a_positive_finite_number():
     space = generate_space("random", n=6, seed=3)
     cert, mets = certificate_thm1(space, PHI1, PHI2, 6.0, 1), MinorizingMetrics(space, PHI1)
     f = np.random.default_rng(3).standard_normal(6)
-    for nabla_r in (0, 0.0, -1, math.nan, math.inf, -math.inf, True, False, "1"):
+    for nabla_r in (0, 0.0, -1, math.nan, math.inf, -math.inf, True, False, np.True_, "1", [1.0], np.array([1.0]),
+                    np.array(0.0), 1j):
         with pytest.raises(ValueError, match="nabla_r must be a positive finite number"):
             verify_thm1(cert, mets, f, nabla_r=nabla_r)
-    sups = [verify_thm1(cert, mets, f, nabla_r=r).check("gauge_sup_bound") for r in (1, 1.0, np.float64(1.0), np.int64(1))]
+    ones = (1, 1.0, np.float64(1.0), np.int64(1), np.array(1.0))  # a 0-d array is a number too
+    sups = [verify_thm1(cert, mets, f, nabla_r=r).check("gauge_sup_bound") for r in ones]
     assert all(c.lhs.tobytes() == sups[0].lhs.tobytes() and c.rhs.tobytes() == sups[0].rhs.tobytes() for c in sups)
     assert verify_thm1(cert, mets, f).params["nabla_r"] is None
 

@@ -55,6 +55,11 @@ def test_value_leaves_its_argument_alone_and_gives_floats_for_scalars(base, shif
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
         YoungFunction.power(2).value(-0.5)
+    for phi in ALL_KINDS:  # a nan beside a negative argument does not hide it
+        for x in ([math.nan, -1.0], [-1.0, math.nan], np.array([[math.nan, 2.0], [0.5, -0.5]])):
+            with pytest.raises(ValueError, match="evaluated on \\[0, inf\\) only"):
+                phi.value(x)
+        assert math.isnan(phi.value(math.nan))
     with pytest.raises(ValueError):
         YoungFunction.power(2).inverse(-1.0)
 
