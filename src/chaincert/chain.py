@@ -193,6 +193,16 @@ def _weight_series(phi, psi, logR, n0, kstar, shift=0.0):
     return weights, weight_sum, tail_weight, bound, 1.0
 
 
+def _check_n0(n0):
+    """PreconditionError unless n0 is an integer >= 1; an integral float such as 2.0 counts as one."""
+    try:
+        valid = int(n0) == n0 and n0 >= 1
+    except (TypeError, ValueError, OverflowError):  # int() of nan, inf or a non-number
+        valid = False
+    if not valid:
+        raise PreconditionError(f"n0 must be an integer >= 1, not {n0!r}")
+
+
 def certificate_thm1(space, phi, psi, R, n0):
     """Certificate with kernel weights phi(R^(k+1))/gauge_psi(R^(k+n0+1)).
 
@@ -202,8 +212,7 @@ def certificate_thm1(space, phi, psi, R, n0):
     scalar weight tail, which is bounded geometrically by _TAIL_TOL relative
     to the weight sum.
     """
-    if int(n0) != n0 or n0 < 1:
-        raise PreconditionError("n0 must be an integer >= 1")
+    _check_n0(n0)
     n0 = int(n0)
     Reff, escalated_from = _effective_ratio(R)
     _check_ratio(phi, Reff)

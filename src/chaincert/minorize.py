@@ -110,6 +110,8 @@ def ball_growth_integral(space, phi, x, upper):
     An upper limit beyond the diameter is clamped to it, with a warning.
     """
     _check_points(space, x)
+    if np.ndim(x) != 0:
+        raise ValueError(f"x must be one point index, not an array of shape {np.shape(x)}")
     if not upper >= 0:
         raise ValueError(f"upper limit must be nonnegative, not {upper}")
     D = space.diameter

@@ -151,9 +151,18 @@ class MetricMeasureSpace:
         self.dist = dist
         self.mass = mass
         self.labels = labels
-        self._order = np.argsort(dist, axis=1, kind="stable")
-        self._sorted_d = np.take_along_axis(dist, self._order, axis=1)
-        self._cum_mass = np.cumsum(mass[self._order], axis=1)
+        # the default sort (a SIMD sort in numpy 2.x) is several times faster than the stable one but
+        # orders ties arbitrarily, so the rows whose sorted distances hold a tie are sorted again
+        # stably: the order, and with it the sums within a tie group of _cum_mass, is the stable
+        # sort's. The sorted distances do not depend on the order of ties, as the only zero of a
+        # row is its diagonal's +0.
+        order = np.argsort(dist, axis=1)
+        self._sorted_d = np.take_along_axis(dist, order, axis=1)
+        tied = (self._sorted_d[:, 1:] == self._sorted_d[:, :-1]).any(axis=1).nonzero()[0]
+        if tied.size:
+            order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+        self._order = order
+        self._cum_mass = np.cumsum(mass[order], axis=1)
         for arr in (self.dist, self.mass, self._order, self._sorted_d, self._cum_mass):
             arr.flags.writeable = False
 
@@ -210,7 +219,8 @@ class MetricMeasureSpace:
         x and eps may be arrays that broadcast together; two scalars give a float."""
         eps = np.asarray(eps, dtype=float)
         if not (eps >= 0).all():
-            raise ValueError("radius must be nonnegative")
+            raise ValueError("radius must be nonnegative, not nan" if np.isnan(eps).any() else
+                             "radius must be nonnegative")
         _check_points(self, x)
         rows = self._sorted_d[x]  # the ball is the first count entries of each sorted row
         count = np.count_nonzero(rows <= eps[..., None] if closed else rows < eps[..., None], axis=-1)
@@ -297,17 +307,19 @@ class RadiusTable:
     def extended(self, l):
         """The (l + 1, n) stack of extended radii r^l_k = sum_{i=k}^{l} 2^(i-k) r_i, row k for k = 0..l.
 
-        Row k starts at 0 and adds its terms one at a time in ascending i, so
-        each row is bit for bit the sum of a loop over i for that k alone.
-        The radii vanish from level kstar on (see radius_table), so the terms
-        with i >= kstar, which would add an exact 0, are left out.
+        Row k adds its terms one at a time in ascending i, so each row is bit
+        for bit the sum of a loop over i for that k alone that starts at 0:
+        its first term r_k is copied, as 0 + r_k is r_k for radii, which hold
+        no -0. The radii vanish from level kstar on (see radius_table), so
+        the terms with i >= kstar, which would add an exact 0, are left out.
         """
         if l < 0:
             raise ValueError("need l >= 0")
         radii = self.radii[:min(l + 1, self.kstar)]
         top = radii.shape[0]
         out = np.zeros((l + 1, self.space.n))
-        for j in range(top):  # row k takes its term i = k + j at step j
+        out[:top] = radii
+        for j in range(1, top):  # row k takes its term i = k + j at step j
             out[:top - j] += 2.0 ** j * radii[j:]
         return out
 

@@ -75,8 +75,7 @@ def luxemburg_norm(values, weights, gauge):
         w, up = w[order], up[order]
         W = w.cumsum()
         S = (w * up).cumsum()
-        with np.errstate(divide="ignore", over="ignore"):
-            at_values = S / up  # less W below: the integral at a = u_k max|v|, nondecreasing in k
+        at_values = _quotient(S, up)  # less W below: the integral at a = u_k max|v|, nondecreasing in k
         at_values -= W
         k = int(at_values.searchsorted(1.0, side="right"))
         return vmax * (S.item(k - 1) / (1.0 + W.item(k - 1))) ** (1.0 / base.p)
@@ -87,13 +86,27 @@ def luxemburg_norm(values, weights, gauge):
     W = np.cumsum(w)
 
     def log_integral(s):
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.dot(w, gauge.value(u * math.exp(s))))
+        total = _weighted_gauge_sum(w, gauge, u, math.exp(s))
         return math.log(total) if total > 0.0 else -math.inf
 
     lo = gauge.inverse(1.0 / np.dot(w, u))
     hi = float(np.min(gauge.inverse(1.0 / W) / u))
     return vmax * math.exp(-_root(log_integral, math.log(lo), math.log(hi), 1e-13))
+
+
+# np.errstate as a decorator sets the error state of each call about 1 µs faster than a with block
+
+
+@np.errstate(divide="ignore", over="ignore")
+def _quotient(S, up):
+    """S / up; a zero or subnormal up gives an infinite entry."""
+    return S / up
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _weighted_gauge_sum(w, gauge, u, t):
+    """sum_i w_i gauge(u_i t) as a float; an overflow makes it inf."""
+    return float(np.dot(w, gauge.value(u * t)))
 
 
 def _root(g, lo, hi, tol):

@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .chain import _ball_rows, _check_agreement, averaging_kernel, constant_a, modulus_pairs
+from .chain import _ball_rows, _check_agreement, _check_n0, averaging_kernel, constant_a, modulus_pairs
 from .minorize import _growth_at_limits, _growth_table, _own_growth
 from .mspace import _check_points, _largest, _least, _pair_mask, _triu, radius_table
 from .orlicz import luxemburg_norm
@@ -61,20 +61,22 @@ class TestFunction:
             raise ValueError("test functions must be finite")
         object.__setattr__(self, "values", v)
 
+    # np.errstate as a decorator sets the error state of each call about 1 µs faster than a with
+    # block; the verify path of a small space makes several such calls
+    @np.errstate(over="ignore", invalid="ignore")
     def quotients(self, space):
         """|f(u) - f(v)| / d(u, v) with 0/0 = 0 on the diagonal; ValueError for a wrong length or an overflow."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._divided(space, self._differences(space))
+        return self._divided(space, self._differences(space))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _pair_differences(self, space):
         """(|f(s) - f(t)| over the pairs of mspace._triu, the quotient matrix) from one |f(u) - f(v)| matrix.
 
         The pairs are gathered before the matrix is divided in place, so no
         second n x n array is kept.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._differences(space)
-            return out[_pair_mask(space.n)], self._divided(space, out)
+        out = self._differences(space)
+        return out[_pair_mask(space.n)], self._divided(space, out)
 
     def _differences(self, space):
         """The matrix |f(u) - f(v)|, under the caller's errstate(over="ignore"); an overflow is an inf
@@ -82,7 +84,7 @@ class TestFunction:
         f = self.values
         if f.size != space.n:
             raise ValueError(f"test function has the wrong length: {f.size} values on a {space.n}-point space")
-        out = f[:, None] - f[None, :]
+        out = f[:, None] - f
         return np.abs(out, out=out)
 
     @staticmethod
@@ -108,7 +110,7 @@ class _PairLocations(Sequence):
         return self.iu.size
 
     def __getitem__(self, j):
-        return f"({self.iu[j]},{self.iv[j]})"
+        return f"({self.iu.item(j)},{self.iv.item(j)})"  # Python ints format faster than numpy ones
 
 
 class _PointLocations(Sequence):
@@ -121,16 +123,16 @@ class _PointLocations(Sequence):
         return self.points.size
 
     def __getitem__(self, j):
-        return f"u={self.points[j]}"
+        return f"u={self.points.item(j)}"
 
 
+@np.errstate(invalid="ignore")  # inf - inf and inf / inf are nan; comparisons with nan set no flag
 def _rel_margins(lhs, rhs):
     """(rhs - lhs) / max(1, |rhs|) of float arrays; -inf where lhs is +inf or rhs is -inf
     below lhs, else inf where lhs is -inf or rhs infinite."""
-    with np.errstate(invalid="ignore"):
-        scale = np.abs(rhs)
-        out = rhs - lhs
-        out /= np.maximum(scale, 1.0, out=scale)  # in place: one temporary less at the size of lhs
+    scale = np.abs(rhs)
+    out = rhs - lhs
+    out /= np.maximum(scale, 1.0, out=scale)  # in place: one temporary less at the size of lhs
     # an infinite or nan lhs or rhs leaves a nan or a -inf entry, except lhs = -inf under a
     # finite rhs, which leaves the +inf it is set to below; so above -inf there is nothing to set
     if not out.size or _least(out) > -math.inf:
@@ -148,32 +150,33 @@ def _as_vector(x):
     return x.reshape(1) if x.ndim == 0 else x
 
 
-@dataclass(frozen=True, eq=False)
 class Check:
     """One named inequality lhs <= rhs, measured at one or more locations.
 
     lhs and rhs hold one value per location; a single location may be given
-    as a string and a single value as a float, for a check of size 1.
+    as a string and a single value as a float, for a check of size 1. A
+    check is immutable: its attributes cannot be set or deleted, so the
+    cached rel_margins cannot go stale.
     """
 
-    name: str
-    locations: Sequence[str] = field(repr=False)
-    lhs: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        locations = self.locations
+    def __init__(self, name: str, locations: Sequence[str], lhs, rhs):
         if isinstance(locations, str):
             locations = (locations,)
-            object.__setattr__(self, "locations", locations)
-        lhs = _as_vector(self.lhs)
-        rhs = _as_vector(self.rhs)
+        lhs = _as_vector(lhs)  # a float64 array is kept as it is
+        rhs = _as_vector(rhs)
         if not len(locations) == lhs.size == rhs.size:
             raise ValueError("a check needs one lhs and one rhs value per location")
-        if lhs is not self.lhs:  # a float64 array is kept as it is
-            object.__setattr__(self, "lhs", lhs)
-        if rhs is not self.rhs:
-            object.__setattr__(self, "rhs", rhs)
+        # one dict update, not an assignment per attribute, which __setattr__ forbids
+        self.__dict__.update(name=name, locations=locations, lhs=lhs, rhs=rhs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a check is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a check is immutable")
+
+    def __repr__(self):
+        return f"Check(name={self.name!r})"
 
     @property
     def iu(self):
@@ -201,12 +204,11 @@ class Check:
         """The first location with the smallest relative margin, as a check of size 1."""
         return _worst_row(self.name, self.locations, self.lhs, self.rhs)
 
+    @np.errstate(invalid="ignore")  # inf - inf is nan
     def columns(self):
         """The verify.csv columns: locations, then the arrays lhs, rhs, margin, rel_margin and passed."""
         rel = self.rel_margins
-        with np.errstate(invalid="ignore"):  # inf - inf is nan
-            margin = self.rhs - self.lhs
-        return self.locations, self.lhs, self.rhs, margin, rel, rel >= -REL_SLACK
+        return self.locations, self.lhs, self.rhs, self.rhs - self.lhs, rel, rel >= -REL_SLACK
 
 
 def _worst_row(name, locations, lhs, rhs):
@@ -255,13 +257,15 @@ class VerificationReport(_CheckList):
 
 
 def _as_test_function(f):
-    return f if isinstance(f, TestFunction) else TestFunction(np.asarray(f, dtype=float))
+    return f if isinstance(f, TestFunction) else TestFunction(f)
 
 
 def _as_number(x):
     """float(x) for a real number of any type or a 0-d array; nan for a bool, a string or anything else."""
     if isinstance(x, (bool, np.bool_, str, bytes)):
         return math.nan
+    if isinstance(x, (int, float, np.number)):  # 0-d: np.ndim would make an array of it first
+        return float(x)
     try:
         return float(x) if np.ndim(x) == 0 else math.nan
     except (TypeError, ValueError):
@@ -300,15 +304,7 @@ def verify_thm1(cert, metrics, f, nabla_r=None):
         checks.append(_worst_row("holder_bound_relaxed", pairs, lhs, relaxed_K * lux * tau))
 
     if nabla_r is not None:
-        with np.errstate(over="ignore"):  # an overflow is an infinite side; see _both_sides_overflow
-            terms = gauge.value(fd)
-            terms *= cert.nu
-            rhs_int = float(terms.sum())
-            denom = cert.K * nabla_r * tau  # tau > 0 off the diagonal, so this is 0 only where the product underflowed
-            ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
-            # t -> max(t - 1, 0) is nondecreasing on floats, so the largest gauge value is the shifted
-            # largest psi value, bit for bit
-            sup_lhs = max(_largest(gauge.base.value(ratios)) - 1.0, 0.0) if ratios.size else 0.0
+        sup_lhs, rhs_int = _gauge_sup_sides(gauge, fd, cert.nu, lhs, cert.K, nabla_r, tau)
         if sup_lhs == rhs_int == math.inf:
             raise _both_sides_overflow("gauge_sup_bound")
         checks.append(Check("gauge_sup_bound", "sup", sup_lhs, rhs_int))
@@ -333,17 +329,43 @@ def verify_thm3(cert, metrics, f):
     gauge = ConvexGauge(cert.phi)
     diff, fd = f._pair_differences(space)
     mod = modulus_pairs(cert, metrics)  # checks that cert and metrics agree; nothing above reads metrics
-    with np.errstate(over="ignore"):  # an overflow is an infinite side; see _both_sides_overflow
-        terms = gauge.value(fd)
-        terms *= cert.nu
-        rhs_int = float(terms.sum())
-        diff /= mod
-        lhs = gauge.value(diff)
+    lhs, rhs_int = _modulus_sides(gauge, fd, cert.nu, diff, mod)
     if rhs_int == math.inf and (lhs == math.inf).any():
         raise _both_sides_overflow("modulus_bound")
     rhs = np.full(lhs.size, rhs_int)
     params = {"theorem": "T3", "K": cert.K, "C": cert.C, "mass_integral": metrics.total}
     return VerificationReport([Check("modulus_bound", _PairLocations(*_triu(space.n)), lhs, rhs)], params)
+
+
+# The gauge sides run under errstate(over="ignore"): an overflow is an infinite side, which
+# _both_sides_overflow judges.
+
+
+def _gauge_integral(gauge, fd, nu):
+    """int gauge(f^d) dnu of the quotient matrix fd, as a float."""
+    terms = gauge.value(fd)
+    terms *= nu
+    return float(terms.sum())
+
+
+@np.errstate(over="ignore")
+def _gauge_sup_sides(gauge, fd, nu, lhs, K, nabla_r, tau):
+    """(sup gauge(lhs / (K nabla_r tau)), int gauge(f^d) dnu): the sides of gauge_sup_bound."""
+    rhs_int = _gauge_integral(gauge, fd, nu)
+    denom = K * nabla_r * tau  # tau > 0 off the diagonal, so this is 0 only where the product underflowed
+    ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
+    # t -> max(t - 1, 0) is nondecreasing on floats, so the largest gauge value is the shifted
+    # largest psi value, bit for bit
+    sup_lhs = max(_largest(gauge.base.value(ratios)) - 1.0, 0.0) if ratios.size else 0.0
+    return sup_lhs, rhs_int
+
+
+@np.errstate(over="ignore")
+def _modulus_sides(gauge, fd, nu, diff, mod):
+    """(gauge(diff / mod) per pair, int gauge(f^d) dnu): the sides of modulus_bound; diff is divided in place."""
+    rhs_int = _gauge_integral(gauge, fd, nu)
+    diff /= mod
+    return gauge.value(diff), rhs_int
 
 
 def _both_sides_overflow(name):
@@ -413,6 +435,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     of f, a trace takes O(l n) memory.
     """
     _check_integer(l, "level l")
+    _check_integer(n, "shift n")
     _check_agreement(table, metrics)
     space = table.space
     _check_points(space, (s, t))
@@ -425,7 +448,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     if s == t:
         raise ValueError("need two distinct points")
     d = float(space.dist[s, t])
-    D = space.diameter
+    D = table.radius(0, s)  # level 0 is pinned to the diameter; space.diameter reads all n^2 distances
 
     if d >= D * (1.0 - 1e-12):
         a = b = c = 0
@@ -455,9 +478,9 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     tau = min(tau_st)
     anchor_j = 1 if tau == tau_st[1] else 0
 
-    d_levels = np.minimum(ext[:, 0] + ext[:, 1] + d, D)
-    d_tau = float(d_levels[tau])
     pair_ext = ext.tolist()  # the level sums below run on Python floats, with the same roundings
+    d_levels = [min(ext_s + ext_t + d, D) for ext_s, ext_t in pair_ext]
+    d_tau = d_levels[tau]
     checks = []
 
     # start_level_gap: d_tau <= r_(tau-1)(u) on the balls that define tau
@@ -482,7 +505,7 @@ def proof_trace(table, metrics, s, t, l, f=None, n=2):
     return ProofTrace(
         s=s, t=t, l=l, distance=d, a=a, b=b, c=c,
         tau_s=tau_st[0], tau_t=tau_st[1], tau=tau, anchor=st[anchor_j],
-        d_levels=d_levels, checks=checks,
+        d_levels=np.array(d_levels), checks=checks,
     )
 
 
@@ -534,8 +557,13 @@ def _smoothing_difference_check(table, l, f, fd, st, pair_ext, balls, tau, ancho
     space = table.space
     R = table.R
     phi = table.phi
-    smoothed = _ball_rows(space, table.radius_vector(l), centers=st) @ f.values
-    lhs = abs(float(smoothed[0] - smoothed[1]))
+    if l >= table.kstar:
+        # r_l = 0 and distinct points are at a positive distance, so each level-l kernel row is the
+        # unit mass at its centre and the smoothed values are f(s) and f(t), up to the sign of a zero
+        lhs = abs(f.values.item(st[0]) - f.values.item(st[1]))
+    else:
+        smoothed = _ball_rows(space, table.radius_vector(l), centers=st) @ f.values
+        lhs = abs(float(smoothed[0] - smoothed[1]))
 
     total = d_tau * R ** (tau + n)
     total += sum(pair_ext[k][j] * R ** (k + n) for j in (0, 1) for k in range(tau, l))
@@ -609,6 +637,7 @@ def converse_witness(space, phi, psi, R, n0, t, l):
     witness integral (bounded by R^(n0+1)).
     """
     _check_integer(l, "level l")
+    _check_n0(n0)
     _check_points(space, t)
     if l < 0:
         raise ValueError("need l >= 0")
@@ -722,6 +751,7 @@ def invariant_suite(space, phi, psi, R, n0):
     The level checks are one walk from l = kstar + 1 down to 0 that builds
     each kernel once and carries only the composed kernel and one ball mask.
     """
+    _check_n0(n0)
     table = radius_table(space, phi, R)
     kstar = table.kstar
     l = kstar + 1

@@ -62,6 +62,15 @@ def test_growth_integral_rejects_foreign_points_and_nan_limits():
         ball_growth_integral(line, PHI1, 0, float("nan"))
 
 
+def test_growth_integral_asks_for_one_point():
+    # an array of points ended in numpy's "only 0-dimensional arrays can be converted"
+    sp = generate_space("random", n=8, seed=1)
+    for x in (np.array([0, 1]), [0, 1], np.array([0]), np.array([[1]])):
+        with pytest.raises(ValueError, match="x must be one point index, not an array of shape"):
+            ball_growth_integral(sp, PHI1, x, 0.5)
+    assert ball_growth_integral(sp, PHI1, np.int64(1), 0.5) == ball_growth_integral(sp, PHI1, 1, 0.5)
+
+
 def test_metric_oracles():
     two = two_point_space()
     line = line3_space()

@@ -503,6 +503,24 @@ def test_triangle_check_memory_is_quadratic():
     assert peak < 40e6
 
 
+def test_sorted_rows_are_those_of_the_stable_sort():
+    # the default sort orders ties arbitrarily; tied rows are sorted again stably, so the
+    # order and the masses summed within each tie group are the stable sort's
+    spaces = [generate_space("random", n=40, seed=3), generate_space("random", n=30, mass="random", seed=2)]
+    spaces += [generate_space("grid", n=33, gamma=0.5), generate_space("grid", n=20, mass="random", seed=4)]
+    spaces += [generate_space("tree", depth=4), generate_space("tree", depth=3, mass="random", seed=5)]
+    spaces += [MetricMeasureSpace([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], [0.2, 0.3, 0.5])]
+    tied = []
+    for sp in spaces:
+        order = np.argsort(sp.dist, axis=1, kind="stable")
+        assert np.array_equal(sp._order, order)
+        assert sp._sorted_d.tobytes() == np.take_along_axis(sp.dist, order, axis=1).tobytes()
+        assert sp._cum_mass.tobytes() == np.cumsum(sp.mass[order], axis=1).tobytes()
+        tied.append(int((sp._sorted_d[:, 1:] == sp._sorted_d[:, :-1]).any(axis=1).sum()))
+    # every row of a tree and of the triangle holds a tie, so each is sorted twice
+    assert tied[4:] == [31, 15, 3] and sum(tied[2:4]) > 0
+
+
 def test_ball_mass_examples():
     two = two_point_space()
     assert two.ball_mass(0, 0.5, closed=True) == 0.5
@@ -569,10 +587,11 @@ def test_ball_mass_returns_float_for_scalars_and_rejects_negative_radii():
         for closed in (True, False):
             with pytest.raises(ValueError, match="radius must be nonnegative"):
                 sp.ball_mass(x, radii, closed=closed)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="radius must be nonnegative$"):
         sp.ball_mass(0, -0.5)
-    with pytest.raises(ValueError):
-        sp.ball_mass(0, math.nan)
+    for eps in (math.nan, [0.2, math.nan], [-1.0, math.nan]):  # a nan was reported as a negative radius
+        with pytest.raises(ValueError, match="radius must be nonnegative, not nan"):
+            sp.ball_mass(0, eps)
     for x in (-1, [0, -1], 6, [0, 6]):  # a negative index would read a row from the end
         with pytest.raises(ValueError, match="point index must be nonnegative and below n = 6"):
             sp.ball_mass(x, 0.5)
