@@ -44,7 +44,7 @@ from .chain import (
 )
 from .mc import _normalizer, brownian_grid_sampler, empirical_corollary, sample
 from .minorize import MinorizingMetrics
-from .mspace import ZeroMassAtomError, _pair_mask, generate_space, space_from_json
+from .mspace import ZeroMassAtomError, _pair_mask, _reprs, _triu, generate_space, space_from_json
 from .verify import TestFunction, invariant_suite, verify_thm1, verify_thm3
 from .young import YoungFunction
 
@@ -200,21 +200,6 @@ def _field(text):
     return buf.getvalue()[:-2]
 
 
-def _reprs(values):
-    """The repr of each float of values, formatting each distinct bit pattern once.
-
-    Keyed on the bits rather than on float equality, so -0.0 and 0.0 (and
-    NaNs of different payloads) stay apart; repr is a function of the bits,
-    so the strings are exactly those of repr on each value.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if bits.size == values.size:
-        return list(map(repr, values.tolist()))
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
 def _tau_rows(metrics, cert):
     """tau.csv text, one string per first point i of the pairs (i, j > i); the modulus is empty for T1."""
     space = metrics.space
@@ -245,8 +230,17 @@ _BOOL = {True: "true", False: "false"}
 CAPITALIZED_VERDICTS = frozenset({"radius_series_integral", "ball_nesting"})
 
 
-def _report_rows(report, prefix):
-    """verify.csv text of one report, one string per check, joined column by column."""
+def _pair_labels(n):
+    """The "(i,j)" label of each pair of mspace._triu(n), the pair list of every pair check."""
+    return [f"({i},{j})" for i, j in zip(*(a.tolist() for a in _triu(n)))]
+
+
+def _report_rows(report, prefix, pair_labels):
+    """verify.csv text of one report, one string per check, joined column by column.
+
+    pair_labels is _pair_labels(n) of the report's space, made once per
+    scenario, so each pair row takes a ready label.
+    """
     pair_checks = report.pair_checks
     for c in report.checks:
         locations, lhs, rhs, margin, rel, passed = c.columns()
@@ -258,8 +252,8 @@ def _report_rows(report, prefix):
             # "(i,j)" holds the delimiter, so csv.writer quotes every pair location;
             # the prefix "f<idx>:" holds no quote, so nothing inside needs escaping
             yield "".join([
-                f'{name},"{prefix}({i},{j})",{a},{b},{m},{r},{v}\n'
-                for i, j, a, b, m, r, v in zip(locations.iu.tolist(), locations.iv.tolist(), *columns, verdicts)
+                f'{name},"{prefix}{p}",{a},{b},{m},{r},{v}\n'
+                for p, a, b, m, r, v in zip(pair_labels, *columns, verdicts)
             ])
         else:
             yield "".join([
@@ -369,7 +363,8 @@ def _compute(sc):
         mc_report = empirical_corollary(sample(sampler, paths, mc_seed), mc_cert, mc_metrics)
         passed &= mc_report.passed
         mc_rows = _mc_rows(mc_report)
-    verify_rows = chain.from_iterable(_report_rows(r, prefix) for r, prefix in reports)
+    labels = _pair_labels(sc.space.n)
+    verify_rows = chain.from_iterable(_report_rows(r, prefix, labels) for r, prefix in reports)
     return dict(certificate=cert, theorem=cert.theorem, mass_integral=metrics.total, passed=passed,
                 tau_rows=tau_rows, verify_rows=verify_rows, mc_rows=mc_rows)
 

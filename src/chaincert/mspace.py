@@ -155,12 +155,16 @@ class MetricMeasureSpace:
         # orders ties arbitrarily, so the rows whose sorted distances hold a tie are sorted again
         # stably: the order, and with it the sums within a tie group of _cum_mass, is the stable
         # sort's. The sorted distances do not depend on the order of ties, as the only zero of a
-        # row is its diagonal's +0.
-        order = np.argsort(dist, axis=1)
+        # row is its diagonal's +0. A space whose middle row holds a tie (a grid, a tree; the end
+        # rows of a grid hold none) is taken to tie in most rows, and is sorted stably at once.
+        probe = np.sort(dist[mass.size // 2])
+        stable = bool((probe[1:] == probe[:-1]).any())
+        order = np.argsort(dist, axis=1, kind="stable" if stable else None)
         self._sorted_d = np.take_along_axis(dist, order, axis=1)
-        tied = (self._sorted_d[:, 1:] == self._sorted_d[:, :-1]).any(axis=1).nonzero()[0]
-        if tied.size:
-            order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+        if not stable:
+            tied = (self._sorted_d[:, 1:] == self._sorted_d[:, :-1]).any(axis=1).nonzero()[0]
+            if tied.size:
+                order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
         self._order = order
         self._cum_mass = np.cumsum(mass[order], axis=1)
         for arr in (self.dist, self.mass, self._order, self._sorted_d, self._cum_mass):
@@ -282,6 +286,22 @@ def _pair_mask(n):
     mask = np.triu(np.ones((n, n), dtype=bool), 1)
     mask.flags.writeable = False
     return mask
+
+
+def _reprs(values):
+    """The repr of each float of values, formatting each distinct bit pattern once.
+
+    The float text of the CLI's csv files and of certificate_to_json. Keyed
+    on the bits rather than on float equality, so -0.0 and 0.0 (and NaNs of
+    different payloads) stay apart; repr is a function of the bits, so the
+    strings are exactly those of repr on each value.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if bits.size == values.size:
+        return list(map(repr, values.tolist()))
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 class RadiusTable:

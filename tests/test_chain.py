@@ -1,4 +1,7 @@
+import dataclasses
+import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from chaincert import (
     averaging_kernel,
     certificate_thm1,
     certificate_thm3,
+    certificate_to_json,
     constant_a,
     constant_b3,
     generate_space,
@@ -21,7 +25,15 @@ from chaincert import (
     radius_table,
     verify_thm3,
 )
-from util import line3_space, random_battery, two_point_space
+from chaincert import chain
+from util import (
+    certificate_payload,
+    line3_space,
+    loop_thm3_nu,
+    masked_ball_rows,
+    random_battery,
+    two_point_space,
+)
 
 PHI1 = YoungFunction.power(1)
 PHI2 = YoungFunction.power(2)
@@ -225,3 +237,62 @@ def test_certificate_rejects_zero_mass():
         certificate_thm1(sp, PHI1, PHI2, 6.0, 1)
     with pytest.raises(ZeroMassAtomError):
         certificate_thm3(sp, PHI2, 6.0)
+
+
+def _dense_battery():
+    """Random, grid and tree spaces, with uniform and Dirichlet masses."""
+    return [
+        generate_space("random", n=30, seed=4),
+        generate_space("random", n=25, mass="random", seed=6),
+        generate_space("grid", n=33, gamma=0.5),
+        generate_space("grid", n=20, mass="random", seed=4),
+        generate_space("tree", depth=4),
+        generate_space("tree", depth=3, mass="random", seed=5),
+    ]
+
+
+def test_ball_rows_match_the_masked_divide_bit_for_bit():
+    # every level past kstar too, where the radii are 0 and an open ball is empty and massless
+    for space in _dense_battery():
+        for phi in (PHI1, PHI2):
+            table = radius_table(space, phi, 6.0)
+            for k in range(table.kstar + 2):
+                radii = table.radius_vector(k)
+                for closed in (True, False):
+                    for centers in (slice(None), [0, space.n - 1], [space.n // 2]):
+                        got = chain._ball_rows(space, radii, closed, centers)
+                        assert got.tobytes() == masked_ball_rows(space, radii, closed, centers).tobytes()
+            empty = chain._ball_rows(space, table.radius_vector(table.kstar), closed=False)
+            assert not empty.any() and not np.signbit(empty).any()
+
+
+def test_certificates_match_the_masked_level_sums_bit_for_bit():
+    for space in _dense_battery():
+        t3 = certificate_thm3(space, PHI2, 6.0)
+        assert t3.nu.tobytes() == loop_thm3_nu(space, PHI2, 6.0).tobytes()
+        t1 = certificate_thm1(space, PHI1, PHI2, 6.0, 1)
+        with mock.patch.object(chain, "_ball_rows", masked_ball_rows):
+            masked = certificate_thm1(space, PHI1, PHI2, 6.0, 1)
+        assert t1.nu.tobytes() == masked.nu.tobytes() and t1.B == masked.B
+
+
+def _json_battery():
+    spaces = [generate_space("random", n=20, seed=8), generate_space("grid", n=64, gamma=0.5),
+              generate_space("tree", depth=4), generate_space("random", n=16, mass="random", seed=9)]
+    for space in spaces:
+        for R in (6.0, 3.0):  # R = 3 is escalated to 27, so escalated_R is a float
+            yield certificate_thm1(space, PHI1, PHI2, R, 1)
+            yield certificate_thm3(space, PHI2, R)
+
+
+def test_certificate_json_is_json_dumps_of_the_payload():
+    certs = list(_json_battery())
+    assert {c.escalated_from for c in certs} == {None, 3.0}
+    for cert in certs:
+        assert certificate_to_json(cert) == json.dumps(certificate_payload(cert), sort_keys=True)
+    # json's spelling of nan and the infinities, signed zeros, a subnormal, repeats and distinct values
+    odd = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 0.1, 0.1, np.nan, 1 / 3]).reshape(2, 5)
+    for nu in (odd, np.array([[0.25, 0.25], [0.25, 0.25]]), np.zeros((0, 0))):
+        cert = dataclasses.replace(certs[0], nu=nu)
+        assert certificate_to_json(cert) == json.dumps(certificate_payload(cert), sort_keys=True)
+    assert "NaN, Infinity, -Infinity, -0.0, 0.0, 5e-324" in certificate_to_json(dataclasses.replace(certs[0], nu=odd))

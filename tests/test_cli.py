@@ -31,7 +31,7 @@ from chaincert.cli import (
     _reprs,
     run,
 )
-from util import csv_text, per_check_rows
+from util import csv_text, per_check_rows, row_fstring_report_rows
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -608,3 +608,36 @@ _REPR_BATTERY = _repr_battery()
 @pytest.mark.parametrize("values", _REPR_BATTERY.values(), ids=_REPR_BATTERY.keys())
 def test_reprs_match_repr_of_each_value(values):
     assert _reprs(values) == list(map(repr, values.tolist()))
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T3"])
+def test_verify_csv_matches_rows_formatted_one_at_a_time(tmp_path, theorem):
+    # 14 points, so pair labels run from one digit to two; every pair row takes a label made once
+    # per scenario, which must read as the row's own f-string of its two indices
+    psi = "[psi]\nkind = power\np = 2\n" if theorem == "T1" else ""
+    cfg = _write(
+        tmp_path,
+        "s.cfg",
+        "[space]\nkind = random\nn = 14\nseed = 3\n"
+        f"[phi]\nkind = power\np = {1 if theorem == 'T1' else 2}\n{psi}"
+        f"[certificate]\ntheorem = {theorem}\nR = 6\n"
+        "[functions]\nsource = random\ncount = 3\nseed = 4\n",
+    )
+    out = tmp_path / "out"
+    assert run(cfg, out_dir=out) == EXIT_OK
+    space = generate_space("random", n=14, seed=3)
+    rng = np.random.default_rng(4)
+    functions = [rng.standard_normal(14) for _ in range(3)]
+    if theorem == "T1":
+        phi, psi = YoungFunction.power(1), YoungFunction.power(2)
+        cert, metrics = certificate_thm1(space, phi, psi, 6.0, 1), MinorizingMetrics(space, phi)
+        reports = [verify_thm1(cert, metrics, f, nabla_r=1.0) for f in functions]
+    else:
+        phi, psi = YoungFunction.power(2), None
+        cert, metrics = certificate_thm3(space, phi, 6.0), MinorizingMetrics(space, phi)
+        reports = [verify_thm3(cert, metrics, f) for f in functions]
+    text = "check,location,lhs,rhs,margin,rel_margin,passed\n"
+    text += "".join(row_fstring_report_rows(r, f"f{idx}:") for idx, r in enumerate(reports))
+    text += row_fstring_report_rows(invariant_suite(space, phi, psi, 6.0, 1), "")
+    assert (out / "verify.csv").read_text() == text
+    assert '"f2:(12,13)"' in text and '"f0:(0,1)"' in text

@@ -504,12 +504,19 @@ def test_triangle_check_memory_is_quadratic():
 
 
 def test_sorted_rows_are_those_of_the_stable_sort():
-    # the default sort orders ties arbitrarily; tied rows are sorted again stably, so the
-    # order and the masses summed within each tie group are the stable sort's
+    # a space whose middle row holds a tie is sorted stably; any other takes the default sort, which
+    # orders ties arbitrarily, and sorts its tied rows again stably. Either way the order and the
+    # masses summed within each tie group are the stable sort's
     spaces = [generate_space("random", n=40, seed=3), generate_space("random", n=30, mass="random", seed=2)]
     spaces += [generate_space("grid", n=33, gamma=0.5), generate_space("grid", n=20, mass="random", seed=4)]
     spaces += [generate_space("tree", depth=4), generate_space("tree", depth=3, mass="random", seed=5)]
     spaces += [MetricMeasureSpace([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]], [0.2, 0.3, 0.5])]
+    # the points 0..63 of a line with point 32 moved by 1/pi: its middle row 32 holds no tie and most
+    # other rows do, so the default sort runs (which orders the ties of most of them otherwise) and
+    # the tied rows are sorted again
+    line = np.arange(64.0)
+    line[32] += 1 / np.pi
+    spaces += [MetricMeasureSpace(np.abs(line[:, None] - line), np.random.default_rng(8).dirichlet(np.ones(64)))]
     tied = []
     for sp in spaces:
         order = np.argsort(sp.dist, axis=1, kind="stable")
@@ -517,8 +524,8 @@ def test_sorted_rows_are_those_of_the_stable_sort():
         assert sp._sorted_d.tobytes() == np.take_along_axis(sp.dist, order, axis=1).tobytes()
         assert sp._cum_mass.tobytes() == np.cumsum(sp.mass[order], axis=1).tobytes()
         tied.append(int((sp._sorted_d[:, 1:] == sp._sorted_d[:, :-1]).any(axis=1).sum()))
-    # every row of a tree and of the triangle holds a tie, so each is sorted twice
-    assert tied[4:] == [31, 15, 3] and sum(tied[2:4]) > 0
+    # every row of a tree and of the triangle holds a tie, and every row of the line but its ends and middle
+    assert tied[4:] == [31, 15, 3, 61] and sum(tied[2:4]) > 0
 
 
 def test_ball_mass_examples():

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -30,6 +31,7 @@ from chaincert import chain, verify
 from chaincert.chain import PreconditionError
 from chaincert.mspace import _pair_mask, _triu
 from chaincert.verify import _PairLocations
+from chaincert.young import ConvexGauge, product_condition
 from util import (
     corrupted_kernels,
     gather_quotients,
@@ -40,6 +42,7 @@ from util import (
     loop_growth_ratios,
     loop_invariant_suite,
     loop_proof_trace,
+    masked_gauge_sup_sides,
     per_check_rows,
     random_battery,
     rel_margin,
@@ -788,3 +791,66 @@ def test_pair_labels_are_not_kept_after_the_report():
     finally:
         tracemalloc.stop()
     assert held < 1 << 20
+
+
+def test_gauge_sup_sides_match_the_masked_divide_bit_for_bit():
+    # a K of 5e-324 makes K nabla_r tau underflow to 0 at the pairs with tau below 0.5 (or at all of
+    # them), where a positive difference gives an infinite ratio and a zero one gives 0
+    spaces = [generate_space("random", n=20, seed=4), generate_space("random", n=14, mass="random", seed=6),
+              generate_space("grid", n=25, gamma=0.5), generate_space("tree", depth=3, mass="random", seed=5)]
+    rng = np.random.default_rng(17)
+    underflowed = set()
+    for space in spaces:
+        cert, mets = certificate_thm1(space, PHI1, PHI2, 6.0, 1), MinorizingMetrics(space, PHI1)
+        tau = mets.tau[_pair_mask(space.n)]
+        for psi in (PHI2, YoungFunction.exponential(1)):
+            gauge = ConvexGauge(psi)
+            for f in (rng.standard_normal(space.n), rng.integers(0, 3, space.n) * 0.5, np.zeros(space.n)):
+                lhs, fd = TestFunction(f)._pair_differences(space)
+                # tau scaled so that its lower half lies below 0.5, where 5e-324 tau rounds to 0
+                half = tau * (0.5 / np.median(tau))
+                for K, nabla_r, t in ((cert.K, 1.0, tau), (cert.K, 2.5, tau), (5e-324, 1.0, half),
+                                      (5e-324, 1e-300, tau)):
+                    denom = K * nabla_r * t
+                    underflowed.add((denom == 0).mean().round(1))
+                    got = verify._gauge_sup_sides(gauge, fd, cert.nu, lhs, K, nabla_r, t)
+                    want = masked_gauge_sup_sides(gauge, fd, cert.nu, lhs, K, nabla_r, t)
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert underflowed == {0.0, 0.5, 1.0}
+
+
+def test_verify_thm1_checks_the_product_condition_of_psi():
+    space = generate_space("random", n=8, seed=2)
+    mets = MinorizingMetrics(space, PHI1)
+    f = np.random.default_rng(2).standard_normal(8)
+    # power psi: exact, the condition holds iff nabla_r >= 1, and (1, 1) is the witness below 1
+    for psi in (PHI2, YoungFunction.power(3.5)):
+        cert = certificate_thm1(space, PHI1, psi, 6.0, 1)
+        for r in (0.01, 0.5, np.nextafter(1.0, 0.0)):
+            with pytest.raises(PreconditionError, match=r"nabla_r=.*\(x, y\)=\(1\.0, 1\.0\)"):
+                verify_thm1(cert, mets, f, nabla_r=r)
+            # the sample, with its 1e-12 relative slack, agrees away from r = 1
+            assert r > 0.9 or product_condition(psi, r, 1.0) == (False, (1.0, 1.0))
+        for r in (1, 1.0, 2.0, 1e6):
+            got, want = verify_thm1(cert, mets, f, nabla_r=r), gather_verify_thm1(cert, mets, f, nabla_r=r)
+            for c, w in zip(got.checks, want.checks, strict=True):
+                assert (c.name, c.lhs.tobytes(), c.rhs.tobytes()) == (w.name, w.lhs.tobytes(), w.rhs.tobytes())
+    # other kinds: the sample of young.product_condition decides, and its witness is named. A piecewise
+    # psi grows linearly at the end, so no T1 series converges for it; it is swapped into a certificate
+    exp1 = certificate_thm1(space, PHI1, YoungFunction.exponential(1), 6.0, 1)
+    pwl = YoungFunction.piecewise([(0.0, 0.0), (1.0, 1.0), (2.0, 4.0), (4.0, 40.0)])
+    certs = [exp1, certificate_thm1(space, PHI1, YoungFunction.exponential(2), 6.0, 1),
+             dataclasses.replace(exp1, psi=pwl)]
+    verdicts = []
+    for cert in certs:
+        for r in (0.01, 0.5, 1.0, 3.0):
+            ok, witness = product_condition(cert.psi, r, 1.0)
+            verdicts.append(ok)
+            if ok:
+                assert verify_thm1(cert, mets, 1e-3 * f, nabla_r=r).check("gauge_sup_bound").lhs.size == 1
+            else:
+                with pytest.raises(PreconditionError, match=re.escape(f"(x, y)={witness}")):
+                    verify_thm1(cert, mets, f, nabla_r=r)
+    assert verdicts == [False, False, True, True] * 2 + [False] * 4
+    # without nabla_r nothing is checked
+    assert verify_thm1(certs[2], mets, 1e-3 * f).params["nabla_r"] is None

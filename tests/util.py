@@ -21,7 +21,7 @@ from chaincert import (
 )
 from chaincert import verify
 from chaincert.chain import _check_agreement, modulus_pairs
-from chaincert.cli import _fmt
+from chaincert.cli import CAPITALIZED_VERDICTS, _field, _fmt
 from chaincert.mspace import _triu
 from chaincert.verify import (
     REL_SLACK,
@@ -836,3 +836,70 @@ def four_mask_pwl_inverse(phi, arr):
     if beyond.any():
         out[beyond] = xs[-1] + (arr[beyond] - ys[-1]) / slopes[-1]
     return out
+
+
+def masked_ball_rows(space, radii, closed=True, centers=slice(None)):
+    """Reference chain._ball_rows: mass/rowmass written only inside each ball of positive mass."""
+    dist, radii = space.dist[centers], radii[centers, None]
+    ind = dist <= radii if closed else dist < radii
+    rowmass = ind @ space.mass
+    return np.divide(space.mass, rowmass[:, None], out=np.zeros(ind.shape), where=ind & (rowmass > 0)[:, None])
+
+
+def masked_gauge_sup_sides(gauge, fd, nu, lhs, K, nabla_r, tau):
+    """Reference verify._gauge_sup_sides: the ratios through np.divide(where=), inf for a positive lhs over
+    an underflowed denominator and 0 for a zero one, and the sup of the gauge values."""
+    with np.errstate(over="ignore"):
+        rhs_int = float((gauge.value(fd) * nu).sum())
+        denom = K * nabla_r * tau
+        ratios = np.divide(lhs, denom, out=np.where(lhs > 0, np.inf, 0.0), where=denom > 0)
+        sup_lhs = float(gauge.value(ratios).max()) if ratios.size else 0.0
+    return sup_lhs, rhs_int
+
+
+def loop_thm3_nu(space, phi, R):
+    """Reference certificate_thm3 pair measure: the level sum written out with the masked ball rows."""
+    table = radius_table(space, phi, R)
+    mass = space.mass[:, None]
+    S = np.zeros_like(space.dist)
+    open_prev = np.outer(space.mass, space.mass)
+    for k in range(1, table.kstar + 1):
+        closed = masked_ball_rows(space, table.radius_vector(k)) * mass
+        rk, rk1 = table.radius_vector(k), table.radius_vector(k - 1)
+        S += R ** (k + 1) * (2.0 * rk[:, None] * closed + rk1[:, None] * open_prev)
+        open_prev = masked_ball_rows(space, table.radius_vector(k), closed=False) * mass
+    return S / float(S.sum())
+
+
+def row_fstring_report_rows(report, prefix):
+    """Reference verify.csv text of one report: each pair row formats its two indices in its own f-string."""
+    out = []
+    for c in report.checks:
+        locations, lhs, rhs, margin, rel, passed = c.columns()
+        columns = [list(map(repr, v.tolist())) for v in (lhs, rhs, margin, rel)]
+        verdict = str if c.name in CAPITALIZED_VERDICTS else (lambda x: "true" if x else "false")
+        verdicts = map(verdict, passed.tolist())
+        name = _field(c.name)
+        if c in report.pair_checks:
+            out += [f'{name},"{prefix}({i},{j})",{a},{b},{m},{r},{v}\n'
+                    for i, j, a, b, m, r, v in zip(locations.iu.tolist(), locations.iv.tolist(), *columns, verdicts)]
+        else:
+            out += [f"{name},{_field(prefix + x)},{a},{b},{m},{r},{v}\n"
+                    for x, a, b, m, r, v in zip(locations, *columns, verdicts)]
+    return "".join(out)
+
+
+def certificate_payload(cert):
+    """The certificate.json payload with nu as a list, for json.dumps(payload, sort_keys=True)."""
+    return {
+        "theorem": cert.theorem,
+        "R": cert.R,
+        "n0": cert.n0,
+        "A": cert.A,
+        "B": cert.B,
+        "K": cert.K,
+        "C": cert.C,
+        "nu": cert.nu.ravel().tolist(),
+        "tail_bound": cert.tail_bound,
+        "escalated_R": cert.escalated_from,
+    }

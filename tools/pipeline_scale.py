@@ -26,6 +26,11 @@ Euclidean metric; phi = x, psi = x^2, R = 6 and n0 = 1. The stages are:
                under that grid's certificate_thm1 (x, x^2) and metrics;
                the sampler, the certificate and the metrics are built
                outside the timed stage
+    write      the text the CLI writes for the t1 certificate, formatted
+               into strings and written to no file: the verify.csv rows of
+               one verify_thm1 report of f (its pair labels built in the
+               stage, as the CLI builds them once per scenario), tau.csv and
+               certificate_to_json; the report is made outside the stage
 
 Each stage is timed over three batches of calls untraced, and the fastest
 batch gives its wall time per call; a batch is one call, or, for a stage
@@ -54,6 +59,7 @@ if __name__ == "__main__":
 import numpy as np  # noqa: E402
 
 import chaincert as cc  # noqa: E402
+from chaincert import cli  # noqa: E402
 
 SIZES = (64, 256, 512, 1024)
 REPEAT = 3  # the host's speed drifts, so one timed batch per stage is too noisy
@@ -118,7 +124,15 @@ def stages(n, seed=0):
     grid_cert = cc.certificate_thm1(sampler.space, PHI1, PHI2, R, N0)
     grid_metrics = cc.MinorizingMetrics(sampler.space, PHI1)
     run("mc", lambda: cc.empirical_corollary(cc.sample(sampler, MC_PATHS, seed), grid_cert, grid_metrics))
+    report = cc.verify_thm1(t1, m1, f, nabla_r=1.0)
+    run("write", lambda: _write(report, m1, t1))
     return rows
+
+
+def _write(report, metrics, cert):
+    """The verify.csv rows of report, the tau.csv rows and the certificate.json text, as the CLI formats them."""
+    verify = "".join(cli._report_rows(report, "f0:", cli._pair_labels(metrics.space.n)))
+    return verify, "".join(cli._tau_rows(metrics, cert)), cc.certificate_to_json(cert)
 
 
 def main(argv):
